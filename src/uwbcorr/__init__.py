@@ -48,6 +48,7 @@ from .tdoa import (
     euclidean_distance,
     measured_ddoa_set,
     residuals,
+    solve_baselines,
     solve_tdoa,
     true_ddoa,
 )

@@ -23,11 +23,10 @@ from .config import (
     load_experiment_config,
     resolve_environment,
 )
-from .errors import InsufficientDataError
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import load_checkpoint, save_checkpoint
 from .simulate import ChannelConfig, generate_dataset, grid_trajectory, random_trajectory
-from .tdoa import baseline_position
+from .tdoa import solve_baselines
 from .training import TrainConfig, evaluate_model, train
 
 
@@ -95,25 +94,18 @@ def cmd_baseline(args) -> int:
     cfg = _load_config(args)
     out = _out(cfg)
     env, dataset = _read_env_and_dataset(args, cfg)
-    options = cfg.solver.options(env)
-    estimates, truths = [], []
-    unsolvable = 0
-    for sample in dataset:
-        try:
-            est = baseline_position(sample, env.anchors, options=options)
-        except InsufficientDataError:
-            unsolvable += 1
-            continue
-        estimates.append(est.position)
-        truths.append(sample.true_position)
-    if not estimates:
+    estimates = solve_baselines(dataset, env.anchors, cfg.solver.options(env))
+    solved = [(s.true_position, e.position) for s, e in zip(dataset, estimates) if e is not None]
+    unsolvable = len(dataset) - len(solved)
+    if not solved:
         print("no solvable samples", file=sys.stderr)
         return 1
-    report = metrics_report(np.array(estimates), np.array(truths))
+    truths, estimates = (np.array(column) for column in zip(*solved))
+    report = metrics_report(estimates, truths)
     dataio.write_metrics_json(
         out / "baseline_metrics.json", report, extra={"n_unsolvable": unsolvable}
     )
-    dataio.write_estimates_csv(out / "baseline_estimates.csv", np.array(truths), np.array(estimates))
+    dataio.write_estimates_csv(out / "baseline_estimates.csv", truths, estimates)
     print(
         f"baseline MAE {report.mae:.3f} m over {report.n_samples} samples "
         f"({unsolvable} unsolvable, excluded)"

@@ -4,7 +4,8 @@ A tag transmits once; anchors record reception timestamps. Pairwise timestamp
 differences scaled by the speed of light give distance differences (DDoAs),
 each constraining the tag to a hyperboloid. The solver minimizes the squared
 hyperboloid residuals with a damped Gauss-Newton (Levenberg-Marquardt) loop
-using the analytic Jacobian.
+using the analytic Jacobian; every start of every sample in a batch advances
+in lockstep as one row of stacked arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .errors import (
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 PAIR_POLICIES = ("all_pairs", "reference_anchor")
+
+# Samples per lockstep LM run in solve_baselines: bounds the stacked state
+# (rows x pairs x 3 floats per array) and keeps it cache-sized.
+BATCH_SAMPLES = 128
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,180 @@ def residuals(p, ddoas: DdoaSet, anchors: Sequence[Anchor]) -> np.ndarray:
     return (d_i - d_j) - dd
 
 
+def _require_three_anchors(ddoas: DdoaSet) -> set[int]:
+    referenced = {i for i, _, _ in ddoas.pairs} | {j for _, j, _ in ddoas.pairs}
+    if len(referenced) < 3:
+        raise InsufficientAnchorsError(
+            f"solve_tdoa needs >= 3 distinct anchors, got {len(referenced)}"
+        )
+    return referenced
+
+
+def _sample_ddoas(sample, pair_policy: str) -> DdoaSet:
+    timestamps = {c.anchor_id: c.rx_time for c in sample.raw_cirs}
+    return measured_ddoa_set(timestamps, pair_policy)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Row-wise x @ x as a stack of (1, n) @ (n, 1) products.
+
+    This is the same dot product the one-row ``x @ x`` and
+    ``np.linalg.norm(x)`` compute, so results stay bit-identical to them.
+    """
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _residuals_and_jacobian(p, a_i, a_j, dd, free):
+    """Residuals (n, m) and Jacobian (n, m, k) of n rows at points p (n, 3)."""
+    u_i = p[:, None, :] - a_i
+    u_j = p[:, None, :] - a_j
+    d_i = np.sqrt(np.add.reduce(u_i * u_i, axis=2))  # np.linalg.norm(u_i, axis=2)
+    d_j = np.sqrt(np.add.reduce(u_j * u_j, axis=2))
+    g_i = u_i / np.maximum(d_i, 1e-12)[..., None]
+    g_j = u_j / np.maximum(d_j, 1e-12)[..., None]
+    return (d_i - d_j) - dd, (g_i - g_j)[..., free]
+
+
+def _solve_each(normal: np.ndarray, rhs: np.ndarray):
+    """Per-row fallback when a batched solve meets a singular matrix."""
+    step = np.zeros(rhs.shape[:2])
+    ok = np.ones(len(normal), dtype=bool)
+    for n in range(len(normal)):
+        try:
+            step[n] = np.linalg.solve(normal[n], rhs[n])[:, 0]
+        except np.linalg.LinAlgError:
+            ok[n] = False
+    return step, ok
+
+
+def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds, max_iterations, step_tol, damping):
+    """Levenberg-Marquardt from every row's start, all rows in lockstep.
+
+    Row r minimizes its own hyperboloid residuals (pairs ``a_i[r]``,
+    ``a_j[r]``, ``dd[r]``) from ``starts[r]`` and keeps its own point,
+    residuals, Jacobian, damping, cost and stopping state. The damping is
+    multiplied by 10 on a rejected step (or a singular normal matrix) and
+    divided by 10 on an accepted one. A row stops when its step norm drops
+    below ``step_tol`` (converged), when a rejected step pushes the damping
+    above 1e14, or after ``max_iterations``; stopped rows leave the stack
+    and the others carry on.
+
+    Returns positions (R, 3), residual norms (R,), iterations (R,) and
+    converged flags (R,).
+    """
+    free = np.array([0, 1] if fix_z is not None else [0, 1, 2])
+    eye = np.eye(len(free))
+    box = None if bounds is None else (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
+
+    def place(pts):
+        if box is not None:
+            pts = np.minimum(np.maximum(pts, box[0]), box[1])  # np.clip, without its call overhead
+        if fix_z is not None:
+            pts[:, 2] = fix_z
+        return pts
+
+    p = place(np.array(starts, dtype=float))
+    r, jac = _residuals_and_jacobian(p, a_i, a_j, dd, free)
+    cost = _sq_norms(r)
+    lam = np.full(len(p), damping)
+    rows = np.arange(len(p))  # the output row of each row still running
+    out_p, out_cost = np.empty_like(p), np.empty_like(cost)
+    iterations = np.full(len(p), max_iterations)
+    converged = np.zeros(len(p), dtype=bool)
+    for it in range(1, max_iterations + 1):
+        if rows.size == 0:
+            break
+        jac_t = jac.swapaxes(1, 2)  # jac_t @ jac on one buffer runs as syrk, like jac.T @ jac
+        normal = jac_t @ jac + lam[:, None, None] * eye
+        rhs = -(jac_t @ r[:, :, None])
+        try:
+            step, solved = np.linalg.solve(normal, rhs)[:, :, 0], True
+        except np.linalg.LinAlgError:
+            step, solved = _solve_each(normal, rhs)
+        p_new = p.copy()
+        p_new[:, free] += step
+        p_new = place(p_new)
+        r_new, jac_new = _residuals_and_jacobian(p_new, a_i, a_j, dd, free)
+        cost_new = _sq_norms(r_new)
+        small = np.sqrt(_sq_norms(step)) < step_tol
+        accept = solved & np.isfinite(cost_new) & (cost_new < cost)
+        np.copyto(p, p_new, where=accept[:, None])
+        np.copyto(r, r_new, where=accept[:, None])
+        np.copyto(jac, jac_new, where=accept[:, None, None])
+        cost = np.where(accept, cost_new, cost)
+        lam = np.where(accept, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
+        stop = solved & (small | (~accept & (lam > 1e14)))
+        if stop.any():
+            done = rows[stop]
+            out_p[done], out_cost[done] = p[stop], cost[stop]
+            iterations[done], converged[done] = it, small[stop]
+            keep = ~stop
+            rows, p, r, jac, cost, lam, a_i, a_j, dd = (
+                x[keep] for x in (rows, p, r, jac, cost, lam, a_i, a_j, dd)
+            )
+    out_p[rows], out_cost[rows] = p, cost
+    return out_p, np.sqrt(out_cost), iterations, converged
+
+
+def _solve_group(
+    ddoa_sets: Sequence[DdoaSet],
+    anchors: Sequence[Anchor],
+    init=None,
+    *,
+    fix_z: Optional[float],
+    bounds,
+    max_iterations: int = 100,
+    step_tol: float = 1e-10,
+    damping: float = 1e-3,
+    extra_starts: int = 4,
+) -> list[PositionEstimate]:
+    """Multi-start solves of DDoA sets with one pair count, in one LM run.
+
+    Each set contributes one row per start. A set's result is its first
+    start with a strictly lowest residual norm, scanning the starts in order
+    and stopping at the first whose running best is exact-level (<= 1e-9).
+    """
+    pos = _positions_by_id(anchors)
+    owner, starts, spans, geometry = [], [], [], []
+    for n, ddoas in enumerate(ddoa_sets):
+        referenced = _require_three_anchors(ddoas)
+        geometry.append(_pair_geometry(ddoas, anchors))  # raises MissingAnchorError first
+        participating = np.array([pos[i] for i in sorted(referenced)])
+        if init is not None:
+            mine = [np.asarray(init, dtype=float)]
+        else:
+            centroid = participating.mean(axis=0)
+            mine = [centroid]
+            if extra_starts > 0:
+                picks = np.linspace(0, len(participating) - 1, min(extra_starts, len(participating)))
+                mine.extend(0.8 * participating[int(i)] + 0.2 * centroid for i in picks)
+        spans.append(range(len(starts), len(starts) + len(mine)))
+        owner.extend([n] * len(mine))
+        starts.extend(mine)
+    a_i, a_j, dd = (np.stack(column)[owner] for column in zip(*geometry))
+    position, residual, iterations, converged = _levenberg_marquardt(
+        starts, a_i, a_j, dd, fix_z=fix_z, bounds=bounds,
+        max_iterations=max_iterations, step_tol=step_tol, damping=damping,
+    )
+    results = []
+    for rows in spans:
+        best = rows[0]
+        for row in rows:
+            if residual[row] < residual[best]:
+                best = row
+            if residual[best] <= 1e-9:
+                break
+        results.append(
+            PositionEstimate(
+                position=position[best].copy(),
+                residual_norm=float(residual[best]),
+                iterations=int(iterations[best]),
+                converged=bool(converged[best]),
+            )
+        )
+    return results
+
+
 def solve_tdoa(
     ddoas: DdoaSet,
     anchors: Sequence[Anchor],
@@ -193,96 +372,15 @@ def solve_tdoa(
 
     The squared-residual surface has mirror basins, so unless ``init`` is
     given the solver restarts from a few anchor-biased points and keeps the
-    lowest-cost result (stopping early once the residual is exact-level).
+    lowest-cost result (the first start at exact-level residual wins).
 
     ``fix_z`` constrains the solution to a horizontal plane, which avoids the
     ill-conditioned vertical axis of near-planar anchor layouts.
     """
-    referenced = {i for i, _, _ in ddoas.pairs} | {j for _, j, _ in ddoas.pairs}
-    if len(referenced) < 3:
-        raise InsufficientAnchorsError(
-            f"solve_tdoa needs >= 3 distinct anchors, got {len(referenced)}"
-        )
-    a_i, a_j, dd = _pair_geometry(ddoas, anchors)
-    free = np.array([0, 1] if fix_z is not None else [0, 1, 2])
-    if bounds is not None:
-        box_lo = np.asarray(bounds[0], dtype=float)
-        box_hi = np.asarray(bounds[1], dtype=float)
-
-    def clip(pt):
-        return np.clip(pt, box_lo, box_hi) if bounds is not None else pt
-
-    def residual_and_jacobian(pt):
-        d_i = np.linalg.norm(pt - a_i, axis=1)
-        d_j = np.linalg.norm(pt - a_j, axis=1)
-        r = (d_i - d_j) - dd
-        g_i = (pt - a_i) / np.maximum(d_i, 1e-12)[:, None]
-        g_j = (pt - a_j) / np.maximum(d_j, 1e-12)[:, None]
-        return r, (g_i - g_j)[:, free]
-
-    def run(start):
-        p = clip(start.copy())
-        if fix_z is not None:
-            p[2] = fix_z
-        r, jac = residual_and_jacobian(p)
-        cost = float(r @ r)
-        lam = damping
-        converged = False
-        iterations = 0
-        eye = np.eye(len(free))
-        for iterations in range(1, max_iterations + 1):
-            normal = jac.T @ jac + lam * eye
-            grad = jac.T @ r
-            try:
-                step = np.linalg.solve(normal, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_new = p.copy()
-            p_new[free] += step
-            p_new = clip(p_new)
-            if fix_z is not None:
-                p_new[2] = fix_z
-            r_new, jac_new = residual_and_jacobian(p_new)
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new < cost:
-                p, r, jac, cost = p_new, r_new, jac_new, cost_new
-                lam = max(lam / 10.0, 1e-15)
-                if float(np.linalg.norm(step)) < step_tol:
-                    converged = True
-                    break
-            else:
-                lam *= 10.0
-                if float(np.linalg.norm(step)) < step_tol or lam > 1e14:
-                    converged = float(np.linalg.norm(step)) < step_tol
-                    break
-        return PositionEstimate(
-            position=p,
-            residual_norm=float(np.linalg.norm(r)),
-            iterations=iterations,
-            converged=converged,
-        )
-
-    pos = _positions_by_id(anchors)
-    participating = np.array([pos[i] for i in sorted(referenced)])
-    centroid = participating.mean(axis=0)
-    if init is not None:
-        starts = [np.asarray(init, dtype=float)]
-    else:
-        starts = [centroid]
-        if extra_starts > 0:
-            picks = np.linspace(0, len(participating) - 1, min(extra_starts, len(participating)))
-            starts.extend(
-                0.8 * participating[int(i)] + 0.2 * centroid for i in picks
-            )
-    best = None
-    for start in starts:
-        candidate = run(start)
-        if best is None or candidate.residual_norm < best.residual_norm:
-            best = candidate
-        if best.residual_norm <= 1e-9:
-            break
-    return best
+    return _solve_group(
+        [ddoas], anchors, init, fix_z=fix_z, bounds=bounds, max_iterations=max_iterations,
+        step_tol=step_tol, damping=damping, extra_starts=extra_starts,
+    )[0]
 
 
 def baseline_position(
@@ -293,6 +391,37 @@ def baseline_position(
     init=None,
 ) -> PositionEstimate:
     """Uncorrected TDoA estimate from a sample's reception timestamps."""
-    timestamps = {c.anchor_id: c.rx_time for c in sample.raw_cirs}
-    ddoas = measured_ddoa_set(timestamps, options.pair_policy)
+    ddoas = _sample_ddoas(sample, options.pair_policy)
     return solve_tdoa(ddoas, anchors, init, fix_z=options.fix_z, bounds=options.bounds)
+
+
+def solve_baselines(
+    samples, anchors: Sequence[Anchor], options: SolverOptions = SolverOptions()
+) -> list[Optional[PositionEstimate]]:
+    """Baseline estimates for many samples, solved together.
+
+    Samples are grouped by their number of DDoA pairs, so the rows of a
+    group (one per sample and start) stack without padding, and each group
+    is solved in lockstep LM runs of up to ``BATCH_SAMPLES`` samples. Every
+    result equals ``baseline_position`` on the same sample; an unsolvable
+    sample (fewer than 2 timestamps or 3 anchors) gives ``None`` at its
+    index.
+    """
+    results: list[Optional[PositionEstimate]] = [None] * len(samples)
+    groups: dict[int, list[tuple[int, DdoaSet]]] = {}
+    for k, sample in enumerate(samples):
+        try:
+            ddoas = _sample_ddoas(sample, options.pair_policy)
+            _require_three_anchors(ddoas)
+        except InsufficientDataError:
+            continue
+        groups.setdefault(len(ddoas.pairs), []).append((k, ddoas))
+    for members in groups.values():
+        for lo in range(0, len(members), BATCH_SAMPLES):
+            batch = members[lo : lo + BATCH_SAMPLES]
+            solved = _solve_group(
+                [d for _, d in batch], anchors, fix_z=options.fix_z, bounds=options.bounds
+            )
+            for (k, _), estimate in zip(batch, solved):
+                results[k] = estimate
+    return results

@@ -20,7 +20,7 @@ from .errors import ConfigError, InsufficientDataError
 from .metrics import MetricsReport, metrics_report
 from .model import CorrectionModel, ModelConfig, PreparedExample, prepare_example
 from .simulate import Environment, Sample
-from .tdoa import SolverOptions, baseline_position
+from .tdoa import SolverOptions, solve_baselines
 
 
 @dataclass(frozen=True)
@@ -151,18 +151,13 @@ def prepare_training_examples(
     solver: SolverOptions = SolverOptions(),
 ) -> tuple[list[PreparedExample], int]:
     """Baseline-solve and featurize samples; unsolvable ones are skipped."""
-    examples = []
-    skipped = 0
-    for sample in samples:
-        try:
-            estimate = baseline_position(sample, env.anchors, options=solver)
-        except InsufficientDataError:
-            skipped += 1
-            continue
-        examples.append(
-            prepare_example(sample, env, model_cfg, estimate.position, sample.true_position)
-        )
-    return examples, skipped
+    estimates = solve_baselines(samples, env.anchors, solver)
+    examples = [
+        prepare_example(sample, env, model_cfg, estimate.position, sample.true_position)
+        for sample, estimate in zip(samples, estimates)
+        if estimate is not None
+    ]
+    return examples, len(samples) - len(examples)
 
 
 def train(
@@ -260,25 +255,20 @@ def evaluate_model(
     Samples whose baseline cannot be solved (fewer than three anchors) are
     counted and excluded from both reports.
     """
-    examples = []
-    truths = []
-    skipped = 0
-    for sample in samples:
-        try:
-            estimate = baseline_position(sample, env.anchors, options=solver)
-        except InsufficientDataError:
-            skipped += 1
-            continue
-        examples.append(prepare_example(sample, env, model.config, estimate.position))
-        truths.append(np.asarray(sample.true_position, dtype=float))
-    if not examples:
+    solved = [
+        (sample, estimate)
+        for sample, estimate in zip(samples, solve_baselines(samples, env.anchors, solver))
+        if estimate is not None
+    ]
+    if not solved:
         raise InsufficientDataError("no solvable samples to evaluate")
+    examples = [prepare_example(s, env, model.config, e.position) for s, e in solved]
     predictions = np.empty((len(examples), 3))
     for idx in _group_by_tokens(range(len(examples)), examples).values():
         for lo in range(0, len(idx), 256):
             chunk = idx[lo : lo + 256]
             predictions[chunk] = model.predict_prepared([examples[i] for i in chunk])
-    truths = np.array(truths)
+    truths = np.array([np.asarray(s.true_position, dtype=float) for s, _ in solved])
     baselines = np.array([e.p_tdoa for e in examples])
     return EvaluationResult(
         report=metrics_report(predictions, truths),
@@ -286,5 +276,5 @@ def evaluate_model(
         estimates=predictions,
         baselines=baselines,
         truths=truths,
-        n_unsolvable=skipped,
+        n_unsolvable=len(samples) - len(solved),
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,12 +11,17 @@ from uwbcorr import (
     DdoaSet,
     SolverOptions,
     baseline_position,
+    default_environment,
     euclidean_distance,
+    generate_dataset,
     measured_ddoa_set,
     residuals,
+    solve_baselines,
     solve_tdoa,
     true_ddoa,
 )
+from uwbcorr import tdoa
+from uwbcorr.simulate import random_trajectory
 from uwbcorr.errors import (
     ConfigError,
     InsufficientAnchorsError,
@@ -221,3 +228,87 @@ def test_baseline_position_round_trip(clean_dataset, open_env):
             sample, open_env.anchors, options=SolverOptions(fix_z=1.0)
         )
         assert np.linalg.norm(est.position - sample.true_position) < 1e-6
+
+
+def assert_same_estimate(got, want):
+    assert np.array_equal(got.position, want.position)
+    assert (got.residual_norm, got.iterations, got.converged) == (
+        want.residual_norm,
+        want.iterations,
+        want.converged,
+    )
+
+
+def keep_anchors(sample, n):
+    """The sample as received by its first n anchors only."""
+    cirs = sample.raw_cirs[:n]
+    return replace(sample, raw_cirs=cirs, detected_anchor_ids=[c.anchor_id for c in cirs])
+
+
+@pytest.fixture(scope="module")
+def hall():
+    env = default_environment()
+    points = random_trajectory(env, 24, z=1.0, seed=41, step=2.0)
+    return env, generate_dataset(env, points, 0.4, 42)
+
+
+class TestSolveBaselines:
+    @pytest.mark.parametrize("policy", ["all_pairs", "reference_anchor"])
+    @pytest.mark.parametrize("fix_z", [1.0, None])
+    def test_equals_baseline_position(self, hall, policy, fix_z):
+        env, samples = hall
+        options = SolverOptions.for_environment(env, pair_policy=policy, fix_z=fix_z)
+        batched = solve_baselines(samples, env.anchors, options)
+        assert len(batched) == len(samples)
+        for sample, got in zip(samples, batched):
+            assert_same_estimate(got, baseline_position(sample, env.anchors, options=options))
+
+    def test_unsolvable_samples_are_none_in_place(self, hall):
+        env, samples = hall
+        mixed = [keep_anchors(samples[0], 1), samples[1], keep_anchors(samples[2], 2), samples[3]]
+        options = SolverOptions.for_environment(env, fix_z=1.0)
+        got = solve_baselines(mixed, env.anchors, options)
+        assert got[0] is None and got[2] is None
+        for k in (1, 3):
+            assert_same_estimate(got[k], baseline_position(mixed[k], env.anchors, options=options))
+
+    def test_mixed_pair_counts_keep_input_order(self, hall):
+        env, samples = hall
+        counts = [7, 3, 5, 3, 9, 4, 7, 3]
+        mixed = [keep_anchors(s, n) for s, n in zip(samples, counts)]
+        assert len({len(s.raw_cirs) for s in mixed}) >= 4
+        got = solve_baselines(mixed, env.anchors, SolverOptions(fix_z=1.0))
+        for sample, estimate in zip(mixed, got):
+            assert_same_estimate(
+                estimate, baseline_position(sample, env.anchors, options=SolverOptions(fix_z=1.0))
+            )
+
+    def test_empty(self, hall):
+        env, _ = hall
+        assert solve_baselines([], env.anchors) == []
+
+    def test_singular_row_leaves_other_rows_alone(self, monkeypatch):
+        # Without damping, a tag start on the line through collinear anchors
+        # gives a Jacobian with a zero y column, so every normal matrix of
+        # that set is singular. The batched solve then falls back to one
+        # solve per row, and only the singular rows get their damping raised.
+        anchors = make_anchors(
+            [(0, 0, 0), (10, 0, 0), (20, 0, 0), (0, 0, 3), (10, 10, 2.5), (0, 10, 2.8),
+             (5, 5, 3), (15, 2, 2), (9, 14, 2.6)]
+        )
+        truth = np.array([4.0, 6.0, 0.0])
+        sets = [
+            ddoas_from_truth(truth, [anchors[k] for k in ids])
+            for ids in ([3, 4, 5], [0, 1, 2], [6, 7, 8])
+        ]
+        kwargs = dict(fix_z=0.0, damping=0.0)
+        alone = [solve_tdoa(d, anchors, **kwargs) for d in sets]
+        assert alone[1].iterations == 100 and not alone[1].converged
+        fallbacks = []
+        solve_each = tdoa._solve_each
+        monkeypatch.setattr(tdoa, "_solve_each", lambda *a: fallbacks.append(1) or solve_each(*a))
+        together = tdoa._solve_group(sets, anchors, bounds=None, **kwargs)
+        assert fallbacks
+        for got, want in zip(together, alone):
+            assert_same_estimate(got, want)
+        assert alone[0].converged and alone[2].converged
