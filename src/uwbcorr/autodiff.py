@@ -3,9 +3,10 @@
 Just enough ops for an encoder-only transformer: broadcast arithmetic,
 batched matmul, relu, fused softmax/layer-norm over the last axis, shape
 moves, row gathers for trainable tables, and a full mean for the loss.
-Gradients accumulate into ``Tensor.grad``; nodes whose inputs carry no
-gradient skip closure creation entirely, so evaluation-only passes stay
-cheap.
+Gradients accumulate into ``Tensor.grad``. A node whose inputs carry no
+gradient gets no closure, but model parameters always require grad, so an
+evaluation pass through the model still builds every closure it would need
+for a backward sweep; it only skips running them.
 """
 
 from __future__ import annotations
@@ -55,12 +56,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Add g into t.grad. ``fresh`` means the caller just allocated g and
+    hands it over, so it is kept as is; otherwise g may alias another
+    tensor's grad or be a view of one, and the first write takes a copy.
+    One array is kept by at most one tensor, since later calls add into it
+    in place."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        # own a copy: g may alias an upstream grad or be a view
-        t.grad = np.array(g)
+        t.grad = g if fresh else np.array(g)
     else:
         t.grad += g
 
@@ -76,22 +81,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape))
+        if b.requires_grad:
+            _accum(b, -_unbroadcast(g, b.data.shape), fresh=True)
 
     return _node(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _node(a.data * b.data, (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def bw(g):
-        _accum(a, g * c)
+        _accum(a, g * c, fresh=True)
 
     return _node(a.data * c, (a,), bw)
 
@@ -100,7 +108,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # Operands must be >= 2-D; batch dimensions broadcast like elementwise ops.
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), fresh=True)
         if b.requires_grad:
             if b.data.ndim == 2 and g.ndim > 2:
                 # shared weight across batch: one flattened gemm instead of a
@@ -109,7 +117,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = a.data.reshape(-1, cols).T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            _accum(b, gb)
+            _accum(b, gb, fresh=True)
 
     return _node(a.data @ b.data, (a, b), bw)
 
@@ -118,7 +126,7 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
     def bw(g):
-        _accum(a, g * mask)
+        _accum(a, g * mask, fresh=True)
 
     return _node(np.where(mask, a.data, 0.0), (a,), bw)
 
@@ -130,7 +138,7 @@ def softmax(a: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)), fresh=True)
 
     return _node(y, (a,), bw)
 
@@ -146,7 +154,7 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     def bw(g):
         gym = g.mean(axis=-1, keepdims=True)
         gyy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (g - gym - y * gyy))
+        _accum(a, inv * (g - gym - y * gyy), fresh=True)
 
     return _node(y, (a,), bw)
 
@@ -185,7 +193,7 @@ def select(a: Tensor, axis: int, index: int) -> Tensor:
         sl = [slice(None)] * a.data.ndim
         sl[axis] = index
         full[tuple(sl)] = g
-        _accum(a, full)
+        _accum(a, full, fresh=True)
 
     return _node(np.take(a.data, index, axis=axis), (a,), bw)
 
@@ -208,7 +216,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
     def bw(g):
-        _accum(a, np.full(a.data.shape, float(g) / n))
+        _accum(a, np.full(a.data.shape, float(g) / n), fresh=True)
 
     return _node(a.data.mean(), (a,), bw)
 

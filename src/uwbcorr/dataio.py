@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DatasetFormatError
 from .metrics import CEP_QUANTILES, MetricsReport
 from .simulate import Box, Environment, RawCir, Sample
 from .tdoa import Anchor
@@ -53,29 +54,41 @@ def write_samples_jsonl(path, samples: Sequence[Sample]):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _sample_from_record(record: dict) -> Sample:
+    cirs = tuple(
+        RawCir(
+            iq=np.array(m["cir_real"]) + 1j * np.array(m["cir_imag"]),
+            first_path_index=m["first_path_index"],
+            rx_time=m["rx_time_s"],
+            anchor_id=m["anchor_id"],
+        )
+        for m in record["measurements"]
+    )
+    return Sample(
+        true_position=np.array(record["true_position"]),
+        raw_cirs=cirs,
+        detected_anchor_ids=tuple(c.anchor_id for c in cirs),
+    )
+
+
 def read_samples_jsonl(path) -> list[Sample]:
+    """Samples from a JSONL dataset; a bad line raises DatasetFormatError
+    naming the file, the 1-based line and the problem."""
     samples = []
     with Path(path).open() as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            cirs = tuple(
-                RawCir(
-                    iq=np.array(m["cir_real"]) + 1j * np.array(m["cir_imag"]),
-                    first_path_index=m["first_path_index"],
-                    rx_time=m["rx_time_s"],
-                    anchor_id=m["anchor_id"],
-                )
-                for m in record["measurements"]
-            )
-            samples.append(
-                Sample(
-                    true_position=np.array(record["true_position"]),
-                    raw_cirs=cirs,
-                    detected_anchor_ids=tuple(c.anchor_id for c in cirs),
-                )
-            )
+            try:
+                samples.append(_sample_from_record(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: missing field {exc.args[0]!r}"
+                ) from exc
+            except TypeError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
     return samples
 
 

@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """Invalid or mutually inconsistent configuration values."""
 
 
+class DatasetFormatError(ValueError):
+    """A dataset line is not valid JSON or lacks a field of the schema."""
+
+
 class InsufficientDataError(ValueError):
     """Not enough measurements to perform the requested operation."""
 

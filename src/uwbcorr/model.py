@@ -234,11 +234,15 @@ def _patchset_token_meta(patches: PatchSet, d_model: int) -> TokenSequence:
     )
 
 
-def _dropout(x: ad.Tensor, p: float, train: bool, rng) -> ad.Tensor:
+def _dropout(x: ad.Tensor, p: float, train: bool, rng, n_tokens: int) -> ad.Tensor:
+    """Inverted dropout on (B, rows, d). The mask is drawn for all n_tokens
+    rows and its leading rows are kept, so a block that computes only the
+    CLS row takes the same draws from rng as one that computes every row."""
     if not train or p <= 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return ad.mul(x, ad.Tensor(mask))
+    b, rows, d = x.data.shape
+    mask = (rng.random((b, n_tokens, d)) >= p) / (1.0 - p)
+    return ad.mul(x, ad.Tensor(mask[:, :rows]))
 
 
 def _affine(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -249,30 +253,47 @@ def _ln_affine(x: ad.Tensor, g: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad.add(ad.mul(ad.layer_norm(x), g), b)
 
 
-def _multi_head_attention(x: ad.Tensor, prm, pre: str, cfg: ModelConfig) -> ad.Tensor:
-    b, n, d = x.data.shape
+def _multi_head_attention(
+    queries: ad.Tensor, x: ad.Tensor, prm, pre: str, cfg: ModelConfig
+) -> ad.Tensor:
+    """The rows of queries (B, m, d) attend over every row of x (B, n, d)."""
+    b, _, d = x.data.shape
     heads = cfg.n_heads
     hw = d // heads
 
-    def project(name):
-        t = _affine(x, prm[pre + f"attn.w{name}"], prm[pre + f"attn.b{name}"])
-        return ad.transpose(ad.reshape(t, (b, n, heads, hw)), (0, 2, 1, 3))
+    def project(name, src):
+        t = _affine(src, prm[pre + f"attn.w{name}"], prm[pre + f"attn.b{name}"])
+        return ad.transpose(ad.reshape(t, (b, src.data.shape[1], heads, hw)), (0, 2, 1, 3))
 
-    q, k, v = project("q"), project("k"), project("v")
+    q, k, v = project("q", queries), project("k", x), project("v", x)
     scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hw))
     ctx = ad.matmul(ad.softmax(scores), v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, queries.data.shape[1], d))
     return _affine(ctx, prm[pre + "attn.wo"], prm[pre + "attn.bo"])
 
 
-def _encoder_stack(x: ad.Tensor, prm, cfg: ModelConfig, train: bool, rng) -> ad.Tensor:
+def _encoder_stack(
+    x: ad.Tensor, prm, cfg: ModelConfig, train: bool, rng, *, cls_only: bool = False
+) -> ad.Tensor:
+    """Post-norm encoder blocks over (B, n, d) tokens.
+
+    With ``cls_only`` the last block computes only the CLS row and returns
+    (B, 1, d): its keys and values still come from every token, but the
+    query, attention output, residual adds, layer norms and feed-forward run
+    on row 0, which is all the regression head reads.
+    """
+    b, n, d = x.data.shape
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
-        att = _dropout(_multi_head_attention(x, prm, pre, cfg), cfg.dropout_p, train, rng)
-        x = _ln_affine(ad.add(x, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
+        rows = x
+        if cls_only and i == cfg.n_layers - 1:
+            rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
+        att = _multi_head_attention(rows, x, prm, pre, cfg)
+        att = _dropout(att, cfg.dropout_p, train, rng, n)
+        x = _ln_affine(ad.add(rows, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
         h = ad.relu(_affine(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"]))
         h = _affine(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"])
-        h = _dropout(h, cfg.dropout_p, train, rng)
+        h = _dropout(h, cfg.dropout_p, train, rng, n)
         x = _ln_affine(ad.add(x, h), prm[pre + "ln2.g"], prm[pre + "ln2.b"])
     return x
 
@@ -327,7 +348,7 @@ class CorrectionModel:
             cls_tok = ad.add(cls_tok, ad.reshape(prm["pe.cls"], (1, 1, cfg.d_model)))
             x = ad.concat([cls_tok, body], axis=1)
 
-        x = _encoder_stack(x, prm, cfg, train, rng)
+        x = _encoder_stack(x, prm, cfg, train, rng, cls_only=True)
         cls_out = ad.select(x, 1, 0)
         h = ad.concat([cls_out, ad.Tensor(np.stack([e.p_tdoa_norm for e in examples]))], axis=1)
         for j in range(len(cfg.head_widths)):
@@ -465,11 +486,29 @@ def save_checkpoint(model: CorrectionModel, path):
 
 
 def load_checkpoint(path) -> CorrectionModel:
+    """Model from a checkpoint; parameter names and shapes must be those
+    ``init_parameters`` gives for the stored config, or ConfigError names
+    the file and the first offending key."""
     with np.load(path, allow_pickle=False) as data:
+        if "__meta__" not in data.files:
+            raise ConfigError(f"{path}: no '__meta__' entry; not a uwbcorr checkpoint")
         meta = json.loads(str(data["__meta__"]))
         if meta.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
             raise ConfigError(
-                f"checkpoint schema {meta.get('schema_version')} not supported"
+                f"{path}: checkpoint schema {meta.get('schema_version')} not supported"
             )
         params = {k: data[k] for k in data.files if k != "__meta__"}
-    return CorrectionModel(config_from_dict(meta["config"]), params)
+    config = config_from_dict(meta["config"])
+    expected = init_parameters(config)
+    for name, want in expected.items():
+        if name not in params:
+            raise ConfigError(f"{path}: missing parameter {name!r}")
+        if params[name].shape != want.shape:
+            raise ConfigError(
+                f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                f"the config needs {want.shape}"
+            )
+    unknown = sorted(set(params) - set(expected))
+    if unknown:
+        raise ConfigError(f"{path}: unknown parameter {unknown[0]!r}")
+    return CorrectionModel(config, params)

@@ -100,6 +100,34 @@ class TestEngine:
         ad.backward(ad.mean_all(y))
         assert x.grad[0, 0] == pytest.approx(2.0)
 
+    def test_add_operands_with_further_gradient_keep_own_arrays(self):
+        # Both operands of the add receive gradient from a second use, so each
+        # accumulates in place into its .grad after the add has handed over
+        # the same upstream array to both.
+        def build(x, y):
+            a, b = ad.relu(x), ad.scale(y, 1.5)
+            s = ad.add(a, b)
+            return ad.add(ad.mul(s, s), ad.mul(a, b))
+
+        check_grad(build, (3, 4), (3, 4), seed=4)
+        rng = np.random.default_rng(4)
+        x, y = (ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(2))
+        a, b = ad.relu(x), ad.scale(y, 1.5)
+        s = ad.add(a, b)
+        ad.backward(ad.mean_all(ad.add(ad.mul(s, s), ad.mul(a, b))))
+        grads = [s.grad, a.grad, b.grad, x.grad, y.grad]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1 :]:
+                assert not np.shares_memory(g, h)
+
+    def test_add_leaf_operands_keep_own_arrays(self):
+        a = ad.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        b = ad.Tensor(np.array([[0.5, 3.0]]), requires_grad=True)
+        ad.backward(ad.mean_all(ad.add(ad.add(a, b), ad.mul(a, b))))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.allclose(a.grad, (1.0 + b.data) / 2)
+        assert np.allclose(b.grad, (1.0 + a.data) / 2)
+
     def test_layer_norm_output_stats(self):
         rng = np.random.default_rng(2)
         y = ad.layer_norm(ad.Tensor(rng.normal(2.0, 3.0, size=(6, 32)))).data

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
+import pytest
 
 from uwbcorr import dataio
+from uwbcorr.errors import DatasetFormatError
 from uwbcorr.simulate import ChannelConfig, default_environment, generate_dataset
 
 
@@ -70,3 +74,24 @@ def test_sweep_rows_round_trip(tmp_path):
     rows = dataio.read_sweep_rows(path)
     assert len(rows) == 2
     assert rows[0]["d_model"] == "64" and rows[1]["d_model"] == "128"
+
+
+def test_truncated_line_names_file_and_line(tmp_path, small_dataset):
+    path = tmp_path / "ds.jsonl"
+    dataio.write_samples_jsonl(path, small_dataset[:3])
+    text = path.read_text()
+    path.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+    with pytest.raises(DatasetFormatError, match=r"ds\.jsonl:3: invalid JSON"):
+        dataio.read_samples_jsonl(path)
+
+
+def test_missing_field_names_file_line_and_field(tmp_path, small_dataset):
+    path = tmp_path / "ds.jsonl"
+    dataio.write_samples_jsonl(path, small_dataset[:3])
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["measurements"][0]["rx_time_s"]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"ds\.jsonl:2: missing field 'rx_time_s'"):
+        dataio.read_samples_jsonl(path)

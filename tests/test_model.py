@@ -17,6 +17,7 @@ from uwbcorr import (
     generate_dataset,
     load_checkpoint,
     make_model_config,
+    patch_multi_cir,
     patch_per_cir,
     regression_head,
     save_checkpoint,
@@ -269,31 +270,48 @@ class TestForward:
             out = forward(sample, small_env, model, p_tdoa=p_tdoa)
             assert np.array_equal(out, p_tdoa)
 
-    def test_graph_matches_staged_pipeline(self, small_env):
-        """The batched graph and the step-by-step surface agree exactly."""
-        cfg = make_model_config("per_cir", "fixed", "spatial", 75, 32, env=small_env)
+    @pytest.mark.parametrize(
+        "patching, ordering, kind, l_patch",
+        [
+            ("per_cir", "fixed", "spatial", 75),
+            ("per_cir", "fixed", "spatial", 150),
+            ("per_cir", "time_based", "spatial_time", 30),
+            ("per_cir", "time_based", "learned", 75),
+            ("multi_cir", "fixed", "learned", 15),
+            ("multi_cir", "time_based", "learned", 30),
+        ],
+    )
+    def test_graph_matches_staged_pipeline(self, small_env, patching, ordering, kind, l_patch):
+        """The batched graph, whose last block computes only the CLS row,
+        agrees with the step-by-step surface, which computes every row."""
+        cfg = make_model_config(patching, ordering, kind, l_patch, 32, env=small_env)
         model = CorrectionModel.initialize(cfg, seed=5, zero_final_layer=False)
-        sample = one_sample(small_env, seed=2)
+        sample = one_sample(small_env, seed=2, drop=0.3)
         p_tdoa = np.array([4.0, 5.0, 1.0])
 
         got = model.predict(sample, small_env, p_tdoa)
 
-        tensor = build_input_tensor(sample, small_env, "fixed")
-        ps = patch_per_cir(tensor, 75)
+        multi = patching == "multi_cir"
+        tensor = build_input_tensor(sample, small_env, ordering, pad_missing=multi)
+        patch = patch_multi_cir if multi else patch_per_cir
         tokens = embed_patches(
-            ps,
+            patch(tensor, l_patch),
             model.params["embed.w"].data,
             model.params["embed.b"].data,
             model.params["cls"].data,
         )
+        arrays = model.parameter_arrays()
         tables = EncodingTables(
-            cls_row=model.params["pe.cls"].data,
-            within_cir=model.params["pe.within"].data,
+            seq=arrays.get("pe.seq"),
+            cls_row=arrays.get("pe.cls"),
+            within_cir=arrays.get("pe.within"),
         )
         tokens = apply_encodings(tokens, cfg.encoding, extent=small_env.extent, tables=tables)
         encoded = encoder_forward(tokens, model)
+        assert encoded.n_tokens == tokens.n_tokens
         want = regression_head(encoded.tokens[0], p_tdoa, model)
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.abs(got - p_tdoa).max() > 1e-3  # the encoder output reaches the result
 
     def test_forward_computes_baseline_when_missing(self, small_env, small_dataset):
         cfg = make_model_config("per_cir", "fixed", "spatial", 150, 32, env=small_env)
@@ -344,3 +362,39 @@ class TestCheckpoint:
         assert np.array_equal(
             model.predict(sample, small_env, p), loaded.predict(sample, small_env, p)
         )
+
+    def _broken_checkpoint(self, small_env, tmp_path, edit):
+        cfg = make_model_config("per_cir", "fixed", "spatial", 75, 32, env=small_env)
+        path = tmp_path / "model.npz"
+        save_checkpoint(CorrectionModel.initialize(cfg, seed=9), path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        broken = tmp_path / "broken.npz"
+        np.savez(broken, **arrays)
+        return broken
+
+    def test_missing_parameter_names_file_and_key(self, small_env, tmp_path):
+        path = self._broken_checkpoint(small_env, tmp_path, lambda a: a.pop("enc2.ff.w1"))
+        with pytest.raises(ConfigError, match=r"broken\.npz.*'enc2\.ff\.w1'"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_names_file_and_key(self, small_env, tmp_path):
+        def wrong_shape(arrays):
+            arrays["enc0.attn.wq"] = np.zeros((32, 16))
+
+        path = self._broken_checkpoint(small_env, tmp_path, wrong_shape)
+        with pytest.raises(ConfigError, match=r"broken\.npz.*'enc0\.attn\.wq'.*\(32, 16\)"):
+            load_checkpoint(path)
+
+    def test_missing_metadata_names_file(self, small_env, tmp_path):
+        path = self._broken_checkpoint(small_env, tmp_path, lambda a: a.pop("__meta__"))
+        with pytest.raises(ConfigError, match=r"broken\.npz.*'__meta__'"):
+            load_checkpoint(path)
+
+    def test_unknown_parameter_is_rejected(self, small_env, tmp_path):
+        path = self._broken_checkpoint(
+            small_env, tmp_path, lambda a: a.__setitem__("enc9.ln1.g", np.ones(32))
+        )
+        with pytest.raises(ConfigError, match=r"broken\.npz.*'enc9\.ln1\.g'"):
+            load_checkpoint(path)

@@ -1,0 +1,146 @@
+"""Training-step outputs pinned to the full-sequence encoder.
+
+``data/training_golden.npz`` holds, for each model config in ``CONFIGS``:
+
+* ``<config>/loss`` and ``<config>/grad/<parameter>``: the loss and every
+  parameter gradient of one seeded ``compute_gradients(train=True)`` on the
+  largest equal-token batch of the prepared examples, from a model with a
+  non-zero final layer;
+* ``<config>/predict``: ``predict_prepared`` on that batch with the same
+  parameters;
+* ``<config>/trained``: the predictions for every prepared example after a
+  seeded 8-epoch ``train()``.
+
+The configs are the benchmark's two training models (per-CIR fixed/spatial
+with ``l_patch=150``; per-CIR time-ordered spatial+time with ``l_patch=30``)
+and multi-CIR with learned encodings, at a small width (d_model 16, two
+encoder blocks) so the file stays small. It was written by running this
+module as a script (``PYTHONPATH=src python tests/test_training_golden.py``)
+at commit 209e218, where every encoder block computed all token rows and
+the head read the CLS row afterwards; ``.npz`` stores the float64 arrays
+exactly. Do not regenerate it from a newer model: it is the reference a
+rewrite of the forward or backward pass must reproduce.
+
+Gradients and the loss must match to 1e-12 relative to the largest entry
+of each array, positions to 1e-10 m. Those margins cover summation-order
+round-off only. A gradient that is zero in exact arithmetic (the attention
+key biases) is held below 1e-12 of the largest gradient entry instead.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uwbcorr import (
+    CorrectionModel,
+    SolverOptions,
+    TrainConfig,
+    default_environment,
+    generate_dataset,
+    make_model_config,
+    train,
+)
+from uwbcorr.simulate import random_trajectory
+from uwbcorr.training import compute_gradients, prepare_training_examples
+
+FIXTURE = Path(__file__).parent / "data" / "training_golden.npz"
+CONFIGS = {
+    "train_default": ("per_cir", "fixed", "spatial", 150),
+    "train_ragged": ("per_cir", "time_based", "spatial_time", 30),
+    "multi_cir_learned": ("multi_cir", "fixed", "learned", 15),
+}
+N_SAMPLES = 48
+MAX_BATCH = 16
+EPOCHS = 8
+GRAD_RTOL = 1e-12
+POSITION_TOL_M = 1e-10
+
+
+def golden_setup(name):
+    """The config, solver, samples and gradient batch of one fixture entry."""
+    env = default_environment()
+    patching, ordering, encoding, l_patch = CONFIGS[name]
+    cfg = make_model_config(
+        patching, ordering, encoding, l_patch, 16, env=env,
+        n_heads=2, n_layers=2, d_ff=32, head_widths=(32, 16, 3),
+    )
+    solver = SolverOptions.for_environment(env, fix_z=1.0)
+    points = random_trajectory(env, N_SAMPLES, z=1.0, seed=41, step=2.0)
+    samples = generate_dataset(env, points, 0.587, 42)
+    examples, _ = prepare_training_examples(samples, env, cfg, solver)
+    counts = [e.n_tokens for e in examples]
+    largest = max(sorted(set(counts)), key=counts.count)
+    batch = [e for e in examples if e.n_tokens == largest][:MAX_BATCH]
+    return env, cfg, solver, samples, examples, batch
+
+
+def predict_all(model, examples):
+    """Predictions for examples of mixed token counts, in input order."""
+    out = np.empty((len(examples), 3))
+    for n in sorted({e.n_tokens for e in examples}):
+        idx = [i for i, e in enumerate(examples) if e.n_tokens == n]
+        out[idx] = model.predict_prepared([examples[i] for i in idx])
+    return out
+
+
+def compute_entry(name):
+    """Every array the fixture stores for one config, keyed as in the file."""
+    env, cfg, solver, samples, examples, batch = golden_setup(name)
+    model = CorrectionModel.initialize(cfg, seed=7, zero_final_layer=False)
+    loss, grads = compute_gradients(model, batch, train=True, rng=np.random.default_rng(8))
+    entry = {f"{name}/loss": np.array(loss), f"{name}/predict": model.predict_prepared(batch)}
+    entry.update({f"{name}/grad/{k}": g for k, g in grads.items()})
+    train_cfg = TrainConfig(batch_size=8, max_epochs=EPOCHS, early_stop_patience=EPOCHS, seed=9)
+    trained = train(samples, env, cfg, train_cfg, solver=solver)
+    entry[f"{name}/trained"] = predict_all(trained, examples)
+    return entry
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(FIXTURE) as data:
+        return {k: data[k] for k in data.files}
+
+
+@pytest.fixture(scope="module", params=list(CONFIGS))
+def entry(request):
+    return request.param, compute_entry(request.param)
+
+
+def test_fixture_covers_every_config(golden):
+    for name in CONFIGS:
+        assert {f"{name}/loss", f"{name}/predict", f"{name}/trained"} <= set(golden)
+        assert any(k.startswith(f"{name}/grad/") for k in golden)
+
+
+def test_loss_and_gradients_match_golden(golden, entry):
+    name, got = entry
+    assert abs(got[f"{name}/loss"] - golden[f"{name}/loss"]) <= GRAD_RTOL * golden[f"{name}/loss"]
+    grad_keys = sorted(k for k in golden if k.startswith(f"{name}/grad/"))
+    assert sorted(k for k in got if "/grad/" in k) == grad_keys
+    # The key biases add the same amount to every score of a softmax row, so
+    # their gradient is zero in exact arithmetic and the fixture holds only
+    # round-off there: such arrays must stay below the bound, not match it.
+    floor = GRAD_RTOL * max(np.max(np.abs(golden[k])) for k in grad_keys)
+    for key in grad_keys:
+        scale = np.max(np.abs(golden[key]))
+        if scale < floor:
+            assert np.max(np.abs(got[key])) < floor, key
+        else:
+            assert np.max(np.abs(got[key] - golden[key])) <= GRAD_RTOL * scale, key
+
+
+def test_predictions_match_golden(golden, entry):
+    name, got = entry
+    for key in (f"{name}/predict", f"{name}/trained"):
+        assert got[key].shape == golden[key].shape, key
+        assert np.max(np.abs(got[key] - golden[key])) <= POSITION_TOL_M, key
+
+
+if __name__ == "__main__":
+    arrays = {}
+    for config in CONFIGS:
+        arrays.update(compute_entry(config))
+    np.savez(FIXTURE, **arrays)
+    print(f"wrote {FIXTURE} ({len(arrays)} arrays)")
