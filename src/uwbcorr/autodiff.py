@@ -3,7 +3,18 @@
 Just enough ops for an encoder-only transformer: broadcast arithmetic,
 batched matmul, relu, fused softmax/layer-norm over the last axis, shape
 moves, row gathers for trainable tables, and a full mean for the loss.
-Gradients accumulate into ``Tensor.grad``. A node whose inputs carry no
+Three ops take optional operands that fold a following step into the same
+node: ``matmul(a, b, bias)`` adds a bias over the last axis to the product,
+``layer_norm(a, gain, bias)`` applies the affine, and ``softmax(a, scale)``
+scales its input first. A 2-D right operand shared across the batch
+dimensions of ``a`` runs as one flattened GEMM in the forward and both
+backward products.
+
+Gradients accumulate into ``Tensor.grad``. Ownership rule: one array is
+kept by at most one tensor, because later contributions add into it in
+place. A backward closure hands over an array with ``fresh=True`` only when
+it allocated that array itself; anything else (the upstream gradient, a
+view of it) is copied on first write. A node whose inputs carry no
 gradient gets no closure, but model parameters always require grad, so an
 evaluation pass through the model still builds every closure it would need
 for a backward sweep; it only skips running them.
@@ -104,59 +115,106 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    # Operands must be >= 2-D; batch dimensions broadcast like elementwise ops.
+def _accum_bias(bias: Tensor, g: np.ndarray):
+    gb = _unbroadcast(g, bias.data.shape)
+    # a bias of the output's full shape gets g itself back, which is not ours
+    _accum(bias, gb, fresh=gb is not g)
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus ``bias`` broadcast over the product when given.
+
+    Operands must be >= 2-D; batch dimensions broadcast like elementwise ops.
+    """
+    flat = b.data.ndim == 2 and a.data.ndim > 2
+    if flat:
+        # shared weight across the batch: one flattened gemm instead of a
+        # batched product, here and in both backward products
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+    else:
+        out = a.data @ b.data
+    parents = (a, b)
+    if bias is not None:
+        out += bias.data
+        parents = (a, b, bias)
+
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape), fresh=True)
+            if flat:
+                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
+            else:
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+            _accum(a, ga, fresh=True)
         if b.requires_grad:
-            if b.data.ndim == 2 and g.ndim > 2:
-                # shared weight across batch: one flattened gemm instead of a
-                # batched product followed by a reduction
-                cols = a.data.shape[-1]
-                gb = a.data.reshape(-1, cols).T @ g.reshape(-1, g.shape[-1])
+            if flat:
+                gb = a2.T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
             _accum(b, gb, fresh=True)
+        if bias is not None and bias.requires_grad:
+            _accum_bias(bias, g)
 
-    return _node(a.data @ b.data, (a, b), bw)
+    return _node(out, parents, bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    def bw(g):
+        _accum(a, g * (a.data > 0), fresh=True)
+
+    return _node(np.maximum(a.data, 0.0), (a,), bw)
+
+
+def softmax(a: Tensor, scale: float | None = None) -> Tensor:
+    """Softmax over the last axis of ``a``, or of ``a * scale`` when given."""
+    if scale is None:
+        y = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        y = a.data * scale
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        _accum(a, g * mask, fresh=True)
-
-    return _node(np.where(mask, a.data, 0.0), (a,), bw)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        _accum(a, y * (g - (g * y).sum(axis=-1, keepdims=True)), fresh=True)
+        ga = g - (g * y).sum(axis=-1, keepdims=True)
+        ga *= y
+        if scale is not None:
+            ga *= scale
+        _accum(a, ga, fresh=True)
 
     return _node(y, (a,), bw)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+def layer_norm(
+    a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, eps: float = 1e-5
+) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance, then multiply by
+    ``gain`` and add ``bias`` when given."""
+    y = a.data - a.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((y * y).mean(axis=-1, keepdims=True) + eps)
+    y *= inv
+    out = y
+    if gain is not None or bias is not None:
+        out = y * gain.data if gain is not None else y.copy()
+        if bias is not None:
+            out += bias.data
+    parents = tuple(t for t in (a, gain, bias) if t is not None)
 
     def bw(g):
-        gym = g.mean(axis=-1, keepdims=True)
-        gyy = (g * y).mean(axis=-1, keepdims=True)
-        _accum(a, inv * (g - gym - y * gyy), fresh=True)
+        if gain is not None and gain.requires_grad:
+            _accum(gain, _unbroadcast(g * y, gain.data.shape), fresh=True)
+        if bias is not None and bias.requires_grad:
+            _accum_bias(bias, g)
+        if a.requires_grad:
+            gy = g * gain.data if gain is not None else g.copy()
+            gym = gy.mean(axis=-1, keepdims=True)
+            gyy = (gy * y).mean(axis=-1, keepdims=True)
+            gy -= gym
+            gy -= y * gyy
+            gy *= inv
+            _accum(a, gy, fresh=True)
 
-    return _node(y, (a,), bw)
+    return _node(out, parents, bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -170,7 +228,8 @@ def transpose(a: Tensor, axes) -> Tensor:
     inverse = np.argsort(axes)
 
     def bw(g):
-        _accum(a, g.transpose(inverse))
+        # a C-ordered copy, so later products read contiguous memory
+        _accum(a, g.transpose(inverse).copy(), fresh=True)
 
     return _node(a.data.transpose(axes), (a,), bw)
 

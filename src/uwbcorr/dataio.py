@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -107,8 +108,23 @@ def write_anchors(path, anchors: Sequence[Anchor]):
     Path(path).write_text(json.dumps(anchors_to_records(anchors), indent=2) + "\n")
 
 
+@contextmanager
+def _schema_errors(path, what: str):
+    """Turn a JSON error, a missing key or a bad value met while reading
+    ``path`` into a DatasetFormatError naming the file."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: {what} lacks key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: bad {what} value: {exc}") from exc
+
+
 def load_anchors(path) -> tuple[Anchor, ...]:
-    return anchors_from_records(json.loads(Path(path).read_text()))
+    with _schema_errors(path, "anchor record"):
+        return anchors_from_records(json.loads(Path(path).read_text()))
 
 
 def write_environment(path, env: Environment):
@@ -126,14 +142,15 @@ def write_environment(path, env: Environment):
 
 
 def read_environment(path) -> Environment:
-    payload = json.loads(Path(path).read_text())
-    return Environment(
-        anchors=anchors_from_records(payload["anchors"]),
-        obstacles=tuple(
-            Box(lo=np.array(b["lo"]), hi=np.array(b["hi"])) for b in payload["obstacles"]
-        ),
-        extent=tuple(payload["extent"]),
-    )
+    with _schema_errors(path, "environment"):
+        payload = json.loads(Path(path).read_text())
+        return Environment(
+            anchors=anchors_from_records(payload["anchors"]),
+            obstacles=tuple(
+                Box(lo=np.array(b["lo"]), hi=np.array(b["hi"])) for b in payload["obstacles"]
+            ),
+            extent=tuple(payload["extent"]),
+        )
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
@@ -158,9 +175,10 @@ def write_history_csv(path, history: TrainingHistory):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
+        columns = ["train_loss", "val_loss", "lr", "step_ms", "samples_per_s", "grad_norm"]
+        writer.writerow(["epoch"] + columns)
         for r in history.records:
-            writer.writerow([r.epoch, f"{r.train_loss:.8g}", f"{r.val_loss:.8g}", f"{r.lr:.8g}"])
+            writer.writerow([r.epoch] + [f"{getattr(r, c):.8g}" for c in columns])
 
 
 def write_estimates_csv(path, truths, baselines, estimates=None):

@@ -16,6 +16,7 @@ samples from every anchor, so it has no single source coordinate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,42 +76,51 @@ def frequency_bands(f_bands: int, omega_min: float, omega_max: float) -> np.ndar
     return omega_min * (omega_max / omega_min) ** exponents
 
 
-def _sincos_interleaved(value: float, bands: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(bands))
-    out[0::2] = np.sin(value * bands)
-    out[1::2] = np.cos(value * bands)
+def _sincos_rows(values: np.ndarray, cfg: EncodingConfig) -> np.ndarray:
+    """(n, k) values -> (n, d_model): for each value in row order, sin and
+    cos of value * band interleaved over the bands, then zero padding."""
+    bands = frequency_bands(cfg.n_bands, cfg.omega_min, cfg.omega_max)
+    angles = values[:, :, None] * bands
+    encoded = np.empty(angles.shape + (2,))
+    encoded[..., 0] = np.sin(angles)
+    encoded[..., 1] = np.cos(angles)
+    out = np.zeros((len(values), cfg.d_model))
+    out[:, : encoded[0].size] = encoded.reshape(len(values), -1)
     return out
+
+
+def _normalized_positions(positions: np.ndarray, extent, cfg: EncodingConfig) -> np.ndarray:
+    """(n, 3) positions divided by the extent; out-of-extent rows are clamped
+    or raise, as cfg.clamp_positions says."""
+    extent = np.asarray(extent, dtype=float)
+    if np.any(extent <= 0):
+        raise ConfigError("environment extent must be strictly positive")
+    normalized = positions / extent
+    outside = ((normalized < 0) | (normalized > 1)).any(axis=-1)
+    if outside.any():
+        if not cfg.clamp_positions:
+            raise OutOfBoundsError(
+                f"anchor position {positions[outside.argmax()].tolist()} "
+                f"outside extent {extent.tolist()}"
+            )
+        normalized = np.clip(normalized, 0.0, 1.0)
+    return normalized
+
+
+def _time_rows(deltas: np.ndarray, cfg: EncodingConfig) -> np.ndarray:
+    clamped = np.clip(deltas, 0.0, cfg.delta_t_max_s)
+    return _sincos_rows(clamped[:, None] / cfg.delta_t_max_s, cfg)
 
 
 def spatial_pe(anchor_position, extent, cfg: EncodingConfig) -> np.ndarray:
     """Sinusoidal encoding of a normalized 3D coordinate, padded to d_model."""
     pos = np.asarray(anchor_position, dtype=float)
-    extent = np.asarray(extent, dtype=float)
-    if np.any(extent <= 0):
-        raise ConfigError("environment extent must be strictly positive")
-    normalized = pos / extent
-    if np.any(normalized < 0) or np.any(normalized > 1):
-        if cfg.clamp_positions:
-            normalized = np.clip(normalized, 0.0, 1.0)
-        else:
-            raise OutOfBoundsError(
-                f"anchor position {pos.tolist()} outside extent {extent.tolist()}"
-            )
-    bands = frequency_bands(cfg.n_bands, cfg.omega_min, cfg.omega_max)
-    encoded = np.concatenate([_sincos_interleaved(v, bands) for v in normalized])
-    out = np.zeros(cfg.d_model)
-    out[: len(encoded)] = encoded
-    return out
+    return _sincos_rows(_normalized_positions(pos[None], extent, cfg), cfg)[0]
 
 
 def time_diff_pe(delta_t: float, cfg: EncodingConfig) -> np.ndarray:
     """Sinusoidal encoding of a reception delay, clamped to delta_t_max_s."""
-    normalized = min(max(float(delta_t), 0.0), cfg.delta_t_max_s) / cfg.delta_t_max_s
-    bands = frequency_bands(cfg.n_bands, cfg.omega_min, cfg.omega_max)
-    encoded = _sincos_interleaved(normalized, bands)
-    out = np.zeros(cfg.d_model)
-    out[: len(encoded)] = encoded
-    return out
+    return _time_rows(np.array([float(delta_t)]), cfg)[0]
 
 
 def learned_pe(seq_index: int, table: np.ndarray) -> np.ndarray:
@@ -146,20 +156,32 @@ def token_time_deltas(tokens: TokenSequence, cfg: EncodingConfig) -> np.ndarray:
     return deltas
 
 
+@functools.lru_cache(maxsize=32)
+def _spatial_rows(positions: tuple, extent: tuple, cfg: EncodingConfig) -> np.ndarray:
+    rows = _sincos_rows(_normalized_positions(np.reshape(positions, (-1, 3)), extent, cfg), cfg)
+    rows.flags.writeable = False
+    return rows
+
+
 def constant_encoding_rows(tokens: TokenSequence, cfg: EncodingConfig, extent) -> np.ndarray:
-    """The non-trainable (sin/cos) encoding addend for each non-CLS token."""
+    """The non-trainable (sin/cos) encoding addend for each non-CLS token.
+
+    The spatial rows are cached on (anchor positions in token order, extent,
+    config) and returned read-only, so examples with the same anchor layout
+    share one array. ``spatial_time`` adds its per-token delay rows into a
+    fresh array.
+    """
     body = ~tokens.is_cls
-    if np.isnan(tokens.anchor_positions[body]).any():
+    positions = tokens.anchor_positions[body]
+    if np.isnan(positions).any():
         raise IncompatibleEncodingError(
             "spatial encodings need per-CIR tokens; multi-CIR tokens have no "
             "single source anchor"
         )
-    rows = np.stack(
-        [spatial_pe(p, extent, cfg) for p in tokens.anchor_positions[body]]
-    )
+    key = tuple(positions.ravel().tolist())
+    rows = _spatial_rows(key, tuple(np.asarray(extent, dtype=float).tolist()), cfg)
     if cfg.kind == "spatial_time":
-        deltas = token_time_deltas(tokens, cfg)[body]
-        rows = rows + np.stack([time_diff_pe(dt, cfg) for dt in deltas])
+        rows = rows + _time_rows(token_time_deltas(tokens, cfg)[body], cfg)
     return rows
 
 

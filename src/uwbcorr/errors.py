@@ -6,7 +6,8 @@ class ConfigError(ValueError):
 
 
 class DatasetFormatError(ValueError):
-    """A dataset line is not valid JSON or lacks a field of the schema."""
+    """A dataset line, environment file or anchor file is not valid JSON,
+    lacks a field of the schema or holds a bad value."""
 
 
 class InsufficientDataError(ValueError):

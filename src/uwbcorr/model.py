@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -245,14 +245,6 @@ def _dropout(x: ad.Tensor, p: float, train: bool, rng, n_tokens: int) -> ad.Tens
     return ad.mul(x, ad.Tensor(mask[:, :rows]))
 
 
-def _affine(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    return ad.add(ad.matmul(x, w), b)
-
-
-def _ln_affine(x: ad.Tensor, g: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    return ad.add(ad.mul(ad.layer_norm(x), g), b)
-
-
 def _multi_head_attention(
     queries: ad.Tensor, x: ad.Tensor, prm, pre: str, cfg: ModelConfig
 ) -> ad.Tensor:
@@ -262,14 +254,14 @@ def _multi_head_attention(
     hw = d // heads
 
     def project(name, src):
-        t = _affine(src, prm[pre + f"attn.w{name}"], prm[pre + f"attn.b{name}"])
+        t = ad.matmul(src, prm[pre + f"attn.w{name}"], prm[pre + f"attn.b{name}"])
         return ad.transpose(ad.reshape(t, (b, src.data.shape[1], heads, hw)), (0, 2, 1, 3))
 
     q, k, v = project("q", queries), project("k", x), project("v", x)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hw))
-    ctx = ad.matmul(ad.softmax(scores), v)
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    ctx = ad.matmul(ad.softmax(scores, 1.0 / math.sqrt(hw)), v)
     ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, queries.data.shape[1], d))
-    return _affine(ctx, prm[pre + "attn.wo"], prm[pre + "attn.bo"])
+    return ad.matmul(ctx, prm[pre + "attn.wo"], prm[pre + "attn.bo"])
 
 
 def _encoder_stack(
@@ -290,11 +282,11 @@ def _encoder_stack(
             rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
         att = _multi_head_attention(rows, x, prm, pre, cfg)
         att = _dropout(att, cfg.dropout_p, train, rng, n)
-        x = _ln_affine(ad.add(rows, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
-        h = ad.relu(_affine(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"]))
-        h = _affine(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"])
+        x = ad.layer_norm(ad.add(rows, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
+        h = ad.relu(ad.matmul(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"]))
+        h = ad.matmul(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"])
         h = _dropout(h, cfg.dropout_p, train, rng, n)
-        x = _ln_affine(ad.add(x, h), prm[pre + "ln2.g"], prm[pre + "ln2.b"])
+        x = ad.layer_norm(ad.add(x, h), prm[pre + "ln2.g"], prm[pre + "ln2.b"])
     return x
 
 
@@ -333,7 +325,7 @@ class CorrectionModel:
         batch = len(examples)
 
         patches = ad.Tensor(np.stack([e.patches for e in examples]))
-        embedded = _affine(patches, prm["embed.w"], prm["embed.b"])
+        embedded = ad.matmul(patches, prm["embed.w"], prm["embed.b"])
         cls_tok = ad.add(
             ad.reshape(prm["cls"], (1, 1, cfg.d_model)),
             ad.Tensor(np.zeros((batch, 1, cfg.d_model))),
@@ -352,7 +344,7 @@ class CorrectionModel:
         cls_out = ad.select(x, 1, 0)
         h = ad.concat([cls_out, ad.Tensor(np.stack([e.p_tdoa_norm for e in examples]))], axis=1)
         for j in range(len(cfg.head_widths)):
-            h = _affine(h, prm[f"head{j}.w"], prm[f"head{j}.b"])
+            h = ad.matmul(h, prm[f"head{j}.w"], prm[f"head{j}.b"])
             if j < len(cfg.head_widths) - 1:
                 h = ad.relu(h)
         if cfg.residual_output:
@@ -414,7 +406,7 @@ def regression_head(cls_out, p_tdoa, model: CorrectionModel) -> np.ndarray:
     cfg = model.config
     h = ad.Tensor(np.concatenate([cls_out, p_tdoa / np.asarray(cfg.extent)])[None, :])
     for j in range(len(cfg.head_widths)):
-        h = _affine(h, model.params[f"head{j}.w"], model.params[f"head{j}.b"])
+        h = ad.matmul(h, model.params[f"head{j}.w"], model.params[f"head{j}.b"])
         if j < len(cfg.head_widths) - 1:
             h = ad.relu(h)
     out = h.data[0]
@@ -434,53 +426,23 @@ def forward(
     return model.predict(sample, env, p_tdoa)
 
 
-def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "patch": {"strategy": cfg.patch.strategy, "l_patch": cfg.patch.l_patch},
-        "encoding": {
-            "kind": cfg.encoding.kind,
-            "d_model": cfg.encoding.d_model,
-            "f_bands": cfg.encoding.f_bands,
-            "omega_min": cfg.encoding.omega_min,
-            "omega_max": cfg.encoding.omega_max,
-            "max_seq_len": cfg.encoding.max_seq_len,
-            "delta_t_max_s": cfg.encoding.delta_t_max_s,
-            "clamp_positions": cfg.encoding.clamp_positions,
-        },
-        "ordering": cfg.ordering,
-        "d_model": cfg.d_model,
-        "n_layers": cfg.n_layers,
-        "n_heads": cfg.n_heads,
-        "d_ff": cfg.d_ff,
-        "dropout_p": cfg.dropout_p,
-        "head_widths": list(cfg.head_widths),
-        "residual_output": cfg.residual_output,
-        "n_total": cfg.n_total,
-        "extent": list(cfg.extent),
-    }
-
-
-def config_from_dict(d: dict) -> ModelConfig:
+def _config_from_dict(d: dict) -> ModelConfig:
+    """Inverse of ``dataclasses.asdict`` on a ModelConfig read back from JSON."""
     return ModelConfig(
-        patch=PatchConfig(**d["patch"]),
-        encoding=EncodingConfig(**d["encoding"]),
-        ordering=d["ordering"],
-        d_model=d["d_model"],
-        n_layers=d["n_layers"],
-        n_heads=d["n_heads"],
-        d_ff=d["d_ff"],
-        dropout_p=d["dropout_p"],
-        head_widths=tuple(d["head_widths"]),
-        residual_output=d["residual_output"],
-        n_total=d["n_total"],
-        extent=tuple(d["extent"]),
+        **{
+            **d,
+            "patch": PatchConfig(**d["patch"]),
+            "encoding": EncodingConfig(**d["encoding"]),
+            "head_widths": tuple(d["head_widths"]),
+            "extent": tuple(d["extent"]),
+        }
     )
 
 
 def save_checkpoint(model: CorrectionModel, path):
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "config": config_to_dict(model.config),
+        "config": asdict(model.config),
     }
     np.savez(path, __meta__=np.array(json.dumps(meta)), **model.parameter_arrays())
 
@@ -498,7 +460,7 @@ def load_checkpoint(path) -> CorrectionModel:
                 f"{path}: checkpoint schema {meta.get('schema_version')} not supported"
             )
         params = {k: data[k] for k in data.files if k != "__meta__"}
-    config = config_from_dict(meta["config"])
+    config = _config_from_dict(meta["config"])
     expected = init_parameters(config)
     for name, want in expected.items():
         if name not in params:

@@ -10,6 +10,7 @@ reproduces the same final parameters bit for bit.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,6 +52,9 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float
+    step_ms: float = 0.0  # mean wall time of a step: gradients plus Adam update
+    samples_per_s: float = 0.0  # training samples over the summed step time
+    grad_norm: float = 0.0  # global L2 gradient norm, mean over the steps
 
 
 @dataclass
@@ -110,7 +114,12 @@ def compute_gradients(
     train: bool = False,
     rng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-squared-error loss and its gradient for every parameter."""
+    """Mean-squared-error loss and its gradient for every parameter.
+
+    The gradients are the parameters' own ``.grad`` arrays, not copies; the
+    next call sets every ``.grad`` to None before its backward sweep and
+    never writes into these arrays.
+    """
     if not examples:
         raise ValueError("empty batch")
     for t in model.params.values():
@@ -120,7 +129,7 @@ def compute_gradients(
         raise FloatingPointError("non-finite training loss")
     ad.backward(loss)
     grads = {
-        k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+        k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in model.params.items()
     }
     return float(loss.data), grads
@@ -211,17 +220,30 @@ def train(
         batch_order = shuffle_rng.permutation(len(batches))
         epoch_loss = 0.0
         seen = 0
+        step_s = 0.0
+        norm_sum = 0.0
         for bi in batch_order:
             chunk = [train_set[i] for i in batches[bi]]
             lr = learning_rate(step, total_steps, train_cfg)
+            t0 = time.perf_counter()
             loss, grads = compute_gradients(model, chunk, train=True, rng=dropout_rng)
             adam.step(grads, lr)
+            step_s += time.perf_counter() - t0
+            norm_sum += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             step += 1
             epoch_loss += loss * len(chunk)
             seen += len(chunk)
         val_loss = _eval_loss(model, val_set, train_cfg.batch_size)
         history.records.append(
-            EpochRecord(epoch=epoch, train_loss=epoch_loss / seen, val_loss=val_loss, lr=lr)
+            EpochRecord(
+                epoch=epoch,
+                train_loss=epoch_loss / seen,
+                val_loss=val_loss,
+                lr=lr,
+                step_ms=1e3 * step_s / len(batches),
+                samples_per_s=seen / step_s,
+                grad_norm=norm_sum / len(batches),
+            )
         )
         if val_loss < best_val:
             best_val = val_loss

@@ -35,6 +35,10 @@ def check_grad(build, *shapes, seed=0, atol=1e-7):
         assert np.allclose(t.grad, numeric, atol=atol), (t.grad, numeric)
 
 
+def squared(t):
+    return ad.mul(t, t)
+
+
 class TestOps:
     def test_add_broadcast(self):
         check_grad(lambda a, b: ad.add(a, b), (3, 4), (4,))
@@ -57,6 +61,15 @@ class TestOps:
     def test_matmul_batched_both(self):
         check_grad(lambda a, b: ad.matmul(a, b), (2, 2, 3, 4), (2, 2, 4, 3))
 
+    def test_matmul_2d_bias(self):
+        check_grad(lambda a, b, c: squared(ad.matmul(a, b, c)), (3, 4), (4, 5), (5,))
+
+    def test_matmul_batched_shared_rhs_bias(self):
+        check_grad(lambda a, b, c: squared(ad.matmul(a, b, c)), (2, 3, 4), (4, 5), (5,))
+
+    def test_matmul_full_shape_bias(self):
+        check_grad(lambda a, b, c: squared(ad.matmul(a, b, c)), (2, 3, 4), (4, 5), (2, 3, 5))
+
     def test_relu(self):
         check_grad(lambda a: ad.relu(a), (4, 5), seed=3)
 
@@ -65,6 +78,14 @@ class TestOps:
 
     def test_layer_norm(self):
         check_grad(lambda a: ad.mul(ad.layer_norm(a), a), (4, 6), atol=1e-6)
+
+    def test_softmax_scale(self):
+        check_grad(lambda a: ad.mul(ad.softmax(a, 0.37), a), (2, 3, 5))
+
+    def test_layer_norm_affine(self):
+        check_grad(
+            lambda a, g, b: squared(ad.layer_norm(a, g, b)), (2, 3, 6), (6,), (6,), atol=1e-6
+        )
 
     def test_reshape_transpose(self):
         check_grad(
@@ -127,6 +148,71 @@ class TestEngine:
         assert not np.shares_memory(a.grad, b.grad)
         assert np.allclose(a.grad, (1.0 + b.data) / 2)
         assert np.allclose(b.grad, (1.0 + a.data) / 2)
+
+    def test_fused_operands_match_the_unfused_chains(self):
+        rng = np.random.default_rng(5)
+
+        def leaves(*shapes):
+            return [ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+        def run(build, tensors):
+            for t in tensors:
+                t.grad = None
+            out = build(*tensors)
+            ad.backward(ad.mean_all(squared(out)))
+            return out.data, [t.grad for t in tensors]
+
+        cases = [
+            (
+                lambda a, w, b: ad.matmul(a, w, b),
+                lambda a, w, b: ad.add(ad.matmul(a, w), b),
+                leaves((4, 5, 6), (6, 3), (3,)),
+            ),
+            (
+                lambda a, g, b: ad.layer_norm(a, g, b),
+                lambda a, g, b: ad.add(ad.mul(ad.layer_norm(a), g), b),
+                leaves((4, 5, 6), (6,), (6,)),
+            ),
+            (
+                lambda a: ad.softmax(a, 0.25),
+                lambda a: ad.softmax(ad.scale(a, 0.25)),
+                leaves((2, 3, 4, 4)),
+            ),
+        ]
+        for fused, chain, tensors in cases:
+            out, grads = run(fused, tensors)
+            ref_out, ref_grads = run(chain, tensors)
+            assert np.allclose(out, ref_out, rtol=1e-13, atol=1e-15)
+            for g, ref in zip(grads, ref_grads):
+                assert np.allclose(g, ref, rtol=1e-12, atol=1e-15)
+
+    def test_transpose_hands_back_an_own_c_ordered_gradient(self):
+        x = ad.Tensor(np.random.default_rng(6).normal(size=(2, 12)), requires_grad=True)
+        r = ad.reshape(x, (2, 3, 2, 2))
+        t = ad.transpose(r, (0, 2, 1, 3))
+        ad.backward(ad.mean_all(squared(t)))
+        assert r.grad.flags.c_contiguous
+        grads = [x.grad, r.grad, t.grad]
+        for i, g in enumerate(grads):
+            for h in grads[i + 1 :]:
+                assert not np.shares_memory(g, h)
+
+    def test_full_shape_bias_keeps_its_own_gradient(self):
+        # A bias of the output's full shape gets the upstream array itself
+        # back from _unbroadcast; here it also collects from a second op.
+        def build(a, w, b, g):
+            out = ad.matmul(a, w, b)
+            return squared(ad.add(ad.layer_norm(out, g, b), out))
+
+        shapes = ((3, 4), (4, 2), (3, 2), (3, 2))
+        check_grad(build, *shapes, seed=7, atol=1e-6)
+        rng = np.random.default_rng(7)
+        a, w, b, g = (ad.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes)
+        out = ad.matmul(a, w, b)
+        normed = ad.layer_norm(out, g, b)
+        ad.backward(ad.mean_all(squared(ad.add(normed, out))))
+        for other in (out.grad, normed.grad, g.grad):
+            assert not np.shares_memory(b.grad, other)
 
     def test_layer_norm_output_stats(self):
         rng = np.random.default_rng(2)

@@ -95,3 +95,43 @@ def test_missing_field_names_file_line_and_field(tmp_path, small_dataset):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError, match=r"ds\.jsonl:2: missing field 'rx_time_s'"):
         dataio.read_samples_jsonl(path)
+
+
+def test_environment_without_extent_names_file_and_key(tmp_path):
+    path = tmp_path / "env.json"
+    dataio.write_environment(path, default_environment())
+    payload = json.loads(path.read_text())
+    del payload["extent"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetFormatError, match=r"env\.json: environment lacks key 'extent'"):
+        dataio.read_environment(path)
+
+
+def test_environment_with_bad_extent_names_file_and_value(tmp_path):
+    path = tmp_path / "env.json"
+    dataio.write_environment(path, default_environment())
+    payload = json.loads(path.read_text())
+    payload["extent"] = [30.0, -1.0, 3.0]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetFormatError, match=r"env\.json: bad environment value: extent"):
+        dataio.read_environment(path)
+
+
+def test_anchor_record_without_z_names_file_and_key(tmp_path):
+    path = tmp_path / "anchors.json"
+    records = dataio.anchors_to_records(default_environment().anchors)
+    del records[3]["z"]
+    path.write_text(json.dumps(records))
+    with pytest.raises(DatasetFormatError, match=r"anchors\.json: anchor record lacks key 'z'"):
+        dataio.load_anchors(path)
+
+
+def test_history_csv_appends_step_columns_after_lr(tmp_path):
+    from uwbcorr.training import EpochRecord, TrainingHistory
+
+    record = EpochRecord(0, 1.5, 2.5, 1e-4, step_ms=12.5, samples_per_s=5120.0, grad_norm=0.75)
+    path = tmp_path / "history.csv"
+    dataio.write_history_csv(path, TrainingHistory(records=[record]))
+    header, row = path.read_text().splitlines()
+    assert header == "epoch,train_loss,val_loss,lr,step_ms,samples_per_s,grad_norm"
+    assert row == "0,1.5,2.5,0.0001,12.5,5120,0.75"

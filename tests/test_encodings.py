@@ -15,8 +15,9 @@ from uwbcorr import (
     spatial_pe,
     time_diff_pe,
 )
-from uwbcorr.encodings import max_bands
+from uwbcorr.encodings import constant_encoding_rows, max_bands, token_time_deltas
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError, OutOfBoundsError
+from uwbcorr.patching import TokenSequence
 from uwbcorr.simulate import default_environment
 
 from test_patching import dummy_tensor
@@ -195,7 +196,6 @@ class TestApplyEncodings:
 def test_spatial_rows_agree_across_orderings(small_env, small_dataset):
     """The spatial addend follows the anchor, not the row position."""
     from uwbcorr.cir import build_input_tensor
-    from uwbcorr.encodings import constant_encoding_rows
     from uwbcorr.model import _patchset_token_meta
 
     cfg = EncodingConfig(kind="spatial", d_model=32)
@@ -220,3 +220,78 @@ def test_f_bands_must_be_maximal():
     with pytest.raises(ConfigError):
         EncodingConfig(kind="spatial", d_model=64, f_bands=9)
     assert EncodingConfig(kind="spatial", d_model=64, f_bands=10).n_bands == 10
+
+
+def _per_value_row(values, cfg):
+    """Loop reference: interleaved sin/cos of each value, one value at a time."""
+    bands = frequency_bands(cfg.n_bands, cfg.omega_min, cfg.omega_max)
+    out = np.zeros(cfg.d_model)
+    for i, v in enumerate(values):
+        out[2 * i * len(bands) : 2 * (i + 1) * len(bands) : 2] = np.sin(v * bands)
+        out[2 * i * len(bands) + 1 : 2 * (i + 1) * len(bands) : 2] = np.cos(v * bands)
+    return out
+
+
+def _random_tokens(rng, extent, n_anchors, k_per_cir):
+    anchors = rng.uniform(0.0, 1.0, size=(n_anchors, 3)) * np.asarray(extent)
+    times = rng.uniform(0.0, 150e-9, size=n_anchors)
+    times[rng.random(n_anchors) < 0.3] = np.nan  # absent, zero-padded rows
+    rows = np.repeat(np.arange(n_anchors), k_per_cir)
+    n = len(rows)
+    return TokenSequence(
+        tokens=np.zeros((n + 1, 4)),
+        is_cls=np.arange(n + 1) == 0,
+        row_index=np.concatenate([[-1], rows]),
+        patch_j=np.concatenate([[-1], np.tile(np.arange(k_per_cir), n_anchors)]),
+        anchor_positions=np.vstack([np.full((1, 3), np.nan), anchors[rows]]),
+        rx_times=np.concatenate([[np.nan], times[rows]]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["spatial", "spatial_time"])
+@pytest.mark.parametrize("d_model", [8, 64, 128])
+def test_constant_rows_equal_the_per_token_encodings(kind, d_model):
+    cfg = EncodingConfig(kind=kind, d_model=d_model)
+    extent = (30.0, 10.0, 3.0)
+    rng = np.random.default_rng(d_model)
+    for _ in range(10):
+        tokens = _random_tokens(rng, extent, int(rng.integers(1, 16)), int(rng.integers(1, 4)))
+        rows = constant_encoding_rows(tokens, cfg, extent)
+        body = ~tokens.is_cls
+        deltas = token_time_deltas(tokens, cfg)[body]
+        per_row = np.stack([spatial_pe(p, extent, cfg) for p in tokens.anchor_positions[body]])
+        loop = np.stack([_per_value_row(p / np.asarray(extent), cfg) for p in tokens.anchor_positions[body]])
+        if kind == "spatial_time":
+            per_row = per_row + np.stack([time_diff_pe(dt, cfg) for dt in deltas])
+            clamped = np.minimum(deltas, cfg.delta_t_max_s) / cfg.delta_t_max_s
+            loop = loop + np.stack([_per_value_row([v], cfg) for v in clamped])
+        assert np.array_equal(rows, per_row)
+        assert np.array_equal(rows, loop)
+
+
+def test_constant_rows_keep_bounds_checks_and_clamping():
+    extent = (30.0, 10.0, 3.0)
+    tokens = _random_tokens(np.random.default_rng(3), extent, 4, 1)
+    tokens.anchor_positions[2] = (31.0, 5.0, 1.0)
+    with pytest.raises(OutOfBoundsError, match=r"\[31\.0, 5\.0, 1\.0\]"):
+        constant_encoding_rows(tokens, EncodingConfig(kind="spatial", d_model=32), extent)
+    clamped = EncodingConfig(kind="spatial", d_model=32, clamp_positions=True)
+    rows = constant_encoding_rows(tokens, clamped, extent)
+    assert np.array_equal(rows[1], spatial_pe((30.0, 5.0, 1.0), extent, clamped))
+    tokens.anchor_positions[3] = np.nan
+    with pytest.raises(IncompatibleEncodingError):
+        constant_encoding_rows(tokens, clamped, extent)
+
+
+def test_fixed_ordering_examples_share_one_read_only_spatial_addend(small_env, small_dataset):
+    from uwbcorr.model import make_model_config, prepare_example
+
+    cfg = make_model_config("per_cir", "fixed", "spatial", 150, 16, env=small_env, n_heads=2)
+    a, b = (prepare_example(s, small_env, cfg, s.true_position) for s in small_dataset[:2])
+    assert a.pe_const is b.pe_const
+    with pytest.raises(ValueError):
+        a.pe_const[0, 0] = 1.0
+
+    timed = make_model_config("per_cir", "fixed", "spatial_time", 150, 16, env=small_env, n_heads=2)
+    c = prepare_example(small_dataset[0], small_env, timed, small_dataset[0].true_position)
+    c.pe_const[0, 0] += 1.0  # spatial_time rows are the example's own

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,71 @@ class TestCheckpoint:
         )
         with pytest.raises(ConfigError, match=r"broken\.npz.*'enc9\.ln1\.g'"):
             load_checkpoint(path)
+
+
+def encoding_json(kind, d_model, max_seq_len):
+    return {
+        "kind": kind,
+        "d_model": d_model,
+        "f_bands": None,
+        "omega_min": 1.0,
+        "omega_max": 1000.0,
+        "max_seq_len": max_seq_len,
+        "delta_t_max_s": 2e-07,
+        "clamp_positions": False,
+    }
+
+
+CHECKPOINT_CONFIGS = {
+    "default": (
+        ("per_cir", "fixed", "spatial", 150, 64),
+        {},
+        {
+            "patch": {"strategy": "per_cir", "l_patch": 150},
+            "encoding": encoding_json("spatial", 64, 16),
+            "ordering": "fixed",
+            "d_model": 64,
+            "n_layers": 4,
+            "n_heads": 8,
+            "d_ff": 256,
+            "dropout_p": 0.15,
+            "head_widths": [256, 128, 64, 3],
+            "residual_output": True,
+            "n_total": 15,
+            "extent": [30.0, 10.0, 3.0],
+        },
+    ),
+    "multi_cir_learned": (
+        ("multi_cir", "time_based", "learned", 15, 32),
+        {"n_heads": 4, "head_widths": (32, 3), "dropout_p": 0.0},
+        {
+            "patch": {"strategy": "multi_cir", "l_patch": 15},
+            "encoding": encoding_json("learned", 32, 11),
+            "ordering": "time_based",
+            "d_model": 32,
+            "n_layers": 4,
+            "n_heads": 4,
+            "d_ff": 256,
+            "dropout_p": 0.0,
+            "head_widths": [32, 3],
+            "residual_output": True,
+            "n_total": 15,
+            "extent": [30.0, 10.0, 3.0],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKPOINT_CONFIGS))
+def test_checkpoint_config_json_is_pinned_and_round_trips(name, tmp_path):
+    from uwbcorr.simulate import default_environment
+
+    args, overrides, expected = CHECKPOINT_CONFIGS[name]
+    cfg = make_model_config(*args, env=default_environment(), **overrides)
+    path = tmp_path / "model.npz"
+    save_checkpoint(CorrectionModel.initialize(cfg, seed=3), path)
+    with np.load(path) as data:
+        meta = str(data["__meta__"])
+    # the exact JSON text, key order included, that earlier checkpoints hold
+    assert meta == json.dumps({"schema_version": 1, "config": expected})
+    assert load_checkpoint(path).config == cfg

@@ -150,7 +150,31 @@ class TestTrain:
         assert len(model.history.records) == 3
         for r in model.history.records:
             assert r.val_loss >= 0 and r.train_loss >= 0 and r.lr >= 0
+            assert r.step_ms > 0 and r.samples_per_s > 0 and r.grad_norm > 0
         assert 0 <= model.history.best_epoch < 3
+
+    def test_grad_norm_is_the_epoch_mean_of_the_global_norms(
+        self, small_env, small_dataset, monkeypatch
+    ):
+        import uwbcorr.training as training
+
+        norms = []
+
+        def recording(*args, **kwargs):
+            loss, grads = compute_gradients(*args, **kwargs)
+            norms.append(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+            return loss, grads
+
+        monkeypatch.setattr(training, "compute_gradients", recording)
+        cfg = make_model_config(
+            "per_cir", "fixed", "spatial", 150, 8, env=small_env, n_heads=2, n_layers=1
+        )
+        tcfg = TrainConfig(max_epochs=2, seed=2, batch_size=4)
+        model = train(small_dataset, small_env, cfg, tcfg, solver=OPTS)
+        steps = len(norms) // 2
+        assert steps * 2 == len(norms) and steps > 1
+        for epoch, r in enumerate(model.history.records):
+            assert r.grad_norm == pytest.approx(np.mean(norms[epoch * steps : (epoch + 1) * steps]))
 
 
 class TestEvaluateModel:
