@@ -229,7 +229,7 @@ def cmd_sweep(args) -> int:
                 **{f"cep{q}": f"{result.report.cep[q]:.6f}" for q in CEP_QUANTILES},
             )
         except Exception as exc:  # record and continue: one bad combo must not kill the sweep
-            row.update(status=f"error:{exc}")
+            row.update(status=f"error:{type(exc).__name__}: {exc}")
         dataio.append_sweep_row(results_path, row)
     _write_pareto(results_path, out / "pareto.csv")
     print(f"sweep table at {results_path}")

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, IncompatibleEncodingError, OutOfBoundsError
-from .patching import TokenSequence
+from .patching import PatchSet
 
 ENCODING_KINDS = ("learned", "spatial", "spatial_time")
 
@@ -123,34 +123,11 @@ def time_diff_pe(delta_t: float, cfg: EncodingConfig) -> np.ndarray:
     return _time_rows(np.array([float(delta_t)]), cfg)[0]
 
 
-def learned_pe(seq_index: int, table: np.ndarray) -> np.ndarray:
-    """Row lookup in a trainable positional table."""
-    table = np.asarray(table)
-    if not 0 <= seq_index < table.shape[0]:
-        raise IndexError(
-            f"sequence index {seq_index} outside learned table of {table.shape[0]} rows"
-        )
-    return table[seq_index]
-
-
-@dataclass
-class EncodingTables:
-    """Trainable rows consumed by :func:`apply_encodings`.
-
-    ``seq`` backs the learned kind; ``cls_row`` and ``within_cir`` back the
-    spatial kinds (``within_cir`` only when a CIR spans more than one token).
-    """
-
-    seq: Optional[np.ndarray] = None
-    cls_row: Optional[np.ndarray] = None
-    within_cir: Optional[np.ndarray] = None
-
-
-def token_time_deltas(tokens: TokenSequence, cfg: EncodingConfig) -> np.ndarray:
-    """Per-token delay since the earliest reception; absent rows clamp to max."""
-    times = tokens.rx_times
+def token_time_deltas(patches: PatchSet, cfg: EncodingConfig) -> np.ndarray:
+    """Per-patch delay since the earliest reception; absent rows clamp to max."""
+    times = patches.rx_times
     finite = np.isfinite(times)
-    deltas = np.full(tokens.n_tokens, cfg.delta_t_max_s)
+    deltas = np.full(patches.n_patches, cfg.delta_t_max_s)
     if finite.any():
         deltas[finite] = times[finite] - times[finite].min()
     return deltas
@@ -163,16 +140,16 @@ def _spatial_rows(positions: tuple, extent: tuple, cfg: EncodingConfig) -> np.nd
     return rows
 
 
-def constant_encoding_rows(tokens: TokenSequence, cfg: EncodingConfig, extent) -> np.ndarray:
-    """The non-trainable (sin/cos) encoding addend for each non-CLS token.
+def constant_encoding_rows(patches: PatchSet, cfg: EncodingConfig, extent) -> np.ndarray:
+    """The non-trainable (sin/cos) encoding addend for each patch token.
 
     The spatial rows are cached on (anchor positions in token order, extent,
     config) and returned read-only, so examples with the same anchor layout
     share one array. ``spatial_time`` adds its per-token delay rows into a
-    fresh array.
+    fresh array. Zero-padded absent rows are encoded like present ones: the
+    anchor position is known even without a packet.
     """
-    body = ~tokens.is_cls
-    positions = tokens.anchor_positions[body]
+    positions = patches.anchor_positions
     if np.isnan(positions).any():
         raise IncompatibleEncodingError(
             "spatial encodings need per-CIR tokens; multi-CIR tokens have no "
@@ -181,40 +158,5 @@ def constant_encoding_rows(tokens: TokenSequence, cfg: EncodingConfig, extent) -
     key = tuple(positions.ravel().tolist())
     rows = _spatial_rows(key, tuple(np.asarray(extent, dtype=float).tolist()), cfg)
     if cfg.kind == "spatial_time":
-        rows = rows + _time_rows(token_time_deltas(tokens, cfg)[body], cfg)
+        rows = rows + _time_rows(token_time_deltas(patches, cfg), cfg)
     return rows
-
-
-def apply_encodings(
-    tokens: TokenSequence,
-    cfg: EncodingConfig,
-    extent=None,
-    tables: EncodingTables = EncodingTables(),
-) -> TokenSequence:
-    """Add positional information to embedded tokens.
-
-    Learned: every token gets its sequence-position row (CLS is position 0).
-    Spatial kinds: CLS gets a dedicated learned row; each body token gets the
-    sinusoidal encoding of its source anchor (plus the time-difference term
-    for ``spatial_time``), plus the within-CIR row for its patch index when
-    one CIR spans several tokens. Zero-padded absent rows are encoded like
-    present ones: the anchor position is known even without a packet.
-    """
-    out = tokens.tokens.copy()
-    if cfg.kind == "learned":
-        if tables.seq is None:
-            raise ValueError("learned encoding needs the seq table")
-        for s in range(tokens.n_tokens):
-            out[s] += learned_pe(s, tables.seq)
-        return tokens.with_tokens(out)
-
-    if extent is None:
-        raise ValueError("spatial encodings need the environment extent")
-    if tables.cls_row is None:
-        raise ValueError("spatial encodings need the learned CLS row")
-    body = ~tokens.is_cls
-    out[body] += constant_encoding_rows(tokens, cfg, extent)
-    out[tokens.is_cls] += tables.cls_row
-    if tables.within_cir is not None:
-        out[body] += tables.within_cir[tokens.patch_j[body]]
-    return tokens.with_tokens(out)

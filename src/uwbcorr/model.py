@@ -8,8 +8,9 @@ baseline estimate feeds an MLP head (256, 128, 64, 3). With
 ``residual_output`` the head predicts a correction added to the baseline, so
 a zero-initialized final layer reproduces the baseline exactly.
 
-Everything runs in float64 on a small tape-based autodiff engine; the same
-graph code serves training, evaluation and the single-sequence helpers.
+Everything runs in float64 on a small tape-based autodiff engine. One
+batched graph, ``CorrectionModel.forward_prepared``, serves training,
+evaluation and single-sample prediction.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from . import autodiff as ad
 from .cir import InputTensor, build_input_tensor
 from .encodings import EncodingConfig, constant_encoding_rows
 from .errors import ConfigError, IncompatibleEncodingError
-from .patching import PatchConfig, PatchSet, TokenSequence, patch_multi_cir, patch_per_cir
+from .patching import PatchConfig, patch_multi_cir, patch_per_cir
 from .simulate import Environment, Sample
-from .tdoa import SolverOptions, baseline_position
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -67,12 +67,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must be in [0, 1)")
-
-    @property
-    def max_tokens(self) -> int:
-        k = self.patch.k_per_cir
-        body = k if self.patch.strategy == "multi_cir" else self.n_total * k
-        return body + 1
 
 
 def make_model_config(
@@ -183,7 +177,6 @@ def prepare_from_tensor(
         patches = patch_multi_cir(tensor, cfg.patch.l_patch)
     else:
         patches = patch_per_cir(tensor, cfg.patch.l_patch)
-    tokens_meta = _patchset_token_meta(patches, cfg.d_model)
     if cfg.encoding.kind == "learned":
         pe_const = None
         within_idx = None
@@ -193,7 +186,7 @@ def prepare_from_tensor(
                 f"{cfg.encoding.max_seq_len}"
             )
     else:
-        pe_const = constant_encoding_rows(tokens_meta, cfg.encoding, cfg.extent)
+        pe_const = constant_encoding_rows(patches, cfg.encoding, cfg.extent)
         within_idx = patches.patch_j if cfg.patch.k_per_cir > 1 else None
     p_tdoa = np.asarray(p_tdoa, dtype=float)
     return PreparedExample(
@@ -218,20 +211,6 @@ def prepare_example(
         sample, env, cfg.ordering, pad_missing=(cfg.patch.strategy == "multi_cir")
     )
     return prepare_from_tensor(tensor, cfg, p_tdoa, target)
-
-
-def _patchset_token_meta(patches: PatchSet, d_model: int) -> TokenSequence:
-    # Zero-token sequence carrying only provenance; used to reuse the
-    # encoding-row construction for the graph path.
-    n = patches.n_patches
-    return TokenSequence(
-        tokens=np.zeros((n + 1, d_model)),
-        is_cls=np.concatenate([[True], np.zeros(n, dtype=bool)]),
-        row_index=np.concatenate([[-1], patches.row_index]),
-        patch_j=np.concatenate([[-1], patches.patch_j]),
-        anchor_positions=np.vstack([np.full((1, 3), np.nan), patches.anchor_positions]),
-        rx_times=np.concatenate([[np.nan], patches.rx_times]),
-    )
 
 
 def _dropout(x: ad.Tensor, p: float, train: bool, rng, n_tokens: int) -> ad.Tensor:
@@ -264,21 +243,19 @@ def _multi_head_attention(
     return ad.matmul(ctx, prm[pre + "attn.wo"], prm[pre + "attn.bo"])
 
 
-def _encoder_stack(
-    x: ad.Tensor, prm, cfg: ModelConfig, train: bool, rng, *, cls_only: bool = False
-) -> ad.Tensor:
-    """Post-norm encoder blocks over (B, n, d) tokens.
+def _encoder_stack(x: ad.Tensor, prm, cfg: ModelConfig, train: bool, rng) -> ad.Tensor:
+    """Post-norm encoder blocks over (B, n, d) tokens, returning (B, 1, d).
 
-    With ``cls_only`` the last block computes only the CLS row and returns
-    (B, 1, d): its keys and values still come from every token, but the
-    query, attention output, residual adds, layer norms and feed-forward run
-    on row 0, which is all the regression head reads.
+    The last block computes only the CLS row: its keys and values still come
+    from every token, but the query, attention output, residual adds, layer
+    norms and feed-forward run on row 0, which is all the regression head
+    reads.
     """
     b, n, d = x.data.shape
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
         rows = x
-        if cls_only and i == cfg.n_layers - 1:
+        if i == cfg.n_layers - 1:
             rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
         att = _multi_head_attention(rows, x, prm, pre, cfg)
         att = _dropout(att, cfg.dropout_p, train, rng, n)
@@ -340,7 +317,7 @@ class CorrectionModel:
             cls_tok = ad.add(cls_tok, ad.reshape(prm["pe.cls"], (1, 1, cfg.d_model)))
             x = ad.concat([cls_tok, body], axis=1)
 
-        x = _encoder_stack(x, prm, cfg, train, rng, cls_only=True)
+        x = _encoder_stack(x, prm, cfg, train, rng)
         cls_out = ad.select(x, 1, 0)
         h = ad.concat([cls_out, ad.Tensor(np.stack([e.p_tdoa_norm for e in examples]))], axis=1)
         for j in range(len(cfg.head_widths)):
@@ -357,73 +334,6 @@ class CorrectionModel:
     def predict(self, sample: Sample, env: Environment, p_tdoa) -> np.ndarray:
         example = prepare_example(sample, env, self.config, p_tdoa)
         return self.predict_prepared([example])[0]
-
-
-def attention(q, k, v) -> np.ndarray:
-    """Scaled dot-product attention softmax(Q K^T / sqrt(h)) V.
-
-    Operates on the last two axes; every softmax row sums to one, so each
-    output row is a convex combination of the rows of V.
-    """
-    q = np.asarray(q, dtype=float)
-    k = np.asarray(k, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ValueError(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
-    head_width = q.shape[-1]
-    scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(head_width)
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights @ v
-
-
-def encoder_forward(
-    tokens: TokenSequence, model: CorrectionModel, train_mode: bool = False, rng=None
-) -> TokenSequence:
-    """Run the encoder blocks on one token sequence; shape is preserved."""
-    if tokens.d_model != model.config.d_model:
-        raise ValueError(
-            f"token width {tokens.d_model} != model d_model {model.config.d_model}"
-        )
-    if train_mode and rng is None:
-        rng = np.random.default_rng()
-    x = ad.Tensor(tokens.tokens[None, :, :])
-    out = _encoder_stack(x, model.params, model.config, train_mode, rng).data[0]
-    if not np.isfinite(out).all():
-        raise FloatingPointError("non-finite activations in encoder")
-    return tokens.with_tokens(out)
-
-
-def regression_head(cls_out, p_tdoa, model: CorrectionModel) -> np.ndarray:
-    """MLP over [CLS output, baseline normalized by the extent] -> position."""
-    cls_out = np.asarray(cls_out, dtype=float)
-    p_tdoa = np.asarray(p_tdoa, dtype=float)
-    if not (np.isfinite(cls_out).all() and np.isfinite(p_tdoa).all()):
-        raise ValueError("non-finite input to regression head")
-    cfg = model.config
-    h = ad.Tensor(np.concatenate([cls_out, p_tdoa / np.asarray(cfg.extent)])[None, :])
-    for j in range(len(cfg.head_widths)):
-        h = ad.matmul(h, model.params[f"head{j}.w"], model.params[f"head{j}.b"])
-        if j < len(cfg.head_widths) - 1:
-            h = ad.relu(h)
-    out = h.data[0]
-    return p_tdoa + out if cfg.residual_output else out
-
-
-def forward(
-    sample: Sample,
-    env: Environment,
-    model: CorrectionModel,
-    p_tdoa=None,
-    solver: SolverOptions = SolverOptions(),
-) -> np.ndarray:
-    """Corrected position for one sample; computes the baseline if not given."""
-    if p_tdoa is None:
-        p_tdoa = baseline_position(sample, env.anchors, options=solver).position
-    return model.predict(sample, env, p_tdoa)
 
 
 def _config_from_dict(d: dict) -> ModelConfig:

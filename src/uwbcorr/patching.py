@@ -1,15 +1,14 @@
-"""Patch extraction and linear token embedding.
+"""Patch extraction.
 
 Two ways to cut the (N, 150) input matrix into patches: multi-CIR patches
 take the same column block of every row (height N, width L_patch), per-CIR
-patches take L_patch consecutive samples from a single row. Patches map
-through one shared linear layer to d_model-dimensional tokens, with a learned
-CLS token prepended.
+patches take L_patch consecutive samples from a single row. The model maps
+each patch through one shared linear layer to a d_model-dimensional token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,57 +107,4 @@ def patch_per_cir(m: InputTensor, l_patch: int) -> PatchSet:
         strategy="per_cir",
         k_per_cir=k,
         n_rows=n,
-    )
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Embedded tokens with per-token provenance; index 0 is the CLS token."""
-
-    tokens: np.ndarray  # (n_tokens, d_model)
-    is_cls: np.ndarray  # (n_tokens,) bool
-    row_index: np.ndarray  # (n_tokens,), -1 where not tied to one row
-    patch_j: np.ndarray  # (n_tokens,), -1 for CLS
-    anchor_positions: np.ndarray  # (n_tokens, 3), NaN where untied
-    rx_times: np.ndarray  # (n_tokens,), NaN where untied/absent
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def d_model(self) -> int:
-        return self.tokens.shape[1]
-
-    def with_tokens(self, tokens: np.ndarray) -> "TokenSequence":
-        return replace(self, tokens=tokens)
-
-
-def embed_patches(
-    patches: PatchSet,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    cls_vector: np.ndarray,
-) -> TokenSequence:
-    """Linear map patch -> token, CLS prepended: token_k = patch_k @ W + b."""
-    weights = np.asarray(weights, dtype=float)
-    bias = np.asarray(bias, dtype=float)
-    cls_vector = np.asarray(cls_vector, dtype=float)
-    patch_size = patches.values.shape[1]
-    if weights.shape[0] != patch_size:
-        raise ValueError(
-            f"embedding expects input size {weights.shape[0]}, patches have {patch_size}"
-        )
-    d_model = weights.shape[1]
-    if bias.shape != (d_model,) or cls_vector.shape != (d_model,):
-        raise ValueError("bias and CLS vector must both have d_model entries")
-    body = patches.values @ weights + bias
-    tokens = np.vstack([cls_vector[None, :], body])
-    return TokenSequence(
-        tokens=tokens,
-        is_cls=np.concatenate([[True], np.zeros(patches.n_patches, dtype=bool)]),
-        row_index=np.concatenate([[-1], patches.row_index]),
-        patch_j=np.concatenate([[-1], patches.patch_j]),
-        anchor_positions=np.vstack([np.full((1, 3), np.nan), patches.anchor_positions]),
-        rx_times=np.concatenate([[np.nan], patches.rx_times]),
     )

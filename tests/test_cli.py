@@ -263,6 +263,8 @@ class TestSweepFailureHandling:
         assert len(rows) == 2
         statuses = sorted(r["status"][:5] for r in rows)
         assert statuses == ["error", "ok"]
+        bad = next(r for r in rows if r["l_patch"] == "7")
+        assert bad["status"] == "error:ConfigError: l_patch must divide 150, got 7"
 
 
 class TestComplexityCommand:

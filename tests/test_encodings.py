@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from uwbcorr import (
+    CorrectionModel,
     EncodingConfig,
-    EncodingTables,
-    apply_encodings,
-    embed_patches,
+    PatchSet,
     frequency_bands,
-    learned_pe,
+    make_model_config,
     patch_multi_cir,
     patch_per_cir,
     spatial_pe,
@@ -17,7 +18,7 @@ from uwbcorr import (
 )
 from uwbcorr.encodings import constant_encoding_rows, max_bands, token_time_deltas
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError, OutOfBoundsError
-from uwbcorr.patching import TokenSequence
+from uwbcorr.model import prepare_from_tensor
 from uwbcorr.simulate import default_environment
 
 from test_patching import dummy_tensor
@@ -112,91 +113,103 @@ class TestTimeDiffPe:
         assert np.allclose(time_diff_pe(1.0, cfg), time_diff_pe(cfg.delta_t_max_s, cfg))
 
 
+P_TDOA = np.array([5.0, 5.0, 1.0])
+
+
+def learned_model(n_total=2):
+    """Per-CIR learned model whose table has 2 * n_total + 1 rows."""
+    cfg = make_model_config("per_cir", "time_based", "learned", 75, 16, n_total=n_total, n_heads=2)
+    return CorrectionModel.initialize(cfg, seed=1, zero_final_layer=False)
+
+
 class TestLearnedPe:
+    """The graph adds row s of the trainable ``pe.seq`` table to token s."""
+
     def test_lookup_stable(self):
-        table = np.random.default_rng(0).normal(size=(16, 8))
-        assert np.array_equal(learned_pe(5, table), learned_pe(5, table))
-        assert np.array_equal(learned_pe(5, table), table[5])
+        model = learned_model()
+        ex = prepare_from_tensor(dummy_tensor(1, "time_based", padded=False), model.config, P_TDOA)
+        assert ex.n_tokens == 3 and model.params["pe.seq"].shape[0] == 5
+        before = model.predict_prepared([ex])
+        assert np.array_equal(model.predict_prepared([ex]), before)
+        model.params["pe.seq"].data[3:] += 1.0  # rows past the sequence are never read
+        assert np.array_equal(model.predict_prepared([ex]), before)
 
     def test_mutating_the_row_changes_the_lookup(self):
-        table = np.zeros((4, 8))
-        before = learned_pe(2, table).copy()
-        table[2] += 0.1  # what a gradient step does
-        assert not np.array_equal(before, learned_pe(2, table))
+        model = learned_model()
+        ex = prepare_from_tensor(dummy_tensor(1, "time_based", padded=False), model.config, P_TDOA)
+        before = model.predict_prepared([ex])
+        model.params["pe.seq"].data[2] += 0.1  # what a gradient step does
+        assert not np.array_equal(before, model.predict_prepared([ex]))
 
     def test_overflow(self):
-        with pytest.raises(IndexError):
-            learned_pe(16, np.zeros((16, 8)))
-
-
-def tokens_for(n_rows, l_patch, d_model, seed=0):
-    m = dummy_tensor(n_rows, seed=seed)
-    ps = patch_per_cir(m, l_patch)
-    rng = np.random.default_rng(seed + 1)
-    w = rng.normal(size=(l_patch, d_model))
-    return m, embed_patches(ps, w, np.zeros(d_model), rng.normal(size=d_model))
+        cfg = learned_model().config
+        assert cfg.encoding.max_seq_len == 5
+        fits = prepare_from_tensor(dummy_tensor(2, "time_based", padded=False), cfg, P_TDOA)
+        assert fits.n_tokens == 5
+        with pytest.raises(ConfigError, match="7 tokens exceed max_seq_len=5"):
+            prepare_from_tensor(dummy_tensor(3, "time_based", padded=False), cfg, P_TDOA)
 
 
 class TestApplyEncodings:
+    """The sin/cos addends on real PatchSets, and the trainable rows the
+    graph adds by sequence position or within-CIR patch index."""
+
     def test_whole_cir_spatial_offsets_only_by_anchor(self):
-        m, tokens = tokens_for(3, 150, 32)
+        m = dummy_tensor(3)
         cfg = EncodingConfig(kind="spatial", d_model=32)
-        tables = EncodingTables(cls_row=np.random.default_rng(2).normal(size=32))
-        out = apply_encodings(tokens, cfg, extent=(10, 10, 3), tables=tables)
-        for t in range(1, 4):
-            expected = tokens.tokens[t] + spatial_pe(m.anchor_positions[t - 1], (10, 10, 3), cfg)
-            assert np.allclose(out.tokens[t], expected)
-        assert np.allclose(out.tokens[0], tokens.tokens[0] + tables.cls_row)
+        rows = constant_encoding_rows(patch_per_cir(m, 150), cfg, (10, 10, 3))
+        assert rows.shape == (3, 32)
+        for t in range(3):
+            assert np.array_equal(rows[t], spatial_pe(m.anchor_positions[t], (10, 10, 3), cfg))
 
     def test_split_cir_adds_within_rows(self):
-        m, tokens = tokens_for(2, 75, 32)
-        cfg = EncodingConfig(kind="spatial", d_model=32)
-        rng = np.random.default_rng(3)
-        tables = EncodingTables(
-            cls_row=rng.normal(size=32), within_cir=rng.normal(size=(2, 32))
-        )
-        out = apply_encodings(tokens, cfg, extent=(10, 10, 3), tables=tables)
-        # same anchor, adjacent patch indices: encoding delta is the within-row delta
-        delta_enc = (out.tokens[1] - tokens.tokens[1]) - (out.tokens[2] - tokens.tokens[2])
-        assert np.allclose(delta_enc, tables.within_cir[0] - tables.within_cir[1])
+        m = dummy_tensor(2)
+        cfg = make_model_config("per_cir", "fixed", "spatial", 75, 32, n_total=2, extent=(10, 10, 3))
+        ex = prepare_from_tensor(m, cfg, P_TDOA)
+        # both patches of one CIR share the constant row; only pe.within tells them apart
+        assert np.array_equal(ex.pe_const[0], ex.pe_const[1])
+        assert np.array_equal(ex.within_idx, [0, 1, 0, 1])
+        model = CorrectionModel.initialize(cfg, seed=2, zero_final_layer=False)
+        before = model.predict_prepared([ex])
+        halves_swapped = replace(m, values=np.hstack([m.values[:, 75:], m.values[:, :75]]))
+        swapped_ex = prepare_from_tensor(halves_swapped, cfg, P_TDOA)
+        assert not np.allclose(model.predict_prepared([swapped_ex]), before, atol=1e-6)
+        # swapping the within rows too gives every token its old input back
+        model.params["pe.within"].data[:] = model.params["pe.within"].data[::-1].copy()
+        assert np.allclose(model.predict_prepared([swapped_ex]), before, rtol=0, atol=1e-12)
 
     def test_multi_cir_spatial_rejected(self):
-        m = dummy_tensor(4)
-        ps = patch_multi_cir(m, 75)
-        tokens = embed_patches(ps, np.zeros((4 * 75, 16)), np.zeros(16), np.zeros(16))
-        cfg = EncodingConfig(kind="spatial", d_model=16)
+        ps = patch_multi_cir(dummy_tensor(4), 75)
         with pytest.raises(IncompatibleEncodingError):
-            apply_encodings(tokens, cfg, extent=(10, 10, 3), tables=EncodingTables(cls_row=np.zeros(16)))
+            constant_encoding_rows(ps, EncodingConfig(kind="spatial", d_model=16), (10, 10, 3))
 
     def test_learned_adds_sequence_rows(self):
-        _, tokens = tokens_for(2, 75, 16)
-        cfg = EncodingConfig(kind="learned", d_model=16, max_seq_len=8)
-        table = np.random.default_rng(4).normal(size=(8, 16))
-        out = apply_encodings(tokens, cfg, tables=EncodingTables(seq=table))
-        for s in range(tokens.n_tokens):
-            assert np.allclose(out.tokens[s], tokens.tokens[s] + table[s])
+        m = dummy_tensor(3)
+        cfg = make_model_config("per_cir", "fixed", "learned", 150, 16, n_total=3, n_heads=2)
+        model = CorrectionModel.initialize(cfg, seed=4, zero_final_layer=False)
+        before = model.predict_prepared([prepare_from_tensor(m, cfg, P_TDOA)])
+        perm = np.array([2, 0, 1])
+        permuted_ex = prepare_from_tensor(m.permuted(perm), cfg, P_TDOA)
+        assert not np.allclose(model.predict_prepared([permuted_ex]), before, atol=1e-6)
+        # moving each body row of the table with its token gives every token its old input back
+        seq = model.params["pe.seq"].data
+        seq[1:] = seq[1:][perm].copy()
+        assert np.allclose(model.predict_prepared([permuted_ex]), before, rtol=0, atol=1e-12)
 
     def test_spatial_time_adds_both(self):
-        m, tokens = tokens_for(3, 150, 32, seed=5)
-        rng = np.random.default_rng(6)
-        tables = EncodingTables(cls_row=rng.normal(size=32))
-        spatial = apply_encodings(
-            tokens, EncodingConfig(kind="spatial", d_model=32), extent=(10, 10, 3), tables=tables
-        )
-        combined = apply_encodings(
-            tokens, EncodingConfig(kind="spatial_time", d_model=32), extent=(10, 10, 3), tables=tables
-        )
+        m = dummy_tensor(3, seed=5)
+        ps = patch_per_cir(m, 150)
+        spatial = constant_encoding_rows(ps, EncodingConfig(kind="spatial", d_model=32), (10, 10, 3))
         cfg = EncodingConfig(kind="spatial_time", d_model=32)
-        t0 = np.nanmin(tokens.rx_times)
-        for t in range(1, 4):
-            expected = spatial.tokens[t] + time_diff_pe(tokens.rx_times[t] - t0, cfg)
-            assert np.allclose(combined.tokens[t], expected)
+        combined = constant_encoding_rows(ps, cfg, (10, 10, 3))
+        for t in range(3):
+            expected = spatial[t] + time_diff_pe(m.rx_times[t] - m.rx_times.min(), cfg)
+            assert np.allclose(combined[t], expected)
 
 
 def test_spatial_rows_agree_across_orderings(small_env, small_dataset):
     """The spatial addend follows the anchor, not the row position."""
     from uwbcorr.cir import build_input_tensor
-    from uwbcorr.model import _patchset_token_meta
 
     cfg = EncodingConfig(kind="spatial", d_model=32)
     sample = small_dataset[0]
@@ -204,7 +217,7 @@ def test_spatial_rows_agree_across_orderings(small_env, small_dataset):
     for ordering in ("fixed", "time_based"):
         tensor = build_input_tensor(sample, small_env, ordering)
         ps = patch_per_cir(tensor, 150)
-        rows = constant_encoding_rows(_patchset_token_meta(ps, 32), cfg, small_env.extent)
+        rows = constant_encoding_rows(ps, cfg, small_env.extent)
         for anchor_id, row in zip(tensor.anchor_ids, rows):
             by_anchor.setdefault(int(anchor_id), []).append(row)
     for anchor_id, rows in by_anchor.items():
@@ -232,19 +245,20 @@ def _per_value_row(values, cfg):
     return out
 
 
-def _random_tokens(rng, extent, n_anchors, k_per_cir):
+def _random_patches(rng, extent, n_anchors, k_per_cir):
     anchors = rng.uniform(0.0, 1.0, size=(n_anchors, 3)) * np.asarray(extent)
     times = rng.uniform(0.0, 150e-9, size=n_anchors)
     times[rng.random(n_anchors) < 0.3] = np.nan  # absent, zero-padded rows
     rows = np.repeat(np.arange(n_anchors), k_per_cir)
-    n = len(rows)
-    return TokenSequence(
-        tokens=np.zeros((n + 1, 4)),
-        is_cls=np.arange(n + 1) == 0,
-        row_index=np.concatenate([[-1], rows]),
-        patch_j=np.concatenate([[-1], np.tile(np.arange(k_per_cir), n_anchors)]),
-        anchor_positions=np.vstack([np.full((1, 3), np.nan), anchors[rows]]),
-        rx_times=np.concatenate([[np.nan], times[rows]]),
+    return PatchSet(
+        values=np.zeros((len(rows), 150 // k_per_cir)),
+        row_index=rows,
+        patch_j=np.tile(np.arange(k_per_cir), n_anchors),
+        anchor_positions=anchors[rows],
+        rx_times=times[rows],
+        strategy="per_cir",
+        k_per_cir=k_per_cir,
+        n_rows=n_anchors,
     )
 
 
@@ -255,12 +269,11 @@ def test_constant_rows_equal_the_per_token_encodings(kind, d_model):
     extent = (30.0, 10.0, 3.0)
     rng = np.random.default_rng(d_model)
     for _ in range(10):
-        tokens = _random_tokens(rng, extent, int(rng.integers(1, 16)), int(rng.integers(1, 4)))
-        rows = constant_encoding_rows(tokens, cfg, extent)
-        body = ~tokens.is_cls
-        deltas = token_time_deltas(tokens, cfg)[body]
-        per_row = np.stack([spatial_pe(p, extent, cfg) for p in tokens.anchor_positions[body]])
-        loop = np.stack([_per_value_row(p / np.asarray(extent), cfg) for p in tokens.anchor_positions[body]])
+        patches = _random_patches(rng, extent, int(rng.integers(1, 16)), int(rng.integers(1, 4)))
+        rows = constant_encoding_rows(patches, cfg, extent)
+        deltas = token_time_deltas(patches, cfg)
+        per_row = np.stack([spatial_pe(p, extent, cfg) for p in patches.anchor_positions])
+        loop = np.stack([_per_value_row(p / np.asarray(extent), cfg) for p in patches.anchor_positions])
         if kind == "spatial_time":
             per_row = per_row + np.stack([time_diff_pe(dt, cfg) for dt in deltas])
             clamped = np.minimum(deltas, cfg.delta_t_max_s) / cfg.delta_t_max_s
@@ -271,16 +284,16 @@ def test_constant_rows_equal_the_per_token_encodings(kind, d_model):
 
 def test_constant_rows_keep_bounds_checks_and_clamping():
     extent = (30.0, 10.0, 3.0)
-    tokens = _random_tokens(np.random.default_rng(3), extent, 4, 1)
-    tokens.anchor_positions[2] = (31.0, 5.0, 1.0)
+    patches = _random_patches(np.random.default_rng(3), extent, 4, 1)
+    patches.anchor_positions[1] = (31.0, 5.0, 1.0)
     with pytest.raises(OutOfBoundsError, match=r"\[31\.0, 5\.0, 1\.0\]"):
-        constant_encoding_rows(tokens, EncodingConfig(kind="spatial", d_model=32), extent)
+        constant_encoding_rows(patches, EncodingConfig(kind="spatial", d_model=32), extent)
     clamped = EncodingConfig(kind="spatial", d_model=32, clamp_positions=True)
-    rows = constant_encoding_rows(tokens, clamped, extent)
+    rows = constant_encoding_rows(patches, clamped, extent)
     assert np.array_equal(rows[1], spatial_pe((30.0, 5.0, 1.0), extent, clamped))
-    tokens.anchor_positions[3] = np.nan
+    patches.anchor_positions[2] = np.nan
     with pytest.raises(IncompatibleEncodingError):
-        constant_encoding_rows(tokens, clamped, extent)
+        constant_encoding_rows(patches, clamped, extent)
 
 
 def test_fixed_ordering_examples_share_one_read_only_spatial_addend(small_env, small_dataset):

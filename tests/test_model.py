@@ -7,25 +7,27 @@ from uwbcorr import (
     ChannelConfig,
     CorrectionModel,
     EncodingConfig,
-    EncodingTables,
     SolverOptions,
-    apply_encodings,
-    attention,
     baseline_position,
     build_input_tensor,
-    embed_patches,
-    encoder_forward,
-    forward,
     generate_dataset,
     load_checkpoint,
     make_model_config,
     patch_multi_cir,
     patch_per_cir,
-    regression_head,
     save_checkpoint,
+    spatial_pe,
+    time_diff_pe,
 )
+from uwbcorr import autodiff as ad
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError
-from uwbcorr.model import ModelConfig, prepare_example, prepare_from_tensor
+from uwbcorr.model import (
+    ModelConfig,
+    _encoder_stack,
+    _multi_head_attention,
+    prepare_example,
+    prepare_from_tensor,
+)
 from uwbcorr.patching import PatchConfig
 
 
@@ -43,38 +45,88 @@ def naive_attention(q, k, v):
     return out
 
 
+def attend(queries, x):
+    """``_multi_head_attention`` with one head and identity projections:
+    softmax(queries x^T / sqrt(d)) x."""
+    d = x.shape[-1]
+    prm = {f"attn.w{n}": ad.Tensor(np.eye(d)) for n in "qkvo"}
+    prm.update({f"attn.b{n}": ad.Tensor(np.zeros(d)) for n in "qkvo"})
+    cfg = ModelConfig(d_model=d, n_heads=1, encoding=EncodingConfig(d_model=d))
+    return _multi_head_attention(ad.Tensor(queries[None]), ad.Tensor(x[None]), prm, "", cfg).data[0]
+
+
 class TestAttention:
     def test_single_query_returns_value(self):
-        q = np.array([[1.0, -2.0]])
-        k = np.array([[0.3, 0.4]])
-        v = np.array([[5.0, 6.0, 7.0]])
-        assert np.allclose(attention(q, k, v), v)
+        x = np.array([[0.3, 0.4, 5.0]])
+        assert np.allclose(attend(np.array([[1.0, -2.0, 0.5]]), x), x)
 
     def test_zero_queries_average_values(self):
-        rng = np.random.default_rng(0)
-        k = rng.normal(size=(6, 4))
-        v = rng.normal(size=(6, 3))
-        out = attention(np.zeros((2, 4)), k, v)
-        assert np.allclose(out, np.tile(v.mean(axis=0), (2, 1)))
+        x = np.random.default_rng(0).normal(size=(6, 4))
+        out = attend(np.zeros((2, 4)), x)
+        assert np.allclose(out, np.tile(x.mean(axis=0), (2, 1)))
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(1)
-        q, k, v = rng.normal(size=(3, 3, 4))
-        assert np.allclose(attention(q, k, v), naive_attention(q, k, v), atol=1e-10)
+        queries, x = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        assert np.allclose(attend(queries, x), naive_attention(queries, x, x), atol=1e-10)
 
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(2)
-        q, k = rng.normal(size=(2, 5, 4))
-        v = rng.normal(size=(5, 3))
-        out = attention(q, k, v)
-        assert np.all(out.min(axis=0) >= v.min(axis=0) - 1e-12)
-        assert np.all(out.max(axis=0) <= v.max(axis=0) + 1e-12)
+        queries, x = rng.normal(size=(2, 4)), rng.normal(size=(5, 4))
+        out = attend(queries, x)
+        assert np.all(out.min(axis=0) >= x.min(axis=0) - 1e-12)
+        assert np.all(out.max(axis=0) <= x.max(axis=0) + 1e-12)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 2)))
+
+def layer_norm(v, gain, bias):
+    mu = v.mean(axis=-1, keepdims=True)
+    var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (v - mu) / np.sqrt(var + 1e-5) * gain + bias
+
+
+def reference_block(x, prm, pre, n_heads):
+    """One post-norm encoder block over every row of x (n, d), attention
+    head by head through the double loop."""
+    q, k, v = (x @ prm[pre + f"attn.w{n}"] + prm[pre + f"attn.b{n}"] for n in "qkv")
+    hw = x.shape[1] // n_heads
+    ctx = np.hstack([
+        naive_attention(q[:, h : h + hw], k[:, h : h + hw], v[:, h : h + hw])
+        for h in range(0, x.shape[1], hw)
+    ])
+    att = ctx @ prm[pre + "attn.wo"] + prm[pre + "attn.bo"]
+    x = layer_norm(x + att, prm[pre + "ln1.g"], prm[pre + "ln1.b"])
+    ff = np.maximum(x @ prm[pre + "ff.w1"] + prm[pre + "ff.b1"], 0)
+    ff = ff @ prm[pre + "ff.w2"] + prm[pre + "ff.b2"]
+    return layer_norm(x + ff, prm[pre + "ln2.g"], prm[pre + "ln2.b"])
+
+
+def staged_reference(model, sample, env, p_tdoa):
+    """Full-sequence numpy forward, one stage at a time: embedding and CLS,
+    positional rows, every row of every encoder block, then the head."""
+    cfg, prm = model.config, model.parameter_arrays()
+    multi = cfg.patch.strategy == "multi_cir"
+    tensor = build_input_tensor(sample, env, cfg.ordering, pad_missing=multi)
+    ps = (patch_multi_cir if multi else patch_per_cir)(tensor, cfg.patch.l_patch)
+    x = np.vstack([prm["cls"], ps.values @ prm["embed.w"] + prm["embed.b"]])
+    if cfg.encoding.kind == "learned":
+        x += prm["pe.seq"][: len(x)]
+    else:
+        x[0] += prm["pe.cls"]
+        t0 = np.nanmin(ps.rx_times)
+        for t in range(1, len(x)):
+            x[t] += spatial_pe(ps.anchor_positions[t - 1], env.extent, cfg.encoding)
+            if cfg.encoding.kind == "spatial_time":
+                delay = np.nan_to_num(ps.rx_times[t - 1] - t0, nan=np.inf)  # absent: clamp
+                x[t] += time_diff_pe(delay, cfg.encoding)
+            if "pe.within" in prm:
+                x[t] += prm["pe.within"][ps.patch_j[t - 1]]
+    for i in range(cfg.n_layers):
+        x = reference_block(x, prm, f"enc{i}.", cfg.n_heads)
+    h = np.concatenate([x[0], p_tdoa / np.asarray(cfg.extent)])
+    for j in range(len(cfg.head_widths)):
+        h = h @ prm[f"head{j}.w"] + prm[f"head{j}.b"]
+        h = np.maximum(h, 0) if j < len(cfg.head_widths) - 1 else h
+    return p_tdoa + h if cfg.residual_output else h
 
 
 def tiny_model(env, l_patch=75, d_model=8, kind="spatial", **kw):
@@ -114,75 +166,38 @@ class TestModelConfig:
 
 
 class TestEncoderForward:
-    def test_preserves_shape(self, small_env):
-        model = tiny_model(small_env)
-        sample = one_sample(small_env)
-        tensor = build_input_tensor(sample, small_env, "fixed")
-        ps = patch_per_cir(tensor, 75)
-        tokens = embed_patches(
-            ps,
-            model.params["embed.w"].data,
-            model.params["embed.b"].data,
-            model.params["cls"].data,
-        )
-        out = encoder_forward(tokens, model)
-        assert out.tokens.shape == tokens.tokens.shape
-
     def test_eval_mode_is_deterministic(self, small_env):
         model = tiny_model(small_env)
-        sample = one_sample(small_env)
-        tensor = build_input_tensor(sample, small_env, "fixed")
-        ps = patch_per_cir(tensor, 75)
-        tokens = embed_patches(
-            ps,
-            model.params["embed.w"].data,
-            model.params["embed.b"].data,
-            model.params["cls"].data,
-        )
-        a = encoder_forward(tokens, model).tokens
-        b = encoder_forward(tokens, model).tokens
+        assert model.config.dropout_p > 0
+        p_tdoa = np.array([5.0, 5.0, 1.0])
+        example = prepare_example(one_sample(small_env), small_env, model.config, p_tdoa)
+        a = model.predict_prepared([example])
+        b = model.predict_prepared([example])
         assert np.array_equal(a, b)
 
     def test_hand_computed_two_token_layer(self, small_env):
+        """Two blocks over two tokens: both rows of block 0 feed the keys and
+        values of block 1, whose CLS row is all the stack returns."""
         d = 4
-        model = tiny_model(small_env, d_model=d, n_heads=1, n_layers=1)
+        model = tiny_model(small_env, d_model=d, n_heads=1, n_layers=2)
         rng = np.random.default_rng(7)
         arrays = {k: t.data for k, t in model.params.items()}
-        for name in ("wq", "wk", "wv", "wo"):
-            arrays[f"enc0.attn.{name}"][:] = rng.normal(0, 0.5, size=(d, d))
-            arrays[f"enc0.attn.b{name[1]}"][:] = rng.normal(0, 0.1, size=d)
-        arrays["enc0.ff.w1"][:] = rng.normal(0, 0.5, size=arrays["enc0.ff.w1"].shape)
-        arrays["enc0.ff.w2"][:] = rng.normal(0, 0.5, size=arrays["enc0.ff.w2"].shape)
-        arrays["enc0.ln1.g"][:] = rng.uniform(0.5, 1.5, size=d)
-        arrays["enc0.ln2.b"][:] = rng.normal(0, 0.1, size=d)
+        for pre in ("enc0.", "enc1."):
+            for name in ("wq", "wk", "wv", "wo"):
+                arrays[f"{pre}attn.{name}"][:] = rng.normal(0, 0.5, size=(d, d))
+                arrays[f"{pre}attn.b{name[1]}"][:] = rng.normal(0, 0.1, size=d)
+            arrays[pre + "ff.w1"][:] = rng.normal(0, 0.5, size=arrays[pre + "ff.w1"].shape)
+            arrays[pre + "ff.w2"][:] = rng.normal(0, 0.5, size=arrays[pre + "ff.w2"].shape)
+            arrays[pre + "ln1.g"][:] = rng.uniform(0.5, 1.5, size=d)
+            arrays[pre + "ln2.b"][:] = rng.normal(0, 0.1, size=d)
 
         x = rng.normal(size=(2, d))
-        from uwbcorr.patching import TokenSequence
+        got = _encoder_stack(ad.Tensor(x[None]), model.params, model.config, False, None).data
+        assert got.shape == (1, 1, d)
 
-        tokens = TokenSequence(
-            tokens=x,
-            is_cls=np.array([True, False]),
-            row_index=np.array([-1, 0]),
-            patch_j=np.array([-1, 0]),
-            anchor_positions=np.full((2, 3), np.nan),
-            rx_times=np.full(2, np.nan),
-        )
-        got = encoder_forward(tokens, model).tokens
-
-        def ln(v):
-            mu = v.mean(axis=-1, keepdims=True)
-            var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
-            return (v - mu) / np.sqrt(var + 1e-5)
-
-        q = x @ arrays["enc0.attn.wq"] + arrays["enc0.attn.bq"]
-        k = x @ arrays["enc0.attn.wk"] + arrays["enc0.attn.bk"]
-        v = x @ arrays["enc0.attn.wv"] + arrays["enc0.attn.bv"]
-        att = naive_attention(q, k, v) @ arrays["enc0.attn.wo"] + arrays["enc0.attn.bo"]
-        h = ln(x + att) * arrays["enc0.ln1.g"] + arrays["enc0.ln1.b"]
-        ff = np.maximum(h @ arrays["enc0.ff.w1"] + arrays["enc0.ff.b1"], 0)
-        ff = ff @ arrays["enc0.ff.w2"] + arrays["enc0.ff.b2"]
-        want = ln(h + ff) * arrays["enc0.ln2.g"] + arrays["enc0.ln2.b"]
-        assert np.allclose(got, want, atol=1e-9)
+        h = reference_block(reference_block(x, arrays, "enc0.", 1), arrays, "enc1.", 1)
+        assert np.allclose(got[0, 0], h[0], atol=1e-9)
+        assert not np.allclose(h[0], h[1], atol=1e-3)  # the rows are not interchangeable
 
 
 def test_encoder_shape_for_every_sweep_config():
@@ -204,19 +219,16 @@ def test_encoder_shape_for_every_sweep_config():
 
 
 def test_non_finite_activations_raise(small_env):
-    model = tiny_model(small_env)
-    from uwbcorr.patching import TokenSequence
+    """Non-finite activations reach the training loss, which refuses them."""
+    from uwbcorr.training import compute_gradients
 
-    bad = TokenSequence(
-        tokens=np.full((3, 8), np.inf),
-        is_cls=np.array([True, False, False]),
-        row_index=np.array([-1, 0, 0]),
-        patch_j=np.array([-1, 0, 1]),
-        anchor_positions=np.full((3, 3), np.nan),
-        rx_times=np.full(3, np.nan),
-    )
+    model = tiny_model(small_env)
+    sample = one_sample(small_env)
+    p_tdoa = np.array([5.0, 5.0, 1.0])
+    example = prepare_example(sample, small_env, model.config, p_tdoa, sample.true_position)
+    model.params["cls"].data[:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        encoder_forward(bad, model)
+        compute_gradients(model, [example])
 
 
 def test_multi_cir_time_ordering_pads_missing_anchors(small_env):
@@ -230,27 +242,34 @@ def test_multi_cir_time_ordering_pads_missing_anchors(small_env):
     assert model.predict_prepared([example]).shape == (1, 3)
 
 
+def head_only_prediction(small_env, edit, **overrides):
+    """predict_prepared of a trained-looking model after edit(params)."""
+    cfg = make_model_config("per_cir", "fixed", "spatial", 150, 32, env=small_env, **overrides)
+    model = CorrectionModel.initialize(cfg, seed=0, zero_final_layer=False)
+    for name, tensor in model.params.items():
+        edit(name, tensor.data)
+    p_tdoa = np.array([3.0, 4.0, 1.0])
+    example = prepare_example(one_sample(small_env, seed=1), small_env, cfg, p_tdoa)
+    return model.predict_prepared([example])[0], p_tdoa
+
+
 class TestRegressionHead:
     def test_zero_weights_residual_identity(self, small_env):
-        cfg = make_model_config("per_cir", "fixed", "spatial", 150, 32, env=small_env)
-        model = CorrectionModel.initialize(cfg, seed=0)
-        for name in model.params:
+        def zero_head(name, data):
             if name.startswith("head"):
-                model.params[name].data[:] = 0.0
-        p = np.array([3.0, 4.0, 1.0])
-        out = regression_head(np.random.default_rng(0).normal(size=32), p, model)
-        assert np.array_equal(out, p)
+                data[:] = 0.0
+
+        out, p_tdoa = head_only_prediction(small_env, zero_head)
+        assert np.array_equal(out, p_tdoa)
 
     def test_zero_weights_direct_returns_bias(self, small_env):
-        cfg = make_model_config(
-            "per_cir", "fixed", "spatial", 150, 32, env=small_env, residual_output=False
-        )
-        model = CorrectionModel.initialize(cfg, seed=0)
-        for name in model.params:
+        def bias_only(name, data):
             if name.startswith("head") and name.endswith(".w"):
-                model.params[name].data[:] = 0.0
-        model.params["head3.b"].data[:] = np.array([1.0, 2.0, 3.0])
-        out = regression_head(np.zeros(32), np.array([9.0, 9.0, 1.0]), model)
+                data[:] = 0.0
+            if name == "head3.b":
+                data[:] = [1.0, 2.0, 3.0]
+
+        out, _ = head_only_prediction(small_env, bias_only, residual_output=False)
         assert np.allclose(out, [1.0, 2.0, 3.0])
 
     def test_layer_widths(self, small_env):
@@ -269,7 +288,7 @@ class TestForward:
         opts = SolverOptions(fix_z=1.0)
         for sample in small_dataset[:4]:
             p_tdoa = baseline_position(sample, small_env.anchors, options=opts).position
-            out = forward(sample, small_env, model, p_tdoa=p_tdoa)
+            out = model.predict(sample, small_env, p_tdoa)
             assert np.array_equal(out, p_tdoa)
 
     @pytest.mark.parametrize(
@@ -285,43 +304,17 @@ class TestForward:
     )
     def test_graph_matches_staged_pipeline(self, small_env, patching, ordering, kind, l_patch):
         """The batched graph, whose last block computes only the CLS row,
-        agrees with the step-by-step surface, which computes every row."""
+        agrees with the full-sequence numpy reference, which computes every
+        row of every block."""
         cfg = make_model_config(patching, ordering, kind, l_patch, 32, env=small_env)
         model = CorrectionModel.initialize(cfg, seed=5, zero_final_layer=False)
         sample = one_sample(small_env, seed=2, drop=0.3)
         p_tdoa = np.array([4.0, 5.0, 1.0])
 
         got = model.predict(sample, small_env, p_tdoa)
-
-        multi = patching == "multi_cir"
-        tensor = build_input_tensor(sample, small_env, ordering, pad_missing=multi)
-        patch = patch_multi_cir if multi else patch_per_cir
-        tokens = embed_patches(
-            patch(tensor, l_patch),
-            model.params["embed.w"].data,
-            model.params["embed.b"].data,
-            model.params["cls"].data,
-        )
-        arrays = model.parameter_arrays()
-        tables = EncodingTables(
-            seq=arrays.get("pe.seq"),
-            cls_row=arrays.get("pe.cls"),
-            within_cir=arrays.get("pe.within"),
-        )
-        tokens = apply_encodings(tokens, cfg.encoding, extent=small_env.extent, tables=tables)
-        encoded = encoder_forward(tokens, model)
-        assert encoded.n_tokens == tokens.n_tokens
-        want = regression_head(encoded.tokens[0], p_tdoa, model)
+        want = staged_reference(model, sample, small_env, p_tdoa)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         assert np.abs(got - p_tdoa).max() > 1e-3  # the encoder output reaches the result
-
-    def test_forward_computes_baseline_when_missing(self, small_env, small_dataset):
-        cfg = make_model_config("per_cir", "fixed", "spatial", 150, 32, env=small_env)
-        model = CorrectionModel.initialize(cfg, seed=1)
-        sample = small_dataset[0]
-        opts = SolverOptions(fix_z=1.0)
-        expected = baseline_position(sample, small_env.anchors, options=opts).position
-        assert np.allclose(forward(sample, small_env, model, solver=opts), expected)
 
 
 class TestPermutationBehaviour:

@@ -3,9 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from uwbcorr import PatchConfig, embed_patches, patch_multi_cir, patch_per_cir
+from uwbcorr import (
+    ChannelConfig,
+    PatchConfig,
+    generate_dataset,
+    make_model_config,
+    patch_multi_cir,
+    patch_per_cir,
+    spatial_pe,
+)
 from uwbcorr.cir import InputTensor
 from uwbcorr.errors import ConfigError, IncompatibleOrderingError
+from uwbcorr.model import CorrectionModel, prepare_example, prepare_from_tensor
 
 DIVISORS = sorted({1, 3, 5, 6, 10, 15, 30, 50, 75, 150})
 
@@ -107,37 +116,40 @@ class TestPatchPerCir:
 
 
 class TestEmbedPatches:
-    def test_zero_patch_zero_bias(self):
-        m = dummy_tensor(2)
-        ps = patch_per_cir(m, 150)
-        w = np.random.default_rng(0).normal(size=(150, 8))
-        tokens = embed_patches(ps, w, np.zeros(8), np.zeros(8))
-        # force a zero patch through the same map
-        assert np.allclose(np.zeros(150) @ w, 0.0)
-        assert tokens.tokens.shape == (3, 8)
-        assert tokens.is_cls[0] and not tokens.is_cls[1:].any()
+    """What reaches the model's patch embedding: the prepared example's
+    patches, token count and per-patch provenance."""
 
-    def test_identity_like_map(self):
-        m = dummy_tensor(1)
-        ps = patch_per_cir(m, 150)
-        tokens = embed_patches(ps, np.eye(150), np.zeros(150), np.zeros(150))
-        assert np.allclose(tokens.tokens[1], ps.values[0])
+    def test_zero_patch_zero_bias(self, small_env):
+        """An absent anchor's zero-padded row reaches the embedding as zero
+        patches, so its tokens carry only the bias and the anchor's
+        encodings, and it keeps its spatial row."""
+        sample = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])], 0.5, 3, ChannelConfig())[0]
+        present = {c.anchor_id for c in sample.raw_cirs}
+        absent = [i for i, a in enumerate(small_env.anchors) if a.id not in present]
+        assert absent
+        cfg = make_model_config("per_cir", "fixed", "spatial", 75, 16, env=small_env)
+        ex = prepare_example(sample, small_env, cfg, np.array([5.0, 5.0, 1.0]))
+        for i in absent:
+            assert not ex.patches[2 * i : 2 * i + 2].any()
+            want = spatial_pe(small_env.anchors[i].position, small_env.extent, cfg.encoding)
+            assert np.array_equal(ex.pe_const[2 * i], want)
+        assert all(ex.patches[2 * i].any() for i in range(small_env.n_anchors) if i not in absent)
 
     def test_shape_multi_cir(self):
-        ps = patch_multi_cir(dummy_tensor(15), 15)
-        w = np.zeros((225, 16))
-        tokens = embed_patches(ps, w, np.zeros(16), np.ones(16))
-        assert tokens.tokens.shape == (11, 16)
-
-    def test_size_mismatch(self):
-        ps = patch_per_cir(dummy_tensor(2), 75)
-        with pytest.raises(ValueError):
-            embed_patches(ps, np.zeros((150, 8)), np.zeros(8), np.zeros(8))
+        cfg = make_model_config("multi_cir", "fixed", "learned", 15, 16, n_total=15)
+        ex = prepare_from_tensor(dummy_tensor(15), cfg, np.array([5.0, 5.0, 1.0]))
+        assert ex.patches.shape == (10, 225) and ex.n_tokens == 11
+        assert ex.pe_const is None and ex.within_idx is None
+        model = CorrectionModel.initialize(cfg)
+        assert model.params["embed.w"].shape == (225, 16)
+        assert model.predict_prepared([ex]).shape == (1, 3)
 
     def test_meta_propagation(self):
         m = dummy_tensor(3)
-        ps = patch_per_cir(m, 75)
-        tokens = embed_patches(ps, np.zeros((75, 4)), np.zeros(4), np.zeros(4))
-        assert tokens.row_index[0] == -1 and np.isnan(tokens.rx_times[0])
-        assert tokens.row_index[1] == 0 and tokens.patch_j[2] == 1
-        assert np.allclose(tokens.anchor_positions[1], m.anchor_positions[0])
+        cfg = make_model_config("per_cir", "fixed", "spatial", 75, 16, n_total=3, extent=(10, 10, 3))
+        ex = prepare_from_tensor(m, cfg, np.array([5.0, 5.0, 1.0]))
+        assert ex.n_tokens == 7
+        assert np.array_equal(ex.within_idx, [0, 1, 0, 1, 0, 1])
+        for k in range(6):
+            want = spatial_pe(m.anchor_positions[k // 2], (10, 10, 3), cfg.encoding)
+            assert np.array_equal(ex.pe_const[k], want)
