@@ -49,7 +49,7 @@ def run(argv=None):
             "--env", f"{out}/environment.json",
             "--dataset", f"{out}/train.jsonl",
             "--eval-dataset", f"{out}/eval.jsonl",
-            "--max-epochs", epochs,
+            "--set", f"train.max_epochs={epochs}",
         ]
     )
 

@@ -2,7 +2,13 @@
 
 Subcommands: simulate | baseline | train | evaluate | sweep | complexity |
 pareto. Every run is reproducible from the config file plus the seed; any
-config field can be overridden with ``--set section.key=value``.
+config field can be overridden with ``--set section.key=value``, the
+training epochs with ``--set train.max_epochs=N``. ``train`` evaluates on
+the evaluation set when there is one and, like ``evaluate``, writes
+metrics.json and estimates.csv. An error from ``uwbcorr.errors`` (bad
+config, dataset, environment or checkpoint) prints one line,
+``error: <Type>: <message>``, to stderr and exits with status 2; any other
+exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,29 +30,31 @@ from .config import (
     load_experiment_config,
     resolve_environment,
 )
+from .errors import InsufficientDataError, UwbcorrError
 from .metrics import CEP_QUANTILES, metrics_report
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, make_model_config, save_checkpoint
 from .simulate import ChannelConfig, generate_dataset, grid_trajectory, random_trajectory
 from .tdoa import solve_baselines
-from .training import TrainConfig, evaluate_model, train
+from .training import evaluate_model, train
 
 
-def _load_config(args) -> ExperimentConfig:
+def _setup(args) -> tuple[ExperimentConfig, Path]:
+    """The config from --config and --set, and its output directory, created."""
     cfg = load_experiment_config(args.config, args.set or [])
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    return cfg
-
-
-def _out(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return cfg, out
+
+
+def _environment(args, out: Path):
+    """The --env file, else the environment.json of a simulate run in ``out``."""
+    return dataio.read_environment(args.env or out / "environment.json")
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
+    cfg, out = _setup(args)
     env = resolve_environment(cfg.environment)
     channel = ChannelConfig(snr_db=cfg.dataset.snr_db)
     z = cfg.environment.tag_height
@@ -83,23 +92,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_env_and_dataset(args, cfg):
-    env_path = args.env or str(Path(cfg.output_dir) / "environment.json")
-    env = dataio.read_environment(env_path)
-    dataset = dataio.read_samples_jsonl(args.dataset)
-    return env, dataset
-
-
 def cmd_baseline(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
-    env, dataset = _read_env_and_dataset(args, cfg)
+    cfg, out = _setup(args)
+    env = _environment(args, out)
+    dataset = dataio.read_samples_jsonl(args.dataset)
     estimates = solve_baselines(dataset, env.anchors, cfg.solver.options(env))
     solved = [(s.true_position, e.position) for s, e in zip(dataset, estimates) if e is not None]
-    unsolvable = len(dataset) - len(solved)
     if not solved:
-        print("no solvable samples", file=sys.stderr)
-        return 1
+        raise InsufficientDataError(f"{args.dataset}: no solvable samples")
+    unsolvable = len(dataset) - len(solved)
     truths, estimates = (np.array(column) for column in zip(*solved))
     report = metrics_report(estimates, truths)
     dataio.write_metrics_json(
@@ -113,55 +114,8 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _train_once(cfg, env, train_set, train_cfg):
-    model_cfg = cfg.model.build(env)
-    return train(train_set, env, model_cfg, train_cfg, solver=cfg.solver.options(env))
-
-
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
-    env = dataio.read_environment(args.env or str(out / "environment.json"))
-    train_set = dataio.read_samples_jsonl(args.dataset or str(out / cfg.dataset.train_path))
-    train_cfg = cfg.train if args.max_epochs is None else TrainConfig(
-        **{**cfg.train.__dict__, "max_epochs": args.max_epochs}
-    )
-    started = time.monotonic()
-    model = _train_once(cfg, env, train_set, train_cfg)
-    elapsed = time.monotonic() - started
-    save_checkpoint(model, out / "checkpoint.npz")
-    dataio.write_history_csv(out / "history.csv", model.history)
-    print(
-        f"trained {len(model.history.records)} epochs in {elapsed:.0f} s "
-        f"(best val epoch {model.history.best_epoch}, "
-        f"{model.history.n_skipped_samples} unsolvable samples skipped); "
-        f"checkpoint at {out / 'checkpoint.npz'}"
-    )
-    eval_path = args.eval_dataset or str(out / cfg.dataset.eval_path)
-    if Path(eval_path).exists():
-        result = evaluate_model(
-            model, dataio.read_samples_jsonl(eval_path), env, solver=cfg.solver.options(env)
-        )
-        dataio.write_metrics_json(
-            out / "metrics.json",
-            result.report,
-            extra={
-                "baseline_mae_m": result.baseline_report.mae,
-                "n_unsolvable": result.n_unsolvable,
-            },
-        )
-        print(
-            f"eval MAE {result.report.mae:.3f} m vs baseline "
-            f"{result.baseline_report.mae:.3f} m"
-        )
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
-    env, dataset = _read_env_and_dataset(args, cfg)
-    model = load_checkpoint(args.checkpoint)
+def _evaluate_and_write(model, dataset, env, cfg: ExperimentConfig, out: Path) -> None:
+    """Corrected and baseline metrics to metrics.json, positions to estimates.csv."""
     result = evaluate_model(model, dataset, env, solver=cfg.solver.options(env))
     dataio.write_metrics_json(
         out / "metrics.json",
@@ -178,27 +132,54 @@ def cmd_evaluate(args) -> int:
         f"MAE {result.report.mae:.3f} m (baseline {result.baseline_report.mae:.3f} m), "
         f"CEP95 {result.report.cep[95]:.3f} m, {result.n_unsolvable} unsolvable"
     )
+
+
+def cmd_train(args) -> int:
+    cfg, out = _setup(args)
+    env = _environment(args, out)
+    train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
+    # Only the config's default evaluation set may be absent; an explicit
+    # --eval-dataset must exist, and is read before any training time is spent.
+    eval_path = Path(args.eval_dataset or out / cfg.dataset.eval_path)
+    eval_set = None
+    if args.eval_dataset or eval_path.exists():
+        eval_set = dataio.read_samples_jsonl(eval_path)
+    started = time.monotonic()
+    model = train(train_set, env, cfg.model.build(env), cfg.train, solver=cfg.solver.options(env))
+    elapsed = time.monotonic() - started
+    save_checkpoint(model, out / "checkpoint.npz")
+    dataio.write_history_csv(out / "history.csv", model.history)
+    print(
+        f"trained {len(model.history.records)} epochs in {elapsed:.0f} s "
+        f"(best val epoch {model.history.best_epoch}, "
+        f"{model.history.n_skipped_samples} unsolvable samples skipped); "
+        f"checkpoint at {out / 'checkpoint.npz'}"
+    )
+    if eval_set is not None:
+        _evaluate_and_write(model, eval_set, env, cfg, out)
     return 0
 
 
+def cmd_evaluate(args) -> int:
+    cfg, out = _setup(args)
+    env = _environment(args, out)
+    dataset = dataio.read_samples_jsonl(args.dataset)
+    _evaluate_and_write(load_checkpoint(args.checkpoint), dataset, env, cfg, out)
+    return 0
+
+
+_SWEEP_KEYS = ("patching", "ordering", "encoding", "l_patch", "d_model")
+
+
 def _sweep_key(combo: dict) -> tuple:
-    return (
-        combo["patching"],
-        combo["ordering"],
-        combo["encoding"],
-        str(combo["l_patch"]),
-        str(combo["d_model"]),
-    )
+    return tuple(str(combo[k]) for k in _SWEEP_KEYS)
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
-    env = dataio.read_environment(args.env or str(out / "environment.json"))
-    train_set = dataio.read_samples_jsonl(args.dataset or str(out / cfg.dataset.train_path))
-    eval_set = dataio.read_samples_jsonl(
-        args.eval_dataset or str(out / cfg.dataset.eval_path)
-    )
+    cfg, out = _setup(args)
+    env = _environment(args, out)
+    train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
+    eval_set = dataio.read_samples_jsonl(args.eval_dataset or out / cfg.dataset.eval_path)
     if cfg.sweep.n_train_cap:
         train_set = train_set[: cfg.sweep.n_train_cap]
     if cfg.sweep.n_eval_cap:
@@ -210,17 +191,16 @@ def cmd_sweep(args) -> int:
         combos = combos[: args.limit]
     results_path = out / "sweep_results.csv"
     done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
-    train_cfg = TrainConfig(
-        **{**cfg.train.__dict__, "max_epochs": cfg.sweep.max_epochs, "seed": cfg.seed}
-    )
+    train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs, seed=cfg.seed)
+    solver = cfg.solver.options(env)
     for combo in combos:
         if _sweep_key(combo) in done:
             continue
         row = dict(combo)
         try:
-            model_cfg = cfg.model.__class__(**{**cfg.model.__dict__, **combo}).build(env)
-            model = train(train_set, env, model_cfg, train_cfg, solver=cfg.solver.options(env))
-            result = evaluate_model(model, eval_set, env, solver=cfg.solver.options(env))
+            model_cfg = replace(cfg.model, **combo).build(env)
+            model = train(train_set, env, model_cfg, train_cfg, solver=solver)
+            result = evaluate_model(model, eval_set, env, solver=solver)
             ops = op_count(model_cfg, env.n_anchors, n_av)
             row.update(
                 total_ops=f"{ops.total_ops:.0f}",
@@ -236,68 +216,39 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _write_pareto(results_path, pareto_path):
-    rows = [r for r in dataio.read_sweep_rows(results_path) if r.get("status") == "ok"]
+def _write_pareto(results_path, pareto_path) -> list[dict]:
+    """Write the non-dominated ``ok`` rows of a sweep table, strings as read."""
     results = [
-        SweepResult(
-            config={k: r[k] for k in ("patching", "ordering", "encoding", "l_patch", "d_model")},
-            total_ops=float(r["total_ops"]),
-            mae=float(r["mae"]),
-            cep={q: float(r[f"cep{q}"]) for q in CEP_QUANTILES},
-        )
-        for r in rows
+        SweepResult(config=row, total_ops=float(row["total_ops"]), mae=float(row["mae"]), cep={})
+        for row in dataio.read_sweep_rows(results_path)
+        if row.get("status") == "ok"
     ]
-    front = pareto_front(results)
-    for_csv = [
-        {**r.config, "total_ops": f"{r.total_ops:.0f}", "mae": f"{r.mae:.6f}", "status": "ok",
-         **{f"cep{q}": f"{r.cep[q]:.6f}" for q in CEP_QUANTILES}}
-        for r in front
-    ]
-    Path(pareto_path).unlink(missing_ok=True)
-    for row in for_csv:
-        dataio.append_sweep_row(pareto_path, row)
+    front = [r.config for r in pareto_front(results)]
+    dataio.write_table(pareto_path, front, dataio.SWEEP_COLUMNS)
     return front
 
 
-def cmd_complexity(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
-    from .model import make_model_config
+_OPS_COLUMNS = ("embedding_ops", "attention_ops", "feedforward_ops", "head_ops", "total_ops")
 
-    n_total = args.n_total
-    n_av = args.n_av
+
+def cmd_complexity(args) -> int:
+    cfg, out = _setup(args)
     rows = []
     for combo in enumerate_sweep(cfg.sweep):
-        model_cfg = make_model_config(n_total=n_total, **combo)
-        ops = op_count(model_cfg, n_total, n_av)
-        rows.append(
-            {
-                **combo,
-                "embedding_ops": f"{ops.embedding_ops:.0f}",
-                "attention_ops": f"{ops.attention_ops:.0f}",
-                "feedforward_ops": f"{ops.feedforward_ops:.0f}",
-                "head_ops": f"{ops.head_ops:.0f}",
-                "total_ops": f"{ops.total_ops:.0f}",
-            }
-        )
+        ops = op_count(make_model_config(n_total=args.n_total, **combo), args.n_total, args.n_av)
+        rows.append({**combo, **{c: f"{getattr(ops, c):.0f}" for c in _OPS_COLUMNS}})
     path = out / "complexity.csv"
-    import csv as _csv
-
-    with path.open("w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    pairs = n_av * (n_av - 1) / 2
+    dataio.write_table(path, rows, [*_SWEEP_KEYS, *_OPS_COLUMNS])
+    pairs = args.n_av * (args.n_av - 1) / 2
     print(
-        f"complexity table at {path}; pairwise-CNN reference at n_av={n_av}: "
+        f"complexity table at {path}; pairwise-CNN reference at n_av={args.n_av}: "
         f"{cnn_baseline_ops(int(round(pairs)))} ops"
     )
     return 0
 
 
 def cmd_pareto(args) -> int:
-    cfg = _load_config(args)
-    out = _out(cfg)
+    cfg, out = _setup(args)
     front = _write_pareto(args.results, out / "pareto.csv")
     print(f"{len(front)} Pareto-optimal rows -> {out / 'pareto.csv'}")
     return 0
@@ -310,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--output-dir", help="where outputs go (overrides config)")
         p.add_argument(
@@ -319,56 +272,46 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="override any config field, e.g. --set model.d_model=128",
         )
+        return p
 
-    p = sub.add_parser("simulate", help="generate synthetic train/eval datasets")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    command("simulate", cmd_simulate, "generate synthetic train/eval datasets")
 
-    p = sub.add_parser("baseline", help="uncorrected TDoA metrics for a dataset")
-    common(p)
+    p = command("baseline", cmd_baseline, "uncorrected TDoA metrics for a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--env", help="environment JSON (default: <output-dir>/environment.json)")
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("train", help="train a correction model")
-    common(p)
+    p = command("train", cmd_train, "train a correction model")
     p.add_argument("--dataset", help="training JSONL (default from config)")
     p.add_argument("--eval-dataset", help="evaluation JSONL (default from config)")
     p.add_argument("--env")
-    p.add_argument("--max-epochs", type=int, help="cap training epochs")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
-    common(p)
+    p = command("evaluate", cmd_evaluate, "evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--env")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="train/evaluate every grid configuration")
-    common(p)
+    p = command("sweep", cmd_sweep, "train/evaluate every grid configuration")
     p.add_argument("--dataset")
     p.add_argument("--eval-dataset")
     p.add_argument("--env")
     p.add_argument("--limit", type=int, help="only run the first N configurations")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("complexity", help="closed-form operation counts for the grid")
-    common(p)
+    p = command("complexity", cmd_complexity, "closed-form operation counts for the grid")
     p.add_argument("--n-total", type=int, default=15)
     p.add_argument("--n-av", type=float, default=6.2)
-    p.set_defaults(func=cmd_complexity)
 
-    p = sub.add_parser("pareto", help="extract the Pareto front from a results CSV")
-    common(p)
+    p = command("pareto", cmd_pareto, "extract the Pareto front from a results CSV")
     p.add_argument("--results", required=True)
-    p.set_defaults(func=cmd_pareto)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UwbcorrError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from the file keep the defaults below. ``apply_overrides`` implements the
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -48,12 +48,10 @@ class SolverSpec:
     fix_z: Optional[float] = 1.0  # keep equal to tag_height for planar runs
     bound_margin: Optional[float] = 2.0  # search box beyond the extent; None = unbounded
 
-    def options(self, env: Optional[Environment] = None) -> SolverOptions:
-        if env is not None and self.bound_margin is not None:
-            return SolverOptions.for_environment(
-                env, self.pair_policy, self.fix_z, self.bound_margin
-            )
-        return SolverOptions(pair_policy=self.pair_policy, fix_z=self.fix_z)
+    def options(self, env: Environment) -> SolverOptions:
+        if self.bound_margin is None:
+            return SolverOptions(pair_policy=self.pair_policy, fix_z=self.fix_z)
+        return SolverOptions.for_environment(env, self.pair_policy, self.fix_z, self.bound_margin)
 
 
 @dataclass
@@ -108,18 +106,10 @@ class ExperimentConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
 
+# section name -> its dataclass, for every field of ExperimentConfig built by a factory
 _SECTIONS = {
-    "environment": EnvironmentSpec,
-    "dataset": DatasetSpec,
-    "solver": SolverSpec,
-    "model": ModelSpec,
-    "train": TrainConfig,
-    "sweep": SweepSpec,
+    f.name: f.default_factory for f in fields(ExperimentConfig) if f.default_factory is not MISSING
 }
-
-
-def config_to_json_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
 
 
 def config_from_json_dict(payload: dict) -> ExperimentConfig:

@@ -88,7 +88,7 @@ def read_samples_jsonl(path) -> list[Sample]:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: missing field {exc.args[0]!r}"
                 ) from exc
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
     return samples
 
@@ -153,46 +153,52 @@ def read_environment(path) -> Environment:
         )
 
 
-def metrics_to_dict(report: MetricsReport) -> dict:
-    return {
+def write_metrics_json(path, report: MetricsReport, extra: dict | None = None):
+    payload = {
         "mae_m": report.mae,
         "cep_m": {str(q): report.cep[q] for q in CEP_QUANTILES},
         "n_samples": report.n_samples,
+        **(extra or {}),
     }
-
-
-def write_metrics_json(path, report: MetricsReport, extra: dict | None = None):
-    payload = metrics_to_dict(report)
-    if extra:
-        payload.update(extra)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_history_csv(path, history: TrainingHistory):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        columns = ["train_loss", "val_loss", "lr", "step_ms", "samples_per_s", "grad_norm"]
-        writer.writerow(["epoch"] + columns)
-        for r in history.records:
-            writer.writerow([r.epoch] + [f"{getattr(r, c):.8g}" for c in columns])
+    columns = ["train_loss", "val_loss", "lr", "step_ms", "samples_per_s", "grad_norm"]
+    rows = [
+        {"epoch": r.epoch, **{c: f"{getattr(r, c):.8g}" for c in columns}}
+        for r in history.records
+    ]
+    write_table(path, rows, ["epoch"] + columns)
 
 
 def write_estimates_csv(path, truths, baselines, estimates=None):
+    columns = ["true_x", "true_y", "true_z", "tdoa_x", "tdoa_y", "tdoa_z"]
+    blocks = [truths, baselines]
+    if estimates is not None:
+        columns += ["corr_x", "corr_y", "corr_z"]
+        blocks.append(estimates)
+    rows = [
+        dict(zip(columns, (f"{v:.6f}" for position in positions for v in position)))
+        for positions in zip(*blocks)
+    ]
+    write_table(path, rows, columns)
+
+
+def write_table(path, rows: Sequence[dict], columns: Sequence[str], append: bool = False):
+    """CSV of ``rows`` under a header of ``columns``; a column a row lacks is
+    left empty and a key outside ``columns`` is dropped. With ``append`` the
+    rows go after the file's, and the header is written only to a new file."""
     path = Path(path)
+    header = not (append and path.exists())
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["true_x", "true_y", "true_z", "tdoa_x", "tdoa_y", "tdoa_z"]
-        if estimates is not None:
-            header += ["corr_x", "corr_y", "corr_z"]
-        writer.writerow(header)
-        for i, (t, b) in enumerate(zip(truths, baselines)):
-            row = (*t, *b) if estimates is None else (*t, *b, *estimates[i])
-            writer.writerow([f"{v:.6f}" for v in row])
+    with path.open("a" if append else "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(columns), restval="", extrasaction="ignore")
+        if header:
+            writer.writeheader()
+        writer.writerows(rows)
 
 
 SWEEP_COLUMNS = [
@@ -213,14 +219,7 @@ SWEEP_COLUMNS = [
 
 
 def append_sweep_row(path, row: dict):
-    path = Path(path)
-    new = not path.exists()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        if new:
-            writer.writeheader()
-        writer.writerow({k: row.get(k, "") for k in SWEEP_COLUMNS})
+    write_table(path, [row], SWEEP_COLUMNS, append=True)
 
 
 def read_sweep_rows(path) -> list[dict]:

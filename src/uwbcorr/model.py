@@ -87,7 +87,6 @@ def make_model_config(
         kind=encoding,
         d_model=d_model,
         max_seq_len=body + 1,
-        **overrides.pop("encoding_overrides", {}),
     )
     return ModelConfig(
         patch=patch,

@@ -135,22 +135,38 @@ def compute_gradients(
     return float(loss.data), grads
 
 
-def _group_by_tokens(indices: Sequence[int], examples) -> dict[int, list[int]]:
+def _token_batches(examples, size: int, rng=None) -> list[list[int]]:
+    """Indices into ``examples`` cut into batches of at most ``size`` that
+    share one token count. Token-count groups come in order of first
+    appearance; with ``rng`` each group is shuffled before it is cut, one
+    permutation per group, otherwise the input order is kept."""
     groups: dict[int, list[int]] = {}
-    for i in indices:
-        groups.setdefault(examples[i].n_tokens, []).append(i)
-    return groups
+    for i, example in enumerate(examples):
+        groups.setdefault(example.n_tokens, []).append(i)
+    batches = []
+    for idx in groups.values():
+        if rng is not None:
+            idx = [idx[i] for i in rng.permutation(len(idx))]
+        batches.extend(idx[lo : lo + size] for lo in range(0, len(idx), size))
+    return batches
 
 
 def _eval_loss(model, examples, batch_size: int) -> float:
     total = 0.0
-    count = 0
-    for idx in _group_by_tokens(range(len(examples)), examples).values():
-        for lo in range(0, len(idx), batch_size):
-            chunk = [examples[i] for i in idx[lo : lo + batch_size]]
-            total += float(batch_loss(model, chunk).data) * len(chunk)
-            count += len(chunk)
-    return total / count
+    for idx in _token_batches(examples, batch_size):
+        total += float(batch_loss(model, [examples[i] for i in idx]).data) * len(idx)
+    return total / len(examples)
+
+
+def _solve_and_prepare(samples, env, model_cfg, solver) -> list[PreparedExample]:
+    """Baseline-solve the samples and featurize the solvable ones, each with
+    its true position as target; unsolvable samples are dropped."""
+    estimates = solve_baselines(samples, env.anchors, solver)
+    return [
+        prepare_example(sample, env, model_cfg, estimate.position, sample.true_position)
+        for sample, estimate in zip(samples, estimates)
+        if estimate is not None
+    ]
 
 
 def prepare_training_examples(
@@ -160,12 +176,7 @@ def prepare_training_examples(
     solver: SolverOptions = SolverOptions(),
 ) -> tuple[list[PreparedExample], int]:
     """Baseline-solve and featurize samples; unsolvable ones are skipped."""
-    estimates = solve_baselines(samples, env.anchors, solver)
-    examples = [
-        prepare_example(sample, env, model_cfg, estimate.position, sample.true_position)
-        for sample, estimate in zip(samples, estimates)
-        if estimate is not None
-    ]
+    examples = _solve_and_prepare(samples, env, model_cfg, solver)
     return examples, len(samples) - len(examples)
 
 
@@ -197,11 +208,7 @@ def train(
     val_set = [examples[i] for i in order[:n_val]]
     train_set = [examples[i] for i in order[n_val:]]
 
-    groups = _group_by_tokens(range(len(train_set)), train_set)
-    steps_per_epoch = sum(
-        math.ceil(len(idx) / train_cfg.batch_size) for idx in groups.values()
-    )
-    total_steps = steps_per_epoch * train_cfg.max_epochs
+    total_steps = len(_token_batches(train_set, train_cfg.batch_size)) * train_cfg.max_epochs
 
     adam = Adam(model.params, train_cfg)
     history = TrainingHistory(n_skipped_samples=skipped)
@@ -210,13 +217,7 @@ def train(
     step = 0
     lr = 0.0
     for epoch in range(train_cfg.max_epochs):
-        batches = []
-        for idx in groups.values():
-            shuffled = [idx[i] for i in shuffle_rng.permutation(len(idx))]
-            batches.extend(
-                shuffled[lo : lo + train_cfg.batch_size]
-                for lo in range(0, len(shuffled), train_cfg.batch_size)
-            )
+        batches = _token_batches(train_set, train_cfg.batch_size, shuffle_rng)
         batch_order = shuffle_rng.permutation(len(batches))
         epoch_loss = 0.0
         seen = 0
@@ -277,20 +278,13 @@ def evaluate_model(
     Samples whose baseline cannot be solved (fewer than three anchors) are
     counted and excluded from both reports.
     """
-    solved = [
-        (sample, estimate)
-        for sample, estimate in zip(samples, solve_baselines(samples, env.anchors, solver))
-        if estimate is not None
-    ]
-    if not solved:
+    examples = _solve_and_prepare(samples, env, model.config, solver)
+    if not examples:
         raise InsufficientDataError("no solvable samples to evaluate")
-    examples = [prepare_example(s, env, model.config, e.position) for s, e in solved]
     predictions = np.empty((len(examples), 3))
-    for idx in _group_by_tokens(range(len(examples)), examples).values():
-        for lo in range(0, len(idx), 256):
-            chunk = idx[lo : lo + 256]
-            predictions[chunk] = model.predict_prepared([examples[i] for i in chunk])
-    truths = np.array([np.asarray(s.true_position, dtype=float) for s, _ in solved])
+    for idx in _token_batches(examples, 256):
+        predictions[idx] = model.predict_prepared([examples[i] for i in idx])
+    truths = np.array([e.target for e in examples])
     baselines = np.array([e.p_tdoa for e in examples])
     return EvaluationResult(
         report=metrics_report(predictions, truths),
@@ -298,5 +292,5 @@ def evaluate_model(
         estimates=predictions,
         baselines=baselines,
         truths=truths,
-        n_unsolvable=len(samples) - len(solved),
+        n_unsolvable=len(samples) - len(examples),
     )

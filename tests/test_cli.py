@@ -1,9 +1,11 @@
+import argparse
 import json
 
+import numpy as np
 import pytest
 
-from uwbcorr import dataio
-from uwbcorr.cli import main
+from uwbcorr import CorrectionModel, dataio, make_model_config, save_checkpoint
+from uwbcorr.cli import build_parser, main
 from uwbcorr.config import (
     SweepSpec,
     apply_overrides,
@@ -11,6 +13,20 @@ from uwbcorr.config import (
     load_experiment_config,
 )
 from uwbcorr.errors import IncompatibleEncodingError
+
+
+TINY_MODEL = [
+    "--set",
+    "train.max_epochs=2",
+    "--set",
+    "model.d_model=8",
+    "--set",
+    "model.n_heads=2",
+    "--set",
+    "model.n_layers=1",
+    "--set",
+    "train.batch_size=16",
+]
 
 
 @pytest.fixture(scope="module")
@@ -154,16 +170,7 @@ class TestTrainEvaluate:
                 str(tiny_run / "train.jsonl"),
                 "--eval-dataset",
                 str(tiny_run / "eval.jsonl"),
-                "--max-epochs",
-                "2",
-                "--set",
-                "model.d_model=8",
-                "--set",
-                "model.n_heads=2",
-                "--set",
-                "model.n_layers=1",
-                "--set",
-                "train.batch_size=16",
+                *TINY_MODEL,
             ]
         )
         assert rc == 0
@@ -189,6 +196,110 @@ class TestTrainEvaluate:
         metrics = json.loads((tmp_path / "eval_out" / "metrics.json").read_text())
         assert "baseline_mae_m" in metrics and "n_unsolvable" in metrics
         assert (tmp_path / "eval_out" / "estimates.csv").exists()
+        # train and evaluate share one evaluate-and-write path
+        for name in ("metrics.json", "estimates.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "eval_out" / name).read_bytes()
+
+    def test_only_the_default_eval_dataset_may_be_absent(self, tiny_run, tmp_path):
+        args = [
+            "train",
+            "--output-dir",
+            str(tmp_path),
+            "--env",
+            str(tiny_run / "environment.json"),
+            "--dataset",
+            str(tiny_run / "train.jsonl"),
+            *TINY_MODEL,
+        ]
+        missing = tmp_path / "no_such_eval.jsonl"
+        with pytest.raises(FileNotFoundError, match="no_such_eval.jsonl"):
+            main([*args, "--eval-dataset", str(missing)])
+        assert not (tmp_path / "checkpoint.npz").exists()  # failed before training
+
+        assert main(args) == 0  # <output-dir>/eval.jsonl is absent: train only
+        assert (tmp_path / "checkpoint.npz").exists()
+        assert not (tmp_path / "metrics.json").exists()
+
+
+class TestErrorExit:
+    """A uwbcorr error ends the run with one stderr line and status 2."""
+
+    def test_evaluate_on_a_corrupt_checkpoint(self, tiny_run, tmp_path, capsys):
+        env = dataio.read_environment(tiny_run / "environment.json")
+        model = CorrectionModel.initialize(
+            make_model_config("per_cir", "fixed", "spatial", 150, 8, env=env, n_heads=2)
+        )
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        name = next(k for k in arrays if k != "__meta__")
+        arrays[name] = arrays[name][:-1]  # one row short
+        np.savez(path, **arrays)
+        rc = main(
+            [
+                "evaluate",
+                "--output-dir",
+                str(tmp_path / "out"),
+                "--checkpoint",
+                str(path),
+                "--dataset",
+                str(tiny_run / "eval.jsonl"),
+                "--env",
+                str(tiny_run / "environment.json"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {path}: parameter {name!r} has shape")
+        assert err.count("\n") == 1
+
+    def _baseline(self, tiny_run, tmp_path, dataset):
+        return main(
+            [
+                "baseline",
+                "--output-dir",
+                str(tmp_path / "out"),
+                "--dataset",
+                str(dataset),
+                "--env",
+                str(tiny_run / "environment.json"),
+            ]
+        )
+
+    def test_baseline_on_a_malformed_line(self, tiny_run, tmp_path, capsys):
+        lines = (tiny_run / "eval.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({"sample_id": 1, "true_position": [1.0, 2.0, 1.0]})
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert self._baseline(tiny_run, tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: DatasetFormatError: {path}:2: missing field 'measurements'\n"
+
+    def test_baseline_on_a_line_without_measurements(self, tiny_run, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"true_position": [1.0, 2.0, 1.0], "measurements": []}) + "\n")
+        assert self._baseline(tiny_run, tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: DatasetFormatError: {path}:1: malformed record: "
+            "a sample needs at least one receiving anchor\n"
+        )
+
+    def test_baseline_without_a_solvable_sample(self, tiny_run, tmp_path, capsys):
+        records = [json.loads(line) for line in (tiny_run / "eval.jsonl").read_text().splitlines()]
+        for record in records:
+            record["measurements"] = record["measurements"][:2]  # two anchors: no fix
+        path = tmp_path / "two_anchors.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert self._baseline(tiny_run, tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: InsufficientDataError: {path}: no solvable samples\n"
+        assert not (tmp_path / "out" / "baseline_metrics.json").exists()
+
+    def test_other_exceptions_keep_their_traceback(self, tiny_run, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            self._baseline(tiny_run, tmp_path, tmp_path / "absent.jsonl")
 
 
 class TestSweepCommand:
@@ -265,6 +376,46 @@ class TestSweepFailureHandling:
         assert statuses == ["error", "ok"]
         bad = next(r for r in rows if r["l_patch"] == "7")
         assert bad["status"] == "error:ConfigError: l_patch must divide 150, got 7"
+
+
+class TestParetoCommand:
+    def test_keeps_the_non_dominated_ok_rows_as_written(self, tmp_path):
+        header = ",".join(dataio.SWEEP_COLUMNS)
+        rows = {
+            "cheap": "multi_cir,fixed,learned,75,8,1000,3.0,1,2,3,4,5.0,ok",
+            "tie_a": "per_cir,fixed,spatial,150,32,2e3,2.50,1.5,2,2,3,4,ok",
+            "tie_b": "per_cir,time_based,spatial,150,32,2000,2.5,1.25,2,2,3,4,ok",
+            "dominated": "per_cir,fixed,learned,75,64,3000,2.75,1,2,3,4,5,ok",
+            "error": "multi_cir,fixed,learned,7,8,10,0.5,,,,,,error:ConfigError: boom",
+            "accurate": "per_cir,fixed,spatial_time,30,128,4000.0,1.500000,1,1,1,1,1,ok",
+        }
+        results = tmp_path / "sweep_results.csv"
+        results.write_text("\r\n".join([header, *rows.values()]) + "\r\n")
+        assert main(["pareto", "--output-dir", str(tmp_path), "--results", str(results)]) == 0
+        front = ["cheap", "tie_a", "tie_b", "accurate"]
+        expected = "\r\n".join([header, *(rows[k] for k in front)]) + "\r\n"
+        assert (tmp_path / "pareto.csv").read_bytes() == expected.encode()
+
+
+class TestParser:
+    def test_flag_sets(self):
+        common = {"-h", "--help", "--config", "--output-dir", "--set"}
+        expected = {
+            "simulate": set(),
+            "baseline": {"--dataset", "--env"},
+            "train": {"--dataset", "--eval-dataset", "--env"},
+            "evaluate": {"--checkpoint", "--dataset", "--env"},
+            "sweep": {"--dataset", "--eval-dataset", "--env", "--limit"},
+            "complexity": {"--n-total", "--n-av"},
+            "pareto": {"--results"},
+        }
+        (subcommands,) = (
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(subcommands.choices) == set(expected)
+        for name, parser in subcommands.choices.items():
+            flags = {s for a in parser._actions for s in a.option_strings}
+            assert flags == common | expected[name], name
 
 
 class TestComplexityCommand:

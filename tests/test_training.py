@@ -13,6 +13,7 @@ from uwbcorr import (
 )
 from uwbcorr.training import (
     TrainConfig,
+    _token_batches,
     batch_loss,
     learning_rate,
     prepare_training_examples,
@@ -108,6 +109,50 @@ class TestComputeGradients:
             table.data[idx] = old
             fd = (up - down) / 2e-5
             assert got[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+class TestTokenBatches:
+    @pytest.fixture(scope="class")
+    def mixed(self, small_env):
+        """Time-ordered examples with 3 or 4 available anchors, so the
+        token counts differ from sample to sample."""
+        rng = np.random.default_rng(44)
+        points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(30, 2))]
+        dataset = generate_dataset(small_env, points, 0.25, 45, ChannelConfig())
+        cfg = make_model_config(
+            "per_cir", "time_based", "spatial", 75, 8, env=small_env, n_heads=2, n_layers=1
+        )
+        examples, _ = prepare_training_examples(dataset, small_env, cfg, OPTS)
+        counts = [e.n_tokens for e in examples]
+        assert len(set(counts)) >= 2 and counts != sorted(counts)
+        return examples
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_each_index_once_in_batches_of_one_token_count(self, mixed, seed):
+        rng = None if seed is None else np.random.default_rng(seed)
+        batches = _token_batches(mixed, 4, rng)
+        assert sorted(i for b in batches for i in b) == list(range(len(mixed)))
+        for batch in batches:
+            assert 1 <= len(batch) <= 4
+            assert len({mixed[i].n_tokens for i in batch}) == 1
+
+    def test_without_rng_the_input_order_is_kept(self, mixed):
+        batches = _token_batches(mixed, 4)
+        first_seen = list(dict.fromkeys(e.n_tokens for e in mixed))
+        by_group = sorted(range(len(mixed)), key=lambda i: first_seen.index(mixed[i].n_tokens))
+        assert [i for b in batches for i in b] == by_group
+        for n in first_seen:  # each group is cut in order into full batches and a rest
+            sizes = [len(b) for b in batches if mixed[b[0]].n_tokens == n]
+            assert all(size == 4 for size in sizes[:-1])
+
+    def test_with_rng_one_permutation_per_group_in_order(self, mixed):
+        batches = _token_batches(mixed, 4, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        expected = []
+        for idx in _token_batches(mixed, len(mixed)):
+            shuffled = [idx[i] for i in rng.permutation(len(idx))]
+            expected += [shuffled[lo : lo + 4] for lo in range(0, len(shuffled), 4)]
+        assert batches == expected
 
 
 class TestTrain:
