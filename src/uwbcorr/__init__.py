@@ -2,10 +2,10 @@
 
 from .cir import InputTensor, ProcessedCir, build_input_tensor, iq_to_amplitude, normalize_minmax, trim_window
 from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
-from .encodings import EncodingConfig, frequency_bands, spatial_pe, time_diff_pe
+from .encodings import frequency_bands, spatial_pe, time_diff_pe
 from .metrics import MetricsReport, cep, mae, metrics_report
 from .model import CorrectionModel, ModelConfig, load_checkpoint, make_model_config, save_checkpoint
-from .patching import PatchConfig, PatchSet, patch_multi_cir, patch_per_cir
+from .patching import PatchSet, patch_multi_cir, patch_per_cir
 from .simulate import (
     Box,
     ChannelConfig,

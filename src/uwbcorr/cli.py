@@ -219,7 +219,7 @@ def cmd_sweep(args) -> int:
 def _write_pareto(results_path, pareto_path) -> list[dict]:
     """Write the non-dominated ``ok`` rows of a sweep table, strings as read."""
     results = [
-        SweepResult(config=row, total_ops=float(row["total_ops"]), mae=float(row["mae"]), cep={})
+        SweepResult(config=row, total_ops=float(row["total_ops"]), mae=float(row["mae"]))
         for row in dataio.read_sweep_rows(results_path)
         if row.get("status") == "ok"
     ]

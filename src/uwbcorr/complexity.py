@@ -39,8 +39,8 @@ def op_count(cfg: ModelConfig, n_total: int, n_av: float) -> OperationCount:
         raise ConfigError(f"n_av={n_av} cannot exceed n_total={n_total}")
     if n_av < 0 or n_total < 1:
         raise ConfigError("anchor counts must be positive")
-    k = WINDOW_LENGTH // cfg.patch.l_patch
-    if cfg.patch.strategy == "multi_cir":
+    k = cfg.k_per_cir
+    if cfg.patching == "multi_cir":
         rows = n_total
         n_patches = k
     else:
@@ -73,7 +73,6 @@ class SweepResult:
     config: dict
     total_ops: float
     mae: float
-    cep: dict[int, float]
 
 
 def pareto_front(results: Sequence[SweepResult]) -> list[SweepResult]:

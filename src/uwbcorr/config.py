@@ -8,7 +8,7 @@ from the file keep the defaults below. ``apply_overrides`` implements the
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -68,19 +68,7 @@ class ModelSpec:
     residual_output: bool = True
 
     def build(self, env: Environment) -> ModelConfig:
-        return make_model_config(
-            self.patching,
-            self.ordering,
-            self.encoding,
-            self.l_patch,
-            self.d_model,
-            env=env,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_ff=self.d_ff,
-            dropout_p=self.dropout_p,
-            residual_output=self.residual_output,
-        )
+        return make_model_config(**asdict(self), env=env)
 
 
 @dataclass

@@ -17,26 +17,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import zipfile
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .cir import InputTensor, build_input_tensor
-from .encodings import EncodingConfig, constant_encoding_rows
+from .cir import ORDERINGS, WINDOW_LENGTH, InputTensor, build_input_tensor
+from .encodings import ENCODING_KINDS, constant_encoding_rows
 from .errors import ConfigError, IncompatibleEncodingError
-from .patching import PatchConfig, patch_multi_cir, patch_per_cir
+from .patching import PATCH_STRATEGIES, check_l_patch, patch_multi_cir, patch_per_cir
 from .simulate import Environment, Sample
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    patch: PatchConfig = PatchConfig()
-    encoding: EncodingConfig = EncodingConfig()
+    """Every settable value of a model: the five sweep keys (patching,
+    ordering, encoding, l_patch, d_model), the encoder and head sizes, and
+    the environment's anchor count and extent."""
+
+    patching: str = "per_cir"
     ordering: str = "fixed"
+    encoding: str = "spatial"
+    l_patch: int = 150
     d_model: int = 64
     n_layers: int = 4
     n_heads: int = 8
@@ -48,7 +54,17 @@ class ModelConfig:
     extent: tuple[float, float, float] = (30.0, 10.0, 3.0)
 
     def __post_init__(self):
-        if self.ordering not in ("fixed", "time_based"):
+        # JSON gives lists; keep the config hashable and its extent float
+        object.__setattr__(self, "head_widths", tuple(self.head_widths))
+        object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
+        if self.patching not in PATCH_STRATEGIES:
+            raise ConfigError(
+                f"unknown patching strategy {self.patching!r}; use one of {PATCH_STRATEGIES}"
+            )
+        check_l_patch(self.l_patch)
+        if self.encoding not in ENCODING_KINDS:
+            raise ConfigError(f"unknown encoding kind {self.encoding!r}; use one of {ENCODING_KINDS}")
+        if self.ordering not in ORDERINGS:
             raise ConfigError(f"unknown ordering {self.ordering!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
@@ -56,17 +72,23 @@ class ModelConfig:
             )
         if self.head_widths[-1] != 3:
             raise ConfigError("regression head must end in 3 outputs")
-        if self.encoding.d_model != self.d_model:
-            raise ConfigError(
-                f"encoding d_model={self.encoding.d_model} != model d_model={self.d_model}"
-            )
-        if self.patch.strategy == "multi_cir" and self.encoding.kind != "learned":
+        if self.patching == "multi_cir" and self.encoding != "learned":
             raise IncompatibleEncodingError(
                 "spatial encodings need per-CIR patches; multi-CIR tokens mix "
                 "samples from every anchor"
             )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must be in [0, 1)")
+
+    @property
+    def k_per_cir(self) -> int:
+        return WINDOW_LENGTH // self.l_patch
+
+    @property
+    def max_seq_len(self) -> int:
+        """Tokens in a full sequence, CLS included: the rows of ``pe.seq``."""
+        body = self.k_per_cir if self.patching == "multi_cir" else self.n_total * self.k_per_cir
+        return body + 1
 
 
 def make_model_config(
@@ -78,25 +100,10 @@ def make_model_config(
     env: Optional[Environment] = None,
     **overrides,
 ) -> ModelConfig:
-    """Convenience builder that wires the nested configs consistently."""
-    n_total = env.n_anchors if env is not None else overrides.pop("n_total", 15)
-    extent = env.extent if env is not None else overrides.pop("extent", (30.0, 10.0, 3.0))
-    patch = PatchConfig(strategy=patching, l_patch=l_patch)
-    body = patch.k_per_cir if patching == "multi_cir" else n_total * patch.k_per_cir
-    enc = EncodingConfig(
-        kind=encoding,
-        d_model=d_model,
-        max_seq_len=body + 1,
-    )
-    return ModelConfig(
-        patch=patch,
-        encoding=enc,
-        ordering=ordering,
-        d_model=d_model,
-        n_total=n_total,
-        extent=tuple(float(v) for v in extent),
-        **overrides,
-    )
+    """A ModelConfig from the five sweep keys; ``env`` fills n_total and extent."""
+    if env is not None:
+        overrides = {"n_total": env.n_anchors, "extent": env.extent, **overrides}
+    return ModelConfig(patching, ordering, encoding, l_patch, d_model, **overrides)
 
 
 def init_parameters(
@@ -114,21 +121,18 @@ def init_parameters(
     def linear(fan_in, fan_out):
         return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, fan_out))
 
-    if cfg.patch.strategy == "multi_cir":
-        patch_size = cfg.n_total * cfg.patch.l_patch
-    else:
-        patch_size = cfg.patch.l_patch
+    patch_size = cfg.l_patch * (cfg.n_total if cfg.patching == "multi_cir" else 1)
 
     params: dict[str, np.ndarray] = {}
     params["embed.w"] = linear(patch_size, d)
     params["embed.b"] = np.zeros(d)
     params["cls"] = rng.normal(0.0, 0.02, size=d)
-    if cfg.encoding.kind == "learned":
-        params["pe.seq"] = rng.normal(0.0, 0.02, size=(cfg.encoding.max_seq_len, d))
+    if cfg.encoding == "learned":
+        params["pe.seq"] = rng.normal(0.0, 0.02, size=(cfg.max_seq_len, d))
     else:
         params["pe.cls"] = rng.normal(0.0, 0.02, size=d)
-        if cfg.patch.k_per_cir > 1:
-            params["pe.within"] = rng.normal(0.0, 0.02, size=(cfg.patch.k_per_cir, d))
+        if cfg.k_per_cir > 1:
+            params["pe.within"] = rng.normal(0.0, 0.02, size=(cfg.k_per_cir, d))
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
         for name in ("wq", "wk", "wv", "wo"):
@@ -172,21 +176,18 @@ def prepare_from_tensor(
     p_tdoa: np.ndarray,
     target=None,
 ) -> PreparedExample:
-    if cfg.patch.strategy == "multi_cir":
-        patches = patch_multi_cir(tensor, cfg.patch.l_patch)
-    else:
-        patches = patch_per_cir(tensor, cfg.patch.l_patch)
-    if cfg.encoding.kind == "learned":
+    patch = patch_multi_cir if cfg.patching == "multi_cir" else patch_per_cir
+    patches = patch(tensor, cfg.l_patch)
+    if cfg.encoding == "learned":
         pe_const = None
         within_idx = None
-        if patches.n_patches + 1 > cfg.encoding.max_seq_len:
+        if patches.n_patches + 1 > cfg.max_seq_len:
             raise ConfigError(
-                f"{patches.n_patches + 1} tokens exceed max_seq_len="
-                f"{cfg.encoding.max_seq_len}"
+                f"{patches.n_patches + 1} tokens exceed max_seq_len={cfg.max_seq_len}"
             )
     else:
-        pe_const = constant_encoding_rows(patches, cfg.encoding, cfg.extent)
-        within_idx = patches.patch_j if cfg.patch.k_per_cir > 1 else None
+        pe_const = constant_encoding_rows(patches, cfg.encoding, cfg.d_model, cfg.extent)
+        within_idx = patches.patch_j if cfg.k_per_cir > 1 else None
     p_tdoa = np.asarray(p_tdoa, dtype=float)
     return PreparedExample(
         patches=patches.values,
@@ -207,7 +208,7 @@ def prepare_example(
     target=None,
 ) -> PreparedExample:
     tensor = build_input_tensor(
-        sample, env, cfg.ordering, pad_missing=(cfg.patch.strategy == "multi_cir")
+        sample, env, cfg.ordering, pad_missing=(cfg.patching == "multi_cir")
     )
     return prepare_from_tensor(tensor, cfg, p_tdoa, target)
 
@@ -306,7 +307,7 @@ class CorrectionModel:
             ad.reshape(prm["cls"], (1, 1, cfg.d_model)),
             ad.Tensor(np.zeros((batch, 1, cfg.d_model))),
         )
-        if cfg.encoding.kind == "learned":
+        if cfg.encoding == "learned":
             x = ad.concat([cls_tok, embedded], axis=1)
             x = ad.add(x, ad.gather(prm["pe.seq"], np.arange(n_tokens)))
         else:
@@ -335,19 +336,6 @@ class CorrectionModel:
         return self.predict_prepared([example])[0]
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    """Inverse of ``dataclasses.asdict`` on a ModelConfig read back from JSON."""
-    return ModelConfig(
-        **{
-            **d,
-            "patch": PatchConfig(**d["patch"]),
-            "encoding": EncodingConfig(**d["encoding"]),
-            "head_widths": tuple(d["head_widths"]),
-            "extent": tuple(d["extent"]),
-        }
-    )
-
-
 def save_checkpoint(model: CorrectionModel, path):
     meta = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -357,19 +345,34 @@ def save_checkpoint(model: CorrectionModel, path):
 
 
 def load_checkpoint(path) -> CorrectionModel:
-    """Model from a checkpoint; parameter names and shapes must be those
-    ``init_parameters`` gives for the stored config, or ConfigError names
+    """Model from a checkpoint. A file that is not an .npz, a missing or
+    non-JSON ``__meta__``, another schema version, a missing or unknown
+    config key, or parameter names and shapes other than those
+    ``init_parameters`` gives for the stored config raise ConfigError naming
     the file and the first offending key."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data.files:
-            raise ConfigError(f"{path}: no '__meta__' entry; not a uwbcorr checkpoint")
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-            raise ConfigError(
-                f"{path}: checkpoint schema {meta.get('schema_version')} not supported"
-            )
-        params = {k: data[k] for k in data.files if k != "__meta__"}
-    config = _config_from_dict(meta["config"])
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            params = {k: data[k] for k in data.files}
+    except (ValueError, EOFError, TypeError, zipfile.BadZipFile):  # TypeError: a .npy file
+        raise ConfigError(f"{path}: not an .npz checkpoint") from None
+    if "__meta__" not in params:
+        raise ConfigError(f"{path}: no '__meta__' entry; not a uwbcorr checkpoint")
+    try:
+        meta = json.loads(str(params.pop("__meta__")))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: '__meta__' is not JSON: {exc}") from None
+    version = meta.get("schema_version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_SCHEMA_VERSION:
+        raise ConfigError(f"{path}: checkpoint schema {version} not supported")
+    stored = meta.get("config", {})
+    names = {f.name for f in fields(ModelConfig)}
+    missing = sorted(names - set(stored))
+    if missing:
+        raise ConfigError(f"{path}: missing config key {missing[0]!r}")
+    unknown = sorted(set(stored) - names)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    config = ModelConfig(**stored)
     expected = init_parameters(config)
     for name, want in expected.items():
         if name not in params:

@@ -18,24 +18,7 @@ from .errors import ConfigError, IncompatibleOrderingError
 PATCH_STRATEGIES = ("multi_cir", "per_cir")
 
 
-@dataclass(frozen=True)
-class PatchConfig:
-    strategy: str = "per_cir"
-    l_patch: int = 150
-
-    def __post_init__(self):
-        if self.strategy not in PATCH_STRATEGIES:
-            raise ConfigError(
-                f"unknown patching strategy {self.strategy!r}; use one of {PATCH_STRATEGIES}"
-            )
-        _check_divides(self.l_patch)
-
-    @property
-    def k_per_cir(self) -> int:
-        return WINDOW_LENGTH // self.l_patch
-
-
-def _check_divides(l_patch: int):
+def check_l_patch(l_patch: int):
     if l_patch < 1 or WINDOW_LENGTH % l_patch != 0:
         raise ConfigError(f"l_patch must divide {WINDOW_LENGTH}, got {l_patch}")
 
@@ -65,7 +48,7 @@ class PatchSet:
 
 def patch_multi_cir(m: InputTensor, l_patch: int) -> PatchSet:
     """K = 150/l_patch patches, each the same column block of every row."""
-    _check_divides(l_patch)
+    check_l_patch(l_patch)
     if not m.padded:
         raise IncompatibleOrderingError(
             "multi-CIR patching needs a zero-padded tensor with one row per "
@@ -93,7 +76,7 @@ def patch_per_cir(m: InputTensor, l_patch: int) -> PatchSet:
 
     Patch k comes from row i = k // K, column block j = k % K.
     """
-    _check_divides(l_patch)
+    check_l_patch(l_patch)
     k = WINDOW_LENGTH // l_patch
     n = m.n_rows
     values = m.values.reshape(n * k, l_patch)

@@ -40,8 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.warmup_fraction < 1.0:
             raise ConfigError("warmup_fraction must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in (0, 1)")
 

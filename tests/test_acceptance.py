@@ -16,7 +16,6 @@ from uwbcorr import (
     Box,
     ChannelConfig,
     CorrectionModel,
-    EncodingConfig,
     Environment,
     SolverOptions,
     cnn_baseline_ops,
@@ -151,11 +150,9 @@ def test_criterion_3_shape_and_count_suite():
                 ps.values.reshape(n_rows, WINDOW_LENGTH), m.values
             ), "per-CIR partition must be lossless"
     for d_model in (32, 64, 128, 256):
-        cfg = EncodingConfig(kind="spatial", d_model=d_model)
-        f = cfg.n_bands
-        assert f == max_bands(d_model)
+        f = max_bands(d_model)
         assert 6 * f <= d_model < 6 * (f + 1)
-        pe = spatial_pe((12.0, 3.0, 2.0), (30.0, 10.0, 3.0), cfg)
+        pe = spatial_pe((12.0, 3.0, 2.0), (30.0, 10.0, 3.0), d_model)
         assert pe.shape == (d_model,)
         assert np.array_equal(pe[6 * f :], np.zeros(d_model - 6 * f))
         assert np.any(pe[: 6 * f] != 0)
@@ -324,7 +321,7 @@ def test_criterion_8_metrics_oracle():
         return sorted(front, key=lambda r: (r.total_ops, r.mae))
 
     records = [
-        SweepResult(config={}, total_ops=float(o), mae=float(m), cep={})
+        SweepResult(config={}, total_ops=float(o), mae=float(m))
         for o, m in zip(
             rng.integers(1, 60, size=252).astype(float),
             np.round(rng.uniform(0.1, 2.0, size=252), 2),

@@ -1,18 +1,22 @@
 import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from uwbcorr import CorrectionModel, dataio, make_model_config, save_checkpoint
+from uwbcorr import CorrectionModel, dataio, default_environment, make_model_config, save_checkpoint
 from uwbcorr.cli import build_parser, main
 from uwbcorr.config import (
+    ExperimentConfig,
+    ModelSpec,
     SweepSpec,
     apply_overrides,
     enumerate_sweep,
     load_experiment_config,
 )
 from uwbcorr.errors import IncompatibleEncodingError
+from uwbcorr.model import ModelConfig
 
 
 TINY_MODEL = [
@@ -87,6 +91,16 @@ class TestConfig:
         env = dataio.read_environment(tiny_run / "environment.json")
         with pytest.raises(IncompatibleEncodingError):
             cfg.model.build(env)
+
+    def test_model_section_matches_the_model_config(self):
+        """Every model-section field is a ModelConfig field, and the section's
+        defaults build the paper's default config."""
+        model_fields = {f.name for f in fields(ModelConfig)}
+        assert {f.name for f in fields(ModelSpec)} <= model_fields
+        env = default_environment()
+        assert ExperimentConfig().model.build(env) == make_model_config(
+            "per_cir", "fixed", "spatial", 150, 64, env=env
+        )
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -236,23 +250,42 @@ class TestErrorExit:
         name = next(k for k in arrays if k != "__meta__")
         arrays[name] = arrays[name][:-1]  # one row short
         np.savez(path, **arrays)
-        rc = main(
+        assert self._evaluate(tiny_run, tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {path}: parameter {name!r} has shape")
+        assert err.count("\n") == 1
+
+    def test_evaluate_on_a_file_that_is_not_an_npz(self, tiny_run, tmp_path, capsys):
+        text = tmp_path / "junk.npz"
+        text.write_text("garbage")  # 7 bytes of text
+        array = tmp_path / "array.npy"
+        np.save(array, np.zeros(3))
+        for path in (text, array):
+            assert self._evaluate(tiny_run, tmp_path, path) == 2
+            assert capsys.readouterr().err == f"error: ConfigError: {path}: not an .npz checkpoint\n"
+
+    def test_evaluate_on_metadata_that_is_not_json(self, tiny_run, tmp_path, capsys):
+        path = tmp_path / "checkpoint.npz"
+        np.savez(path, __meta__=np.array("{not json"), cls=np.zeros(8))
+        assert self._evaluate(tiny_run, tmp_path, path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {path}: '__meta__' is not JSON: ")
+        assert err.count("\n") == 1
+
+    def _evaluate(self, tiny_run, tmp_path, checkpoint):
+        return main(
             [
                 "evaluate",
                 "--output-dir",
                 str(tmp_path / "out"),
                 "--checkpoint",
-                str(path),
+                str(checkpoint),
                 "--dataset",
                 str(tiny_run / "eval.jsonl"),
                 "--env",
                 str(tiny_run / "environment.json"),
             ]
         )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: ConfigError: {path}: parameter {name!r} has shape")
-        assert err.count("\n") == 1
 
     def _baseline(self, tiny_run, tmp_path, dataset):
         return main(
@@ -300,6 +333,33 @@ class TestErrorExit:
     def test_other_exceptions_keep_their_traceback(self, tiny_run, tmp_path):
         with pytest.raises(FileNotFoundError):
             self._baseline(tiny_run, tmp_path, tmp_path / "absent.jsonl")
+        with pytest.raises(FileNotFoundError):
+            self._evaluate(tiny_run, tmp_path, tmp_path / "absent.npz")
+
+    @pytest.mark.parametrize("value, shown", [("0", "0"), ("two", "'two'")])
+    def test_train_with_a_bad_epoch_count(self, tiny_run, tmp_path, capsys, monkeypatch, value, shown):
+        solves = []
+        monkeypatch.setattr("uwbcorr.training.solve_baselines", lambda *a, **k: solves.append(a))
+        rc = main(
+            [
+                "train",
+                "--output-dir",
+                str(tmp_path),
+                "--env",
+                str(tiny_run / "environment.json"),
+                "--dataset",
+                str(tiny_run / "train.jsonl"),
+                *TINY_MODEL,
+                "--set",
+                f"train.max_epochs={value}",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: max_epochs must be an integer >= 1, got {shown}\n"
+        )
+        assert solves == []
+        assert not (tmp_path / "checkpoint.npz").exists()
 
 
 class TestSweepCommand:

@@ -79,7 +79,7 @@ class TestCnnBaseline:
 
 
 def result(ops, mae_value):
-    return SweepResult(config={}, total_ops=ops, mae=mae_value, cep={})
+    return SweepResult(config={}, total_ops=ops, mae=mae_value)
 
 
 def oracle_front(results):

@@ -7,7 +7,6 @@ from dataclasses import replace
 
 from uwbcorr import (
     CorrectionModel,
-    EncodingConfig,
     PatchSet,
     frequency_bands,
     make_model_config,
@@ -16,7 +15,7 @@ from uwbcorr import (
     spatial_pe,
     time_diff_pe,
 )
-from uwbcorr.encodings import constant_encoding_rows, max_bands, token_time_deltas
+from uwbcorr.encodings import DELTA_T_MAX_S, constant_encoding_rows, max_bands, token_time_deltas
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError, OutOfBoundsError
 from uwbcorr.model import prepare_from_tensor
 from uwbcorr.simulate import default_environment
@@ -50,35 +49,28 @@ class TestFrequencyBands:
 
 class TestSpatialPe:
     def test_origin(self):
-        cfg = EncodingConfig(kind="spatial", d_model=64)
-        pe = spatial_pe((0, 0, 0), (30, 10, 3), cfg)
-        f = cfg.n_bands
+        pe = spatial_pe((0, 0, 0), (30, 10, 3), 64)
+        f = max_bands(64)
         assert np.array_equal(pe[: 6 * f : 2], np.zeros(3 * f))  # sin entries
         assert np.array_equal(pe[1 : 6 * f : 2], np.ones(3 * f))  # cos entries
         assert np.array_equal(pe[6 * f :], np.zeros(64 - 6 * f))
 
     def test_d64_band_count_and_padding(self):
-        cfg = EncodingConfig(kind="spatial", d_model=64)
-        assert cfg.n_bands == 10
-        pe = spatial_pe((12, 3, 2), (30, 10, 3), cfg)
+        assert max_bands(64) == 10
+        pe = spatial_pe((12, 3, 2), (30, 10, 3), 64)
         assert len(pe) == 64
         assert np.array_equal(pe[60:], np.zeros(4))
 
     def test_distinct_anchors_distinct_encodings(self):
         env = default_environment()
-        cfg = EncodingConfig(kind="spatial", d_model=64)
-        codes = [spatial_pe(a.position, env.extent, cfg) for a in env.anchors]
+        codes = [spatial_pe(a.position, env.extent, 64) for a in env.anchors]
         for i in range(len(codes)):
             for j in range(i + 1, len(codes)):
                 assert np.linalg.norm(codes[i] - codes[j]) > 1e-6
 
     def test_out_of_extent(self):
-        cfg = EncodingConfig(kind="spatial", d_model=32)
         with pytest.raises(OutOfBoundsError):
-            spatial_pe((31, 5, 1), (30, 10, 3), cfg)
-        clamped = EncodingConfig(kind="spatial", d_model=32, clamp_positions=True)
-        pe = spatial_pe((31, 5, 1), (30, 10, 3), clamped)
-        assert np.allclose(pe, spatial_pe((30, 5, 1), (30, 10, 3), clamped))
+            spatial_pe((31, 5, 1), (30, 10, 3), 32)
 
     @given(
         x=st.floats(0, 30),
@@ -87,30 +79,27 @@ class TestSpatialPe:
         d=st.sampled_from([32, 64, 128, 256]),
     )
     def test_bounds(self, x, y, z, d):
-        cfg = EncodingConfig(kind="spatial", d_model=d)
-        pe = spatial_pe((x, y, z), (30, 10, 3), cfg)
+        pe = spatial_pe((x, y, z), (30, 10, 3), d)
         assert np.all(np.abs(pe) <= 1.0)
-        assert np.linalg.norm(pe) <= np.sqrt(6 * cfg.n_bands) + 1e-12
+        assert np.linalg.norm(pe) <= np.sqrt(6 * max_bands(d)) + 1e-12
 
 
 class TestTimeDiffPe:
     def test_zero_delta(self):
-        cfg = EncodingConfig(kind="spatial_time", d_model=32)
-        pe = time_diff_pe(0.0, cfg)
-        f = cfg.n_bands
+        pe = time_diff_pe(0.0, 32)
+        f = max_bands(32)
         assert np.array_equal(pe[: 2 * f : 2], np.zeros(f))
         assert np.array_equal(pe[1 : 2 * f : 2], np.ones(f))
 
     def test_max_delta(self):
-        cfg = EncodingConfig(kind="spatial_time", d_model=32)
-        bands = frequency_bands(cfg.n_bands, cfg.omega_min, cfg.omega_max)
-        pe = time_diff_pe(cfg.delta_t_max_s, cfg)
-        assert np.allclose(pe[: 2 * cfg.n_bands : 2], np.sin(bands))
-        assert np.allclose(pe[1 : 2 * cfg.n_bands : 2], np.cos(bands))
+        bands = frequency_bands(max_bands(32), 1.0, 1000.0)
+        pe = time_diff_pe(DELTA_T_MAX_S, 32)
+        assert DELTA_T_MAX_S == 200e-9
+        assert np.allclose(pe[: 2 * len(bands) : 2], np.sin(bands))
+        assert np.allclose(pe[1 : 2 * len(bands) : 2], np.cos(bands))
 
     def test_clamps_above_max(self):
-        cfg = EncodingConfig(kind="spatial_time", d_model=32)
-        assert np.allclose(time_diff_pe(1.0, cfg), time_diff_pe(cfg.delta_t_max_s, cfg))
+        assert np.allclose(time_diff_pe(1.0, 32), time_diff_pe(DELTA_T_MAX_S, 32))
 
 
 P_TDOA = np.array([5.0, 5.0, 1.0])
@@ -143,7 +132,7 @@ class TestLearnedPe:
 
     def test_overflow(self):
         cfg = learned_model().config
-        assert cfg.encoding.max_seq_len == 5
+        assert cfg.max_seq_len == 5
         fits = prepare_from_tensor(dummy_tensor(2, "time_based", padded=False), cfg, P_TDOA)
         assert fits.n_tokens == 5
         with pytest.raises(ConfigError, match="7 tokens exceed max_seq_len=5"):
@@ -156,11 +145,10 @@ class TestApplyEncodings:
 
     def test_whole_cir_spatial_offsets_only_by_anchor(self):
         m = dummy_tensor(3)
-        cfg = EncodingConfig(kind="spatial", d_model=32)
-        rows = constant_encoding_rows(patch_per_cir(m, 150), cfg, (10, 10, 3))
+        rows = constant_encoding_rows(patch_per_cir(m, 150), "spatial", 32, (10, 10, 3))
         assert rows.shape == (3, 32)
         for t in range(3):
-            assert np.array_equal(rows[t], spatial_pe(m.anchor_positions[t], (10, 10, 3), cfg))
+            assert np.array_equal(rows[t], spatial_pe(m.anchor_positions[t], (10, 10, 3), 32))
 
     def test_split_cir_adds_within_rows(self):
         m = dummy_tensor(2)
@@ -181,7 +169,7 @@ class TestApplyEncodings:
     def test_multi_cir_spatial_rejected(self):
         ps = patch_multi_cir(dummy_tensor(4), 75)
         with pytest.raises(IncompatibleEncodingError):
-            constant_encoding_rows(ps, EncodingConfig(kind="spatial", d_model=16), (10, 10, 3))
+            constant_encoding_rows(ps, "spatial", 16, (10, 10, 3))
 
     def test_learned_adds_sequence_rows(self):
         m = dummy_tensor(3)
@@ -199,11 +187,10 @@ class TestApplyEncodings:
     def test_spatial_time_adds_both(self):
         m = dummy_tensor(3, seed=5)
         ps = patch_per_cir(m, 150)
-        spatial = constant_encoding_rows(ps, EncodingConfig(kind="spatial", d_model=32), (10, 10, 3))
-        cfg = EncodingConfig(kind="spatial_time", d_model=32)
-        combined = constant_encoding_rows(ps, cfg, (10, 10, 3))
+        spatial = constant_encoding_rows(ps, "spatial", 32, (10, 10, 3))
+        combined = constant_encoding_rows(ps, "spatial_time", 32, (10, 10, 3))
         for t in range(3):
-            expected = spatial[t] + time_diff_pe(m.rx_times[t] - m.rx_times.min(), cfg)
+            expected = spatial[t] + time_diff_pe(m.rx_times[t] - m.rx_times.min(), 32)
             assert np.allclose(combined[t], expected)
 
 
@@ -211,13 +198,12 @@ def test_spatial_rows_agree_across_orderings(small_env, small_dataset):
     """The spatial addend follows the anchor, not the row position."""
     from uwbcorr.cir import build_input_tensor
 
-    cfg = EncodingConfig(kind="spatial", d_model=32)
     sample = small_dataset[0]
     by_anchor = {}
     for ordering in ("fixed", "time_based"):
         tensor = build_input_tensor(sample, small_env, ordering)
         ps = patch_per_cir(tensor, 150)
-        rows = constant_encoding_rows(ps, cfg, small_env.extent)
+        rows = constant_encoding_rows(ps, "spatial", 32, small_env.extent)
         for anchor_id, row in zip(tensor.anchor_ids, rows):
             by_anchor.setdefault(int(anchor_id), []).append(row)
     for anchor_id, rows in by_anchor.items():
@@ -229,16 +215,11 @@ def test_max_bands_values():
     assert [max_bands(d) for d in (8, 16, 32, 64, 128, 256)] == [1, 2, 5, 10, 21, 42]
 
 
-def test_f_bands_must_be_maximal():
-    with pytest.raises(ConfigError):
-        EncodingConfig(kind="spatial", d_model=64, f_bands=9)
-    assert EncodingConfig(kind="spatial", d_model=64, f_bands=10).n_bands == 10
-
-
-def _per_value_row(values, cfg):
-    """Loop reference: interleaved sin/cos of each value, one value at a time."""
-    bands = frequency_bands(cfg.n_bands, cfg.omega_min, cfg.omega_max)
-    out = np.zeros(cfg.d_model)
+def _per_value_row(values, d_model):
+    """Loop reference: interleaved sin/cos of each value, one value at a time,
+    over max_bands(d_model) bands from 1 to 1000 rad."""
+    bands = frequency_bands(max_bands(d_model), 1.0, 1000.0)
+    out = np.zeros(d_model)
     for i, v in enumerate(values):
         out[2 * i * len(bands) : 2 * (i + 1) * len(bands) : 2] = np.sin(v * bands)
         out[2 * i * len(bands) + 1 : 2 * (i + 1) * len(bands) : 2] = np.cos(v * bands)
@@ -265,35 +246,32 @@ def _random_patches(rng, extent, n_anchors, k_per_cir):
 @pytest.mark.parametrize("kind", ["spatial", "spatial_time"])
 @pytest.mark.parametrize("d_model", [8, 64, 128])
 def test_constant_rows_equal_the_per_token_encodings(kind, d_model):
-    cfg = EncodingConfig(kind=kind, d_model=d_model)
     extent = (30.0, 10.0, 3.0)
     rng = np.random.default_rng(d_model)
     for _ in range(10):
         patches = _random_patches(rng, extent, int(rng.integers(1, 16)), int(rng.integers(1, 4)))
-        rows = constant_encoding_rows(patches, cfg, extent)
-        deltas = token_time_deltas(patches, cfg)
-        per_row = np.stack([spatial_pe(p, extent, cfg) for p in patches.anchor_positions])
-        loop = np.stack([_per_value_row(p / np.asarray(extent), cfg) for p in patches.anchor_positions])
+        rows = constant_encoding_rows(patches, kind, d_model, extent)
+        deltas = token_time_deltas(patches)
+        positions = patches.anchor_positions
+        per_row = np.stack([spatial_pe(p, extent, d_model) for p in positions])
+        loop = np.stack([_per_value_row(p / np.asarray(extent), d_model) for p in positions])
         if kind == "spatial_time":
-            per_row = per_row + np.stack([time_diff_pe(dt, cfg) for dt in deltas])
-            clamped = np.minimum(deltas, cfg.delta_t_max_s) / cfg.delta_t_max_s
-            loop = loop + np.stack([_per_value_row([v], cfg) for v in clamped])
+            per_row = per_row + np.stack([time_diff_pe(dt, d_model) for dt in deltas])
+            clamped = np.minimum(deltas, 200e-9) / 200e-9
+            loop = loop + np.stack([_per_value_row([v], d_model) for v in clamped])
         assert np.array_equal(rows, per_row)
         assert np.array_equal(rows, loop)
 
 
-def test_constant_rows_keep_bounds_checks_and_clamping():
+def test_constant_rows_keep_bounds_checks():
     extent = (30.0, 10.0, 3.0)
     patches = _random_patches(np.random.default_rng(3), extent, 4, 1)
     patches.anchor_positions[1] = (31.0, 5.0, 1.0)
     with pytest.raises(OutOfBoundsError, match=r"\[31\.0, 5\.0, 1\.0\]"):
-        constant_encoding_rows(patches, EncodingConfig(kind="spatial", d_model=32), extent)
-    clamped = EncodingConfig(kind="spatial", d_model=32, clamp_positions=True)
-    rows = constant_encoding_rows(patches, clamped, extent)
-    assert np.array_equal(rows[1], spatial_pe((30.0, 5.0, 1.0), extent, clamped))
+        constant_encoding_rows(patches, "spatial", 32, extent)
     patches.anchor_positions[2] = np.nan
     with pytest.raises(IncompatibleEncodingError):
-        constant_encoding_rows(patches, clamped, extent)
+        constant_encoding_rows(patches, "spatial", 32, extent)
 
 
 def test_fixed_ordering_examples_share_one_read_only_spatial_addend(small_env, small_dataset):

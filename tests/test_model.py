@@ -6,7 +6,6 @@ import pytest
 from uwbcorr import (
     ChannelConfig,
     CorrectionModel,
-    EncodingConfig,
     SolverOptions,
     baseline_position,
     build_input_tensor,
@@ -28,7 +27,6 @@ from uwbcorr.model import (
     prepare_example,
     prepare_from_tensor,
 )
-from uwbcorr.patching import PatchConfig
 
 
 def naive_attention(q, k, v):
@@ -51,7 +49,7 @@ def attend(queries, x):
     d = x.shape[-1]
     prm = {f"attn.w{n}": ad.Tensor(np.eye(d)) for n in "qkvo"}
     prm.update({f"attn.b{n}": ad.Tensor(np.zeros(d)) for n in "qkvo"})
-    cfg = ModelConfig(d_model=d, n_heads=1, encoding=EncodingConfig(d_model=d))
+    cfg = ModelConfig(d_model=d, n_heads=1)
     return _multi_head_attention(ad.Tensor(queries[None]), ad.Tensor(x[None]), prm, "", cfg).data[0]
 
 
@@ -104,20 +102,20 @@ def staged_reference(model, sample, env, p_tdoa):
     """Full-sequence numpy forward, one stage at a time: embedding and CLS,
     positional rows, every row of every encoder block, then the head."""
     cfg, prm = model.config, model.parameter_arrays()
-    multi = cfg.patch.strategy == "multi_cir"
+    multi = cfg.patching == "multi_cir"
     tensor = build_input_tensor(sample, env, cfg.ordering, pad_missing=multi)
-    ps = (patch_multi_cir if multi else patch_per_cir)(tensor, cfg.patch.l_patch)
+    ps = (patch_multi_cir if multi else patch_per_cir)(tensor, cfg.l_patch)
     x = np.vstack([prm["cls"], ps.values @ prm["embed.w"] + prm["embed.b"]])
-    if cfg.encoding.kind == "learned":
+    if cfg.encoding == "learned":
         x += prm["pe.seq"][: len(x)]
     else:
         x[0] += prm["pe.cls"]
         t0 = np.nanmin(ps.rx_times)
         for t in range(1, len(x)):
-            x[t] += spatial_pe(ps.anchor_positions[t - 1], env.extent, cfg.encoding)
-            if cfg.encoding.kind == "spatial_time":
+            x[t] += spatial_pe(ps.anchor_positions[t - 1], env.extent, cfg.d_model)
+            if cfg.encoding == "spatial_time":
                 delay = np.nan_to_num(ps.rx_times[t - 1] - t0, nan=np.inf)  # absent: clamp
-                x[t] += time_diff_pe(delay, cfg.encoding)
+                x[t] += time_diff_pe(delay, cfg.d_model)
             if "pe.within" in prm:
                 x[t] += prm["pe.within"][ps.patch_j[t - 1]]
     for i in range(cfg.n_layers):
@@ -156,13 +154,17 @@ class TestModelConfig:
         with pytest.raises(IncompatibleEncodingError):
             make_model_config("multi_cir", "fixed", "spatial", 15, 32)
 
-    def test_encoding_width_must_match(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(
-                patch=PatchConfig("per_cir", 150),
-                encoding=EncodingConfig(kind="spatial", d_model=32),
-                d_model=64,
-            )
+    def test_unknown_ordering_and_encoding_rejected(self):
+        with pytest.raises(ConfigError, match="unknown ordering 'random'"):
+            make_model_config("per_cir", "random", "spatial", 15, 32)
+        with pytest.raises(ConfigError, match="unknown encoding kind 'rope'"):
+            make_model_config("per_cir", "fixed", "rope", 15, 32)
+
+    def test_max_seq_len_counts_the_full_sequence(self):
+        multi = make_model_config("multi_cir", "fixed", "learned", 15, 32, n_total=15)
+        assert multi.max_seq_len == 10 + 1
+        per = make_model_config("per_cir", "fixed", "learned", 75, 32, n_total=6)
+        assert per.max_seq_len == 6 * 2 + 1
 
 
 class TestEncoderForward:
@@ -387,6 +389,40 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=r"broken\.npz.*'__meta__'"):
             load_checkpoint(path)
 
+    def _rewritten_meta(self, small_env, tmp_path, rewrite):
+        """A checkpoint whose ``__meta__`` text is rewrite(the stored dict)."""
+
+        def edit(arrays):
+            arrays["__meta__"] = np.array(rewrite(json.loads(str(arrays["__meta__"]))))
+
+        return self._broken_checkpoint(small_env, tmp_path, edit)
+
+    def test_schema_1_is_refused(self, small_env, tmp_path):
+        """The nested schema-1 config has no loader any more."""
+        path = self._rewritten_meta(
+            small_env, tmp_path, lambda m: json.dumps({**m, "schema_version": 1})
+        )
+        with pytest.raises(ConfigError, match=r"broken\.npz: checkpoint schema 1 not supported"):
+            load_checkpoint(path)
+
+    def test_missing_config_key_is_named(self, small_env, tmp_path):
+        def drop_n_total(meta):
+            del meta["config"]["n_total"]
+            return json.dumps(meta)
+
+        path = self._rewritten_meta(small_env, tmp_path, drop_n_total)
+        with pytest.raises(ConfigError, match=r"broken\.npz: missing config key 'n_total'"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_is_named(self, small_env, tmp_path):
+        def add_clamp(meta):
+            meta["config"]["clamp_to_extent"] = True
+            return json.dumps(meta)
+
+        path = self._rewritten_meta(small_env, tmp_path, add_clamp)
+        with pytest.raises(ConfigError, match=r"broken\.npz: unknown config key 'clamp_to_extent'"):
+            load_checkpoint(path)
+
     def test_unknown_parameter_is_rejected(self, small_env, tmp_path):
         path = self._broken_checkpoint(
             small_env, tmp_path, lambda a: a.__setitem__("enc9.ln1.g", np.ones(32))
@@ -395,27 +431,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
-def encoding_json(kind, d_model, max_seq_len):
-    return {
-        "kind": kind,
-        "d_model": d_model,
-        "f_bands": None,
-        "omega_min": 1.0,
-        "omega_max": 1000.0,
-        "max_seq_len": max_seq_len,
-        "delta_t_max_s": 2e-07,
-        "clamp_positions": False,
-    }
-
-
 CHECKPOINT_CONFIGS = {
     "default": (
         ("per_cir", "fixed", "spatial", 150, 64),
         {},
         {
-            "patch": {"strategy": "per_cir", "l_patch": 150},
-            "encoding": encoding_json("spatial", 64, 16),
+            "patching": "per_cir",
             "ordering": "fixed",
+            "encoding": "spatial",
+            "l_patch": 150,
             "d_model": 64,
             "n_layers": 4,
             "n_heads": 8,
@@ -431,9 +455,10 @@ CHECKPOINT_CONFIGS = {
         ("multi_cir", "time_based", "learned", 15, 32),
         {"n_heads": 4, "head_widths": (32, 3), "dropout_p": 0.0},
         {
-            "patch": {"strategy": "multi_cir", "l_patch": 15},
-            "encoding": encoding_json("learned", 32, 11),
+            "patching": "multi_cir",
             "ordering": "time_based",
+            "encoding": "learned",
+            "l_patch": 15,
             "d_model": 32,
             "n_layers": 4,
             "n_heads": 4,
@@ -458,6 +483,6 @@ def test_checkpoint_config_json_is_pinned_and_round_trips(name, tmp_path):
     save_checkpoint(CorrectionModel.initialize(cfg, seed=3), path)
     with np.load(path) as data:
         meta = str(data["__meta__"])
-    # the exact JSON text, key order included, that earlier checkpoints hold
-    assert meta == json.dumps({"schema_version": 1, "config": expected})
+    # the exact JSON text, key order included, of a schema-2 checkpoint
+    assert meta == json.dumps({"schema_version": 2, "config": expected})
     assert load_checkpoint(path).config == cfg

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from uwbcorr import (
     ChannelConfig,
-    PatchConfig,
     generate_dataset,
     make_model_config,
     patch_multi_cir,
@@ -33,17 +32,19 @@ def dummy_tensor(n_rows, ordering="fixed", padded=True, seed=0):
     )
 
 
-class TestPatchConfig:
+class TestPatchingConfig:
+    """The patching fields of the model config."""
+
     def test_non_divisor_rejected(self):
-        with pytest.raises(ConfigError):
-            PatchConfig(strategy="per_cir", l_patch=7)
+        with pytest.raises(ConfigError, match="l_patch must divide 150, got 7"):
+            make_model_config("per_cir", "fixed", "spatial", 7, 32)
 
     def test_unknown_strategy(self):
-        with pytest.raises(ConfigError):
-            PatchConfig(strategy="striped", l_patch=15)
+        with pytest.raises(ConfigError, match="unknown patching strategy 'striped'"):
+            make_model_config("striped", "fixed", "learned", 15, 32)
 
     def test_k(self):
-        assert PatchConfig("multi_cir", 15).k_per_cir == 10
+        assert make_model_config("multi_cir", "fixed", "learned", 15, 32).k_per_cir == 10
 
 
 class TestPatchMultiCir:
@@ -131,7 +132,7 @@ class TestEmbedPatches:
         ex = prepare_example(sample, small_env, cfg, np.array([5.0, 5.0, 1.0]))
         for i in absent:
             assert not ex.patches[2 * i : 2 * i + 2].any()
-            want = spatial_pe(small_env.anchors[i].position, small_env.extent, cfg.encoding)
+            want = spatial_pe(small_env.anchors[i].position, small_env.extent, cfg.d_model)
             assert np.array_equal(ex.pe_const[2 * i], want)
         assert all(ex.patches[2 * i].any() for i in range(small_env.n_anchors) if i not in absent)
 
@@ -151,5 +152,5 @@ class TestEmbedPatches:
         assert ex.n_tokens == 7
         assert np.array_equal(ex.within_idx, [0, 1, 0, 1, 0, 1])
         for k in range(6):
-            want = spatial_pe(m.anchor_positions[k // 2], (10, 10, 3), cfg.encoding)
+            want = spatial_pe(m.anchor_positions[k // 2], (10, 10, 3), cfg.d_model)
             assert np.array_equal(ex.pe_const[k], want)

@@ -11,6 +11,7 @@ from uwbcorr import (
     make_model_config,
     train,
 )
+from uwbcorr.errors import ConfigError
 from uwbcorr.training import (
     TrainConfig,
     _token_batches,
@@ -34,6 +35,14 @@ def tiny_setup(small_env):
     examples, skipped = prepare_training_examples(dataset, small_env, cfg, OPTS)
     assert skipped == 0
     return model, examples
+
+
+@pytest.mark.parametrize("name", ["batch_size", "max_epochs", "early_stop_patience"])
+@pytest.mark.parametrize("value", [0, -3, "two", 2.0, True])
+def test_step_counts_must_be_positive_integers(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1, got {value!r}"):
+        TrainConfig(**{name: value})
+    assert getattr(TrainConfig(**{name: 1}), name) == 1
 
 
 class TestLearningRate:
