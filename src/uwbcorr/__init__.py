@@ -1,6 +1,6 @@
 """UWB TDoA positioning with transformer-based CIR error correction."""
 
-from .cir import InputTensor, ProcessedCir, build_input_tensor, iq_to_amplitude, normalize_minmax, trim_window
+from .cir import InputTensor, build_input_tensor, iq_to_amplitude, normalize_minmax, trim_window
 from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
 from .encodings import frequency_bands, spatial_pe, time_diff_pe
 from .metrics import MetricsReport, cep, mae, metrics_report

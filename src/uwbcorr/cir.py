@@ -21,14 +21,6 @@ WINDOW_LENGTH = 150
 ORDERINGS = ("fixed", "time_based")
 
 
-@dataclass(frozen=True)
-class ProcessedCir:
-    amplitude: np.ndarray  # (150,) in [0, 1]
-    anchor_id: int
-    anchor_position: np.ndarray
-    rx_time: float
-
-
 def iq_to_amplitude(raw) -> np.ndarray:
     """Elementwise magnitude of a complex IQ array (or a RawCir's buffer)."""
     iq = raw.iq if isinstance(raw, RawCir) else np.asarray(raw)
@@ -57,34 +49,23 @@ def normalize_minmax(window: np.ndarray) -> np.ndarray:
     return (window - lo) / (hi - lo)
 
 
-def process_cir(raw: RawCir, anchor_position) -> ProcessedCir:
-    amp = normalize_minmax(trim_window(iq_to_amplitude(raw), raw.first_path_index))
-    return ProcessedCir(
-        amplitude=amp,
-        anchor_id=raw.anchor_id,
-        anchor_position=np.asarray(anchor_position, dtype=float),
-        rx_time=raw.rx_time,
-    )
-
-
 @dataclass(frozen=True)
 class InputTensor:
     """Ordered CIR matrix with per-row anchor metadata.
 
-    Fixed ordering always has ``n_total`` rows, one per environment anchor in
-    ascending id order; rows of non-detecting anchors are all-zero with
-    ``present`` False and NaN ``rx_times``. Time-based ordering keeps only the
-    detecting anchors sorted by reception time (ties by id), unless built with
-    ``pad_missing`` in which case the absent anchors follow as zero rows.
+    Fixed ordering always has one row per environment anchor in ascending id
+    order; a non-detecting anchor's row is all-zero with a NaN ``rx_times``
+    entry, which is how an absent row is told apart. Time-based ordering
+    keeps only the detecting anchors sorted by reception time (ties by id),
+    unless built with ``pad_missing`` in which case the absent anchors follow
+    as zero rows in id order. ``padded`` says whether every environment
+    anchor has a row.
     """
 
     values: np.ndarray  # (n_rows, 150)
-    present: np.ndarray  # (n_rows,) bool
     anchor_ids: np.ndarray  # (n_rows,) int
     anchor_positions: np.ndarray  # (n_rows, 3)
     rx_times: np.ndarray  # (n_rows,) float, NaN for absent rows
-    ordering: str
-    n_total: int
     padded: bool
 
     @property
@@ -96,7 +77,6 @@ class InputTensor:
         return replace(
             self,
             values=self.values[order],
-            present=self.present[order],
             anchor_ids=self.anchor_ids[order],
             anchor_positions=self.anchor_positions[order],
             rx_times=self.rx_times[order],
@@ -114,49 +94,30 @@ def build_input_tensor(
         raise ValueError(f"unknown ordering {ordering!r}; use one of {ORDERINGS}")
     if len(sample.raw_cirs) == 0:
         raise InsufficientDataError("sample has no CIRs")
-    anchors = sorted(env.anchors, key=lambda a: a.id)
-    by_id = {a.id: a for a in anchors}
-    processed = {}
+    anchors = {a.id: a for a in env.anchors}
+    received = {}
     for raw in sample.raw_cirs:
-        if raw.anchor_id not in by_id:
+        if raw.anchor_id not in anchors:
             raise ValueError(f"sample references unknown anchor id {raw.anchor_id}")
-        processed[raw.anchor_id] = process_cir(raw, by_id[raw.anchor_id].position)
-
-    def absent_row(anchor):
-        return (
-            np.zeros(WINDOW_LENGTH),
-            False,
-            anchor.id,
-            anchor.position,
-            np.nan,
-        )
-
-    def present_row(pc: ProcessedCir):
-        return (pc.amplitude, True, pc.anchor_id, pc.anchor_position, pc.rx_time)
-
+        received[raw.anchor_id] = raw
     if ordering == "fixed":
-        rows = [
-            present_row(processed[a.id]) if a.id in processed else absent_row(a)
-            for a in anchors
-        ]
-        padded = True
+        ids = sorted(anchors)
     else:
-        received = sorted(processed.values(), key=lambda pc: (pc.rx_time, pc.anchor_id))
-        rows = [present_row(pc) for pc in received]
+        ids = sorted(received, key=lambda i: (received[i].rx_time, i))
         if pad_missing:
-            rows.extend(absent_row(a) for a in anchors if a.id not in processed)
-            padded = True
-        else:
-            padded = False
+            ids += [i for i in sorted(anchors) if i not in received]
 
-    values, present, ids, positions, times = zip(*rows)
+    values = np.zeros((len(ids), WINDOW_LENGTH))
+    rx_times = np.full(len(ids), np.nan)
+    for row, anchor_id in enumerate(ids):
+        raw = received.get(anchor_id)
+        if raw is not None:
+            values[row] = normalize_minmax(trim_window(iq_to_amplitude(raw), raw.first_path_index))
+            rx_times[row] = raw.rx_time
     return InputTensor(
-        values=np.array(values),
-        present=np.array(present, dtype=bool),
+        values=values,
         anchor_ids=np.array(ids, dtype=int),
-        anchor_positions=np.array(positions),
-        rx_times=np.array(times, dtype=float),
-        ordering=ordering,
-        n_total=env.n_anchors,
-        padded=padded,
+        anchor_positions=np.array([anchors[i].position for i in ids]),
+        rx_times=rx_times,
+        padded=ordering == "fixed" or pad_missing,
     )

@@ -137,6 +137,7 @@ def _evaluate_and_write(model, dataset, env, cfg: ExperimentConfig, out: Path) -
 def cmd_train(args) -> int:
     cfg, out = _setup(args)
     env = _environment(args, out)
+    model_cfg = cfg.model.build(env)  # a bad model value fails before any dataset is read
     train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
     # Only the config's default evaluation set may be absent; an explicit
     # --eval-dataset must exist, and is read before any training time is spent.
@@ -145,7 +146,7 @@ def cmd_train(args) -> int:
     if args.eval_dataset or eval_path.exists():
         eval_set = dataio.read_samples_jsonl(eval_path)
     started = time.monotonic()
-    model = train(train_set, env, cfg.model.build(env), cfg.train, solver=cfg.solver.options(env))
+    model = train(train_set, env, model_cfg, cfg.train, solver=cfg.solver.options(env))
     elapsed = time.monotonic() - started
     save_checkpoint(model, out / "checkpoint.npz")
     dataio.write_history_csv(out / "history.csv", model.history)
@@ -201,7 +202,7 @@ def cmd_sweep(args) -> int:
             model_cfg = replace(cfg.model, **combo).build(env)
             model = train(train_set, env, model_cfg, train_cfg, solver=solver)
             result = evaluate_model(model, eval_set, env, solver=solver)
-            ops = op_count(model_cfg, env.n_anchors, n_av)
+            ops = op_count(model_cfg, n_av)
             row.update(
                 total_ops=f"{ops.total_ops:.0f}",
                 mae=f"{result.report.mae:.6f}",
@@ -235,7 +236,7 @@ def cmd_complexity(args) -> int:
     cfg, out = _setup(args)
     rows = []
     for combo in enumerate_sweep(cfg.sweep):
-        ops = op_count(make_model_config(n_total=args.n_total, **combo), args.n_total, args.n_av)
+        ops = op_count(make_model_config(n_total=args.n_total, **combo), args.n_av)
         rows.append({**combo, **{c: f"{getattr(ops, c):.0f}" for c in _OPS_COLUMNS}})
     path = out / "complexity.csv"
     dataio.write_table(path, rows, [*_SWEEP_KEYS, *_OPS_COLUMNS])

@@ -33,8 +33,9 @@ def head_ops(cfg: ModelConfig) -> int:
     return sum(widths[i] * widths[i + 1] for i in range(len(cfg.head_widths)))
 
 
-def op_count(cfg: ModelConfig, n_total: int, n_av: float) -> OperationCount:
+def op_count(cfg: ModelConfig, n_av: float) -> OperationCount:
     """Multiply-accumulate counts for one forward pass of a configuration."""
+    n_total = cfg.n_total
     if n_av > n_total:
         raise ConfigError(f"n_av={n_av} cannot exceed n_total={n_total}")
     if n_av < 0 or n_total < 1:

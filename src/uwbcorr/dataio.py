@@ -65,11 +65,7 @@ def _sample_from_record(record: dict) -> Sample:
         )
         for m in record["measurements"]
     )
-    return Sample(
-        true_position=np.array(record["true_position"]),
-        raw_cirs=cirs,
-        detected_anchor_ids=tuple(c.anchor_id for c in cirs),
-    )
+    return Sample(true_position=np.array(record["true_position"]), raw_cirs=cirs)
 
 
 def read_samples_jsonl(path) -> list[Sample]:

@@ -57,6 +57,10 @@ class ModelConfig:
         # JSON gives lists; keep the config hashable and its extent float
         object.__setattr__(self, "head_widths", tuple(self.head_widths))
         object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
+        for name in ("l_patch", "d_model", "n_layers", "n_heads", "d_ff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if self.patching not in PATCH_STRATEGIES:
             raise ConfigError(
                 f"unknown patching strategy {self.patching!r}; use one of {PATCH_STRATEGIES}"
@@ -163,9 +167,7 @@ class PreparedExample:
 
     patches: np.ndarray  # (n_patches, patch_size)
     pe_const: Optional[np.ndarray]  # (n_patches, d_model) sin/cos addend, spatial kinds
-    within_idx: Optional[np.ndarray]  # (n_patches,) rows into pe.within
     p_tdoa: np.ndarray  # (3,)
-    p_tdoa_norm: np.ndarray  # (3,)
     target: Optional[np.ndarray]  # (3,) true position, None at inference
     n_tokens: int
 
@@ -180,21 +182,16 @@ def prepare_from_tensor(
     patches = patch(tensor, cfg.l_patch)
     if cfg.encoding == "learned":
         pe_const = None
-        within_idx = None
         if patches.n_patches + 1 > cfg.max_seq_len:
             raise ConfigError(
                 f"{patches.n_patches + 1} tokens exceed max_seq_len={cfg.max_seq_len}"
             )
     else:
         pe_const = constant_encoding_rows(patches, cfg.encoding, cfg.d_model, cfg.extent)
-        within_idx = patches.patch_j if cfg.k_per_cir > 1 else None
-    p_tdoa = np.asarray(p_tdoa, dtype=float)
     return PreparedExample(
         patches=patches.values,
         pe_const=pe_const,
-        within_idx=within_idx,
-        p_tdoa=p_tdoa,
-        p_tdoa_norm=p_tdoa / np.asarray(cfg.extent),
+        p_tdoa=np.asarray(p_tdoa, dtype=float),
         target=None if target is None else np.asarray(target, dtype=float),
         n_tokens=patches.n_patches + 1,
     )
@@ -312,20 +309,22 @@ class CorrectionModel:
             x = ad.add(x, ad.gather(prm["pe.seq"], np.arange(n_tokens)))
         else:
             body = ad.add(embedded, ad.Tensor(np.stack([e.pe_const for e in examples])))
-            if examples[0].within_idx is not None:
-                body = ad.add(body, ad.gather(prm["pe.within"], examples[0].within_idx))
+            if cfg.k_per_cir > 1:  # per-CIR tokens: rows 0..K-1 of pe.within, once per CIR
+                within = np.tile(np.arange(cfg.k_per_cir), (n_tokens - 1) // cfg.k_per_cir)
+                body = ad.add(body, ad.gather(prm["pe.within"], within))
             cls_tok = ad.add(cls_tok, ad.reshape(prm["pe.cls"], (1, 1, cfg.d_model)))
             x = ad.concat([cls_tok, body], axis=1)
 
         x = _encoder_stack(x, prm, cfg, train, rng)
         cls_out = ad.select(x, 1, 0)
-        h = ad.concat([cls_out, ad.Tensor(np.stack([e.p_tdoa_norm for e in examples]))], axis=1)
+        p_tdoa = np.stack([e.p_tdoa for e in examples])
+        h = ad.concat([cls_out, ad.Tensor(p_tdoa / np.asarray(cfg.extent))], axis=1)
         for j in range(len(cfg.head_widths)):
             h = ad.matmul(h, prm[f"head{j}.w"], prm[f"head{j}.b"])
             if j < len(cfg.head_widths) - 1:
                 h = ad.relu(h)
         if cfg.residual_output:
-            h = ad.add(h, ad.Tensor(np.stack([e.p_tdoa for e in examples])))
+            h = ad.add(h, ad.Tensor(p_tdoa))
         return h
 
     def predict_prepared(self, examples: Sequence[PreparedExample]) -> np.ndarray:
@@ -347,9 +346,9 @@ def save_checkpoint(model: CorrectionModel, path):
 def load_checkpoint(path) -> CorrectionModel:
     """Model from a checkpoint. A file that is not an .npz, a missing or
     non-JSON ``__meta__``, another schema version, a missing or unknown
-    config key, or parameter names and shapes other than those
-    ``init_parameters`` gives for the stored config raise ConfigError naming
-    the file and the first offending key."""
+    config key, a config value ``ModelConfig`` rejects, or parameter names
+    and shapes other than those ``init_parameters`` gives for the stored
+    config raise ConfigError naming the file and the first offending key."""
     try:
         with np.load(path, allow_pickle=False) as data:
             params = {k: data[k] for k in data.files}
@@ -372,7 +371,10 @@ def load_checkpoint(path) -> CorrectionModel:
     unknown = sorted(set(stored) - names)
     if unknown:
         raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
-    config = ModelConfig(**stored)
+    try:
+        config = ModelConfig(**stored)
+    except (TypeError, ValueError) as exc:  # ValueError covers every UwbcorrError
+        raise ConfigError(f"{path}: {exc}") from None
     expected = init_parameters(config)
     for name, want in expected.items():
         if name not in params:

@@ -27,19 +27,15 @@ def check_l_patch(l_patch: int):
 class PatchSet:
     """Flattened patches plus per-patch provenance.
 
-    ``row_index`` is -1 where a patch spans all rows (multi-CIR);
     ``anchor_positions`` and ``rx_times`` are NaN where a patch is not tied
-    to a single anchor or the source row is a zero-padded absent anchor.
+    to a single anchor (multi-CIR) or the source row is a zero-padded absent
+    anchor.
     """
 
     values: np.ndarray  # (n_patches, patch_size)
-    row_index: np.ndarray  # (n_patches,)
     patch_j: np.ndarray  # (n_patches,) column-block index within a CIR
     anchor_positions: np.ndarray  # (n_patches, 3)
     rx_times: np.ndarray  # (n_patches,)
-    strategy: str
-    k_per_cir: int
-    n_rows: int
 
     @property
     def n_patches(self) -> int:
@@ -58,16 +54,11 @@ def patch_multi_cir(m: InputTensor, l_patch: int) -> PatchSet:
     values = np.stack(
         [m.values[:, j * l_patch : (j + 1) * l_patch].reshape(-1) for j in range(k)]
     )
-    nan3 = np.full((k, 3), np.nan)
     return PatchSet(
         values=values,
-        row_index=np.full(k, -1, dtype=int),
         patch_j=np.arange(k, dtype=int),
-        anchor_positions=nan3,
+        anchor_positions=np.full((k, 3), np.nan),
         rx_times=np.full(k, np.nan),
-        strategy="multi_cir",
-        k_per_cir=k,
-        n_rows=m.n_rows,
     )
 
 
@@ -83,11 +74,7 @@ def patch_per_cir(m: InputTensor, l_patch: int) -> PatchSet:
     rows = np.repeat(np.arange(n, dtype=int), k)
     return PatchSet(
         values=values,
-        row_index=rows,
         patch_j=np.tile(np.arange(k, dtype=int), n),
         anchor_positions=m.anchor_positions[rows],
         rx_times=m.rx_times[rows],
-        strategy="per_cir",
-        k_per_cir=k,
-        n_rows=n,
     )

@@ -94,13 +94,11 @@ class RawCir:
 class Sample:
     true_position: np.ndarray
     raw_cirs: tuple[RawCir, ...]
-    detected_anchor_ids: tuple[int, ...]
 
     def __post_init__(self):
         pos = np.asarray(self.true_position, dtype=float)
         object.__setattr__(self, "true_position", pos)
         object.__setattr__(self, "raw_cirs", tuple(self.raw_cirs))
-        object.__setattr__(self, "detected_anchor_ids", tuple(self.detected_anchor_ids))
         if len(self.raw_cirs) < 1:
             raise ValueError("a sample needs at least one receiving anchor")
 
@@ -271,13 +269,7 @@ def generate_dataset(
         cirs = tuple(
             synth_cir(point, a, env, rng, cfg) for a, k in zip(anchors, keep) if k
         )
-        samples.append(
-            Sample(
-                true_position=point,
-                raw_cirs=cirs,
-                detected_anchor_ids=tuple(c.anchor_id for c in cirs),
-            )
-        )
+        samples.append(Sample(true_position=point, raw_cirs=cirs))
     return samples
 
 

@@ -27,6 +27,14 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 PAIR_POLICIES = ("all_pairs", "reference_anchor")
 
+# Levenberg-Marquardt settings shared by every solve: the iteration cap, the
+# step norm (m) below which a run has converged, the starting damping, and
+# the anchor-biased restarts tried after the centroid when no init is given.
+MAX_ITERATIONS = 100
+STEP_TOL = 1e-10
+DAMPING = 1e-3
+EXTRA_STARTS = 4
+
 # Samples per lockstep LM run in solve_baselines: bounds the stacked state
 # (rows x pairs x 3 floats per array) and keeps it cache-sized.
 BATCH_SAMPLES = 128
@@ -57,7 +65,6 @@ class DdoaSet:
     """
 
     pairs: tuple[tuple[int, int, float], ...]
-    anchor_ids: tuple[int, ...]
 
     def __post_init__(self):
         seen = set()
@@ -148,7 +155,7 @@ def measured_ddoa_set(
             for i in ids
             if i != ref
         )
-    return DdoaSet(pairs=pairs, anchor_ids=ids)
+    return DdoaSet(pairs=pairs)
 
 
 def _positions_by_id(anchors: Sequence[Anchor]) -> dict[int, np.ndarray]:
@@ -222,7 +229,7 @@ def _solve_each(normal: np.ndarray, rhs: np.ndarray):
     return step, ok
 
 
-def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds, max_iterations, step_tol, damping):
+def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds):
     """Levenberg-Marquardt from every row's start, all rows in lockstep.
 
     Row r minimizes its own hyperboloid residuals (pairs ``a_i[r]``,
@@ -230,8 +237,8 @@ def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds, max_iterations,
     residuals, Jacobian, damping, cost and stopping state. The damping is
     multiplied by 10 on a rejected step (or a singular normal matrix) and
     divided by 10 on an accepted one. A row stops when its step norm drops
-    below ``step_tol`` (converged), when a rejected step pushes the damping
-    above 1e14, or after ``max_iterations``; stopped rows leave the stack
+    below ``STEP_TOL`` (converged), when a rejected step pushes the damping
+    above 1e14, or after ``MAX_ITERATIONS``; stopped rows leave the stack
     and the others carry on.
 
     Returns positions (R, 3), residual norms (R,), iterations (R,) and
@@ -251,12 +258,12 @@ def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds, max_iterations,
     p = place(np.array(starts, dtype=float))
     r, jac = _residuals_and_jacobian(p, a_i, a_j, dd, free)
     cost = _sq_norms(r)
-    lam = np.full(len(p), damping)
+    lam = np.full(len(p), DAMPING)
     rows = np.arange(len(p))  # the output row of each row still running
     out_p, out_cost = np.empty_like(p), np.empty_like(cost)
-    iterations = np.full(len(p), max_iterations)
+    iterations = np.full(len(p), MAX_ITERATIONS)
     converged = np.zeros(len(p), dtype=bool)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if rows.size == 0:
             break
         jac_t = jac.swapaxes(1, 2)  # jac_t @ jac on one buffer runs as syrk, like jac.T @ jac
@@ -271,7 +278,7 @@ def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds, max_iterations,
         p_new = place(p_new)
         r_new, jac_new = _residuals_and_jacobian(p_new, a_i, a_j, dd, free)
         cost_new = _sq_norms(r_new)
-        small = np.sqrt(_sq_norms(step)) < step_tol
+        small = np.sqrt(_sq_norms(step)) < STEP_TOL
         accept = solved & np.isfinite(cost_new) & (cost_new < cost)
         np.copyto(p, p_new, where=accept[:, None])
         np.copyto(r, r_new, where=accept[:, None])
@@ -298,10 +305,6 @@ def _solve_group(
     *,
     fix_z: Optional[float],
     bounds,
-    max_iterations: int = 100,
-    step_tol: float = 1e-10,
-    damping: float = 1e-3,
-    extra_starts: int = 4,
 ) -> list[PositionEstimate]:
     """Multi-start solves of DDoA sets with one pair count, in one LM run.
 
@@ -319,17 +322,14 @@ def _solve_group(
             mine = [np.asarray(init, dtype=float)]
         else:
             centroid = participating.mean(axis=0)
-            mine = [centroid]
-            if extra_starts > 0:
-                picks = np.linspace(0, len(participating) - 1, min(extra_starts, len(participating)))
-                mine.extend(0.8 * participating[int(i)] + 0.2 * centroid for i in picks)
+            picks = np.linspace(0, len(participating) - 1, min(EXTRA_STARTS, len(participating)))
+            mine = [centroid] + [0.8 * participating[int(i)] + 0.2 * centroid for i in picks]
         spans.append(range(len(starts), len(starts) + len(mine)))
         owner.extend([n] * len(mine))
         starts.extend(mine)
     a_i, a_j, dd = (np.stack(column)[owner] for column in zip(*geometry))
     position, residual, iterations, converged = _levenberg_marquardt(
-        starts, a_i, a_j, dd, fix_z=fix_z, bounds=bounds,
-        max_iterations=max_iterations, step_tol=step_tol, damping=damping,
+        starts, a_i, a_j, dd, fix_z=fix_z, bounds=bounds
     )
     results = []
     for rows in spans:
@@ -356,18 +356,14 @@ def solve_tdoa(
     init=None,
     *,
     fix_z: Optional[float] = None,
-    max_iterations: int = 100,
-    step_tol: float = 1e-10,
-    damping: float = 1e-3,
-    extra_starts: int = 4,
     bounds=None,
 ) -> PositionEstimate:
     """Least-squares tag position from a DDoA set.
 
     Levenberg-Marquardt on the hyperboloid residuals: the damping factor is
     multiplied by 10 on a rejected step and divided by 10 on an accepted one;
-    a run stops when the step norm drops below ``step_tol`` or after
-    ``max_iterations``. Non-convergence returns the best iterate with
+    a run stops when the step norm drops below ``STEP_TOL`` or after
+    ``MAX_ITERATIONS``. Non-convergence returns the best iterate with
     ``converged=False`` rather than raising.
 
     The squared-residual surface has mirror basins, so unless ``init`` is
@@ -377,10 +373,7 @@ def solve_tdoa(
     ``fix_z`` constrains the solution to a horizontal plane, which avoids the
     ill-conditioned vertical axis of near-planar anchor layouts.
     """
-    return _solve_group(
-        [ddoas], anchors, init, fix_z=fix_z, bounds=bounds, max_iterations=max_iterations,
-        step_tol=step_tol, damping=damping, extra_starts=extra_starts,
-    )[0]
+    return _solve_group([ddoas], anchors, init, fix_z=fix_z, bounds=bounds)[0]
 
 
 def baseline_position(

@@ -270,14 +270,14 @@ def test_criterion_7_complexity_oracle():
         return make_model_config(patching, ordering, encoding, 75, 32, n_total=n_total)
 
     at_point = {
-        "per_cir_fixed": op_count(cfg_for("per_cir", "fixed"), 15, 6).total_ops,
-        "per_cir_time": op_count(cfg_for("per_cir", "time_based"), 15, 6).total_ops,
-        "multi_cir": op_count(cfg_for("multi_cir", "fixed"), 15, 6).total_ops,
+        "per_cir_fixed": op_count(cfg_for("per_cir", "fixed"), 6).total_ops,
+        "per_cir_time": op_count(cfg_for("per_cir", "time_based"), 6).total_ops,
+        "multi_cir": op_count(cfg_for("multi_cir", "fixed"), 6).total_ops,
     }
     assert at_point["per_cir_fixed"] > at_point["per_cir_time"] > at_point["multi_cir"]
 
-    small = op_count(cfg_for("per_cir", "time_based"), 15, 6)
-    large = op_count(cfg_for("per_cir", "time_based", n_total=50), 50, 6)
+    small = op_count(cfg_for("per_cir", "time_based"), 6)
+    large = op_count(cfg_for("per_cir", "time_based", n_total=50), 6)
     assert small.attention_ops == large.attention_ops
     assert small.feedforward_ops == large.feedforward_ops
     assert small.total_ops == large.total_ops

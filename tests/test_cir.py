@@ -86,11 +86,7 @@ def make_sample(entries, n=160):
         rng = np.random.default_rng(aid)
         iq = rng.normal(size=n) + 1j * rng.normal(size=n)
         cirs.append(RawCir(iq=iq, first_path_index=64, rx_time=rx, anchor_id=aid))
-    return Sample(
-        true_position=np.array([2.0, 2.0, 1.0]),
-        raw_cirs=tuple(cirs),
-        detected_anchor_ids=tuple(aid for aid, _ in entries),
-    )
+    return Sample(true_position=np.array([2.0, 2.0, 1.0]), raw_cirs=tuple(cirs))
 
 
 class TestBuildInputTensor:
@@ -98,7 +94,7 @@ class TestBuildInputTensor:
         sample = make_sample([(3, 1e-8)])
         m = build_input_tensor(sample, small_env, "fixed")
         assert m.n_rows == small_env.n_anchors == 4
-        assert m.present.tolist() == [False, False, True, False]
+        assert np.isnan(m.rx_times).tolist() == [True, True, False, True]
         assert np.any(m.values[2] != 0)
         assert np.array_equal(m.values[[0, 1, 3]], np.zeros((3, 150)))
         # absent rows still carry the anchor position
@@ -121,7 +117,31 @@ class TestBuildInputTensor:
         m = build_input_tensor(sample, small_env, "time_based", pad_missing=True)
         assert m.n_rows == 4 and m.padded
         assert m.anchor_ids.tolist() == [1, 3, 2, 4]
-        assert m.present.tolist() == [True, True, False, False]
+        assert np.isnan(m.rx_times).tolist() == [False, False, True, True]
+
+    @pytest.mark.parametrize(
+        "ordering, pad_missing, ids",
+        [
+            ("fixed", False, [1, 2, 3, 4]),
+            ("time_based", False, [3, 1]),
+            ("time_based", True, [3, 1, 2, 4]),
+        ],
+    )
+    def test_rows_are_processed_cirs_or_absent(self, small_env, ordering, pad_missing, ids):
+        sample = make_sample([(1, 4e-9), (3, 2e-9)])
+        raw = {c.anchor_id: c for c in sample.raw_cirs}
+        m = build_input_tensor(sample, small_env, ordering, pad_missing=pad_missing)
+        assert m.anchor_ids.tolist() == ids
+        for row, anchor_id in enumerate(ids):
+            assert np.array_equal(m.anchor_positions[row], small_env.anchor_by_id(anchor_id).position)
+            if anchor_id in raw:
+                c = raw[anchor_id]
+                want = normalize_minmax(trim_window(iq_to_amplitude(c), c.first_path_index))
+                assert np.array_equal(m.values[row], want)
+                assert m.rx_times[row] == c.rx_time
+            else:
+                assert not m.values[row].any()
+                assert np.isnan(m.rx_times[row])
 
     def test_empty_sample_rejected(self, small_env):
         sample = make_sample([(1, 0.0)])

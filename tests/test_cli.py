@@ -272,6 +272,24 @@ class TestErrorExit:
         assert err.startswith(f"error: ConfigError: {path}: '__meta__' is not JSON: ")
         assert err.count("\n") == 1
 
+    def test_evaluate_on_a_checkpoint_with_a_rejected_config_value(self, tiny_run, tmp_path, capsys):
+        env = dataio.read_environment(tiny_run / "environment.json")
+        model = CorrectionModel.initialize(
+            make_model_config("per_cir", "fixed", "spatial", 150, 8, env=env, n_heads=2)
+        )
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"]["l_patch"] = 7
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        assert self._evaluate(tiny_run, tmp_path, path) == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {path}: l_patch must divide 150, got 7\n"
+        )
+
     def _evaluate(self, tiny_run, tmp_path, checkpoint):
         return main(
             [
@@ -359,6 +377,35 @@ class TestErrorExit:
             f"error: ConfigError: max_epochs must be an integer >= 1, got {shown}\n"
         )
         assert solves == []
+        assert not (tmp_path / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize(
+        "override, shown",
+        [
+            ("model.d_model=abc", "d_model must be an integer >= 1, got 'abc'"),
+            ("model.n_layers=0", "n_layers must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_train_with_a_bad_model_size(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
+        reads = []
+        monkeypatch.setattr("uwbcorr.dataio.read_samples_jsonl", lambda *a: reads.append(a))
+        rc = main(
+            [
+                "train",
+                "--output-dir",
+                str(tmp_path),
+                "--env",
+                str(tiny_run / "environment.json"),
+                "--dataset",
+                str(tiny_run / "train.jsonl"),
+                *TINY_MODEL,
+                "--set",
+                override,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
+        assert reads == []
         assert not (tmp_path / "checkpoint.npz").exists()
 
 

@@ -15,51 +15,51 @@ def cfg_for(patching, ordering, l_patch, d_model, n_total=15):
 class TestOpCount:
     def test_total_identity(self):
         cfg = cfg_for("per_cir", "fixed", 75, 32)
-        ops = op_count(cfg, 15, 6)
+        ops = op_count(cfg, 6)
         assert ops.total_ops == (
             ops.embedding_ops + cfg.n_layers * (ops.attention_ops + ops.feedforward_ops) + ops.head_ops
         )
 
     def test_time_ordering_cheaper_than_fixed(self):
-        fixed = op_count(cfg_for("per_cir", "fixed", 75, 32), 15, 6)
-        timed = op_count(cfg_for("per_cir", "time_based", 75, 32), 15, 6)
+        fixed = op_count(cfg_for("per_cir", "fixed", 75, 32), 6)
+        timed = op_count(cfg_for("per_cir", "time_based", 75, 32), 6)
         assert timed.total_ops < fixed.total_ops
 
     def test_multi_cir_attention_shrinks_with_l_patch(self):
-        wide = op_count(cfg_for("multi_cir", "fixed", 75, 32), 15, 6)
-        narrow = op_count(cfg_for("multi_cir", "fixed", 15, 32), 15, 6)
+        wide = op_count(cfg_for("multi_cir", "fixed", 75, 32), 6)
+        narrow = op_count(cfg_for("multi_cir", "fixed", 15, 32), 6)
         assert wide.attention_ops < narrow.attention_ops
         # L=75 gives 2 patches + CLS
         assert wide.attention_ops == 3 * 3 * 32
 
     def test_attention_linear_in_d_model(self):
-        a = op_count(cfg_for("multi_cir", "fixed", 15, 32), 15, 6)
-        b = op_count(cfg_for("multi_cir", "fixed", 15, 64), 15, 6)
+        a = op_count(cfg_for("multi_cir", "fixed", 15, 32), 6)
+        b = op_count(cfg_for("multi_cir", "fixed", 15, 64), 6)
         assert b.attention_ops == 2 * a.attention_ops
 
     def test_embedding_formula(self):
-        ops = op_count(cfg_for("multi_cir", "fixed", 15, 32), 15, 6)
+        ops = op_count(cfg_for("multi_cir", "fixed", 15, 32), 6)
         assert ops.embedding_ops == 15 * 150 * 32
-        timed = op_count(cfg_for("per_cir", "time_based", 15, 32), 15, 6)
+        timed = op_count(cfg_for("per_cir", "time_based", 15, 32), 6)
         assert timed.embedding_ops == 6 * 150 * 32
 
     def test_head_ops_exact(self):
-        ops = op_count(cfg_for("per_cir", "fixed", 150, 64), 15, 6)
+        ops = op_count(cfg_for("per_cir", "fixed", 150, 64), 6)
         assert ops.head_ops == 67 * 256 + 256 * 128 + 128 * 64 + 64 * 3
 
     def test_n_av_cannot_exceed_total(self):
         with pytest.raises(ConfigError):
-            op_count(cfg_for("per_cir", "time_based", 75, 32), 15, 20)
+            op_count(cfg_for("per_cir", "time_based", 75, 32), 20)
 
     def test_environment_scaling_leaves_time_based_constant(self):
-        small = op_count(cfg_for("per_cir", "time_based", 75, 32, n_total=15), 15, 6)
-        large = op_count(cfg_for("per_cir", "time_based", 75, 32, n_total=50), 50, 6)
+        small = op_count(cfg_for("per_cir", "time_based", 75, 32, n_total=15), 6)
+        large = op_count(cfg_for("per_cir", "time_based", 75, 32, n_total=50), 6)
         assert small.attention_ops == large.attention_ops
         assert small.feedforward_ops == large.feedforward_ops
         assert small.total_ops == large.total_ops
         # while fixed-order architectures grow
-        f_small = op_count(cfg_for("per_cir", "fixed", 75, 32, n_total=15), 15, 6)
-        f_large = op_count(cfg_for("per_cir", "fixed", 75, 32, n_total=50), 50, 6)
+        f_small = op_count(cfg_for("per_cir", "fixed", 75, 32, n_total=15), 6)
+        f_large = op_count(cfg_for("per_cir", "fixed", 75, 32, n_total=50), 6)
         assert f_large.total_ops > f_small.total_ops
 
 

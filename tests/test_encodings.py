@@ -116,7 +116,7 @@ class TestLearnedPe:
 
     def test_lookup_stable(self):
         model = learned_model()
-        ex = prepare_from_tensor(dummy_tensor(1, "time_based", padded=False), model.config, P_TDOA)
+        ex = prepare_from_tensor(dummy_tensor(1, padded=False), model.config, P_TDOA)
         assert ex.n_tokens == 3 and model.params["pe.seq"].shape[0] == 5
         before = model.predict_prepared([ex])
         assert np.array_equal(model.predict_prepared([ex]), before)
@@ -125,7 +125,7 @@ class TestLearnedPe:
 
     def test_mutating_the_row_changes_the_lookup(self):
         model = learned_model()
-        ex = prepare_from_tensor(dummy_tensor(1, "time_based", padded=False), model.config, P_TDOA)
+        ex = prepare_from_tensor(dummy_tensor(1, padded=False), model.config, P_TDOA)
         before = model.predict_prepared([ex])
         model.params["pe.seq"].data[2] += 0.1  # what a gradient step does
         assert not np.array_equal(before, model.predict_prepared([ex]))
@@ -133,10 +133,10 @@ class TestLearnedPe:
     def test_overflow(self):
         cfg = learned_model().config
         assert cfg.max_seq_len == 5
-        fits = prepare_from_tensor(dummy_tensor(2, "time_based", padded=False), cfg, P_TDOA)
+        fits = prepare_from_tensor(dummy_tensor(2, padded=False), cfg, P_TDOA)
         assert fits.n_tokens == 5
         with pytest.raises(ConfigError, match="7 tokens exceed max_seq_len=5"):
-            prepare_from_tensor(dummy_tensor(3, "time_based", padded=False), cfg, P_TDOA)
+            prepare_from_tensor(dummy_tensor(3, padded=False), cfg, P_TDOA)
 
 
 class TestApplyEncodings:
@@ -156,7 +156,7 @@ class TestApplyEncodings:
         ex = prepare_from_tensor(m, cfg, P_TDOA)
         # both patches of one CIR share the constant row; only pe.within tells them apart
         assert np.array_equal(ex.pe_const[0], ex.pe_const[1])
-        assert np.array_equal(ex.within_idx, [0, 1, 0, 1])
+        assert np.array_equal(patch_per_cir(m, 75).patch_j, [0, 1, 0, 1])
         model = CorrectionModel.initialize(cfg, seed=2, zero_final_layer=False)
         before = model.predict_prepared([ex])
         halves_swapped = replace(m, values=np.hstack([m.values[:, 75:], m.values[:, :75]]))
@@ -233,13 +233,9 @@ def _random_patches(rng, extent, n_anchors, k_per_cir):
     rows = np.repeat(np.arange(n_anchors), k_per_cir)
     return PatchSet(
         values=np.zeros((len(rows), 150 // k_per_cir)),
-        row_index=rows,
         patch_j=np.tile(np.arange(k_per_cir), n_anchors),
         anchor_positions=anchors[rows],
         rx_times=times[rows],
-        strategy="per_cir",
-        k_per_cir=k_per_cir,
-        n_rows=n_anchors,
     )
 
 

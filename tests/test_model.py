@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="unknown encoding kind 'rope'"):
             make_model_config("per_cir", "fixed", "rope", 15, 32)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("l_patch", "75"),
+            ("d_model", "abc"),
+            ("d_model", 0),
+            ("n_layers", 0),
+            ("n_heads", 2.0),
+            ("d_ff", True),
+            ("n_heads", -8),
+        ],
+    )
+    def test_sizes_must_be_positive_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1, got {value!r}$"):
+            ModelConfig(**{field: value})
+
     def test_max_seq_len_counts_the_full_sequence(self):
         multi = make_model_config("multi_cir", "fixed", "learned", 15, 32, n_total=15)
         assert multi.max_seq_len == 10 + 1
@@ -212,9 +229,9 @@ def test_encoder_shape_for_every_sweep_config():
         cfg = make_model_config(n_total=15, n_layers=1, **combo)
         model = CorrectionModel.initialize(cfg, seed=0)
         if combo["patching"] == "multi_cir" or combo["ordering"] == "fixed":
-            tensor = dummy_tensor(15, ordering=combo["ordering"], padded=True)
+            tensor = dummy_tensor(15, padded=True)
         else:
-            tensor = dummy_tensor(6, ordering="time_based", padded=False)
+            tensor = dummy_tensor(6, padded=False)
         ex = prepare_from_tensor(tensor, cfg, np.array([5.0, 5.0, 1.0]))
         out = model.forward_prepared([ex])
         assert out.data.shape == (1, 3)
@@ -421,6 +438,23 @@ class TestCheckpoint:
 
         path = self._rewritten_meta(small_env, tmp_path, add_clamp)
         with pytest.raises(ConfigError, match=r"broken\.npz: unknown config key 'clamp_to_extent'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("l_patch", 7, "l_patch must divide 150, got 7"),
+            ("n_heads", 0, "n_heads must be an integer >= 1, got 0"),
+            ("patching", "multi_cir", "spatial encodings need per-CIR patches"),
+        ],
+    )
+    def test_rejected_config_value_names_the_file(self, small_env, tmp_path, field, value, message):
+        def set_value(meta):
+            meta["config"][field] = value
+            return json.dumps(meta)
+
+        path = self._rewritten_meta(small_env, tmp_path, set_value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
 
     def test_unknown_parameter_is_rejected(self, small_env, tmp_path):

@@ -18,16 +18,13 @@ from uwbcorr.model import CorrectionModel, prepare_example, prepare_from_tensor
 DIVISORS = sorted({1, 3, 5, 6, 10, 15, 30, 50, 75, 150})
 
 
-def dummy_tensor(n_rows, ordering="fixed", padded=True, seed=0):
+def dummy_tensor(n_rows, padded=True, seed=0):
     rng = np.random.default_rng(seed)
     return InputTensor(
         values=rng.uniform(size=(n_rows, 150)),
-        present=np.ones(n_rows, dtype=bool),
         anchor_ids=np.arange(1, n_rows + 1),
         anchor_positions=rng.uniform([0, 0, 0], [10, 10, 3], size=(n_rows, 3)),
         rx_times=rng.uniform(0, 1e-7, size=n_rows),
-        ordering=ordering,
-        n_total=n_rows,
         padded=padded,
     )
 
@@ -60,7 +57,7 @@ class TestPatchMultiCir:
             patch_multi_cir(dummy_tensor(15), 7)
 
     def test_unpadded_time_tensor_rejected(self):
-        m = dummy_tensor(6, ordering="time_based", padded=False)
+        m = dummy_tensor(6, padded=False)
         with pytest.raises(IncompatibleOrderingError):
             patch_multi_cir(m, 15)
 
@@ -84,15 +81,18 @@ class TestPatchMultiCir:
 
 class TestPatchPerCir:
     def test_whole_cir_tokens(self):
-        ps = patch_per_cir(dummy_tensor(6, ordering="time_based", padded=False), 150)
+        ps = patch_per_cir(dummy_tensor(6, padded=False), 150)
         assert ps.values.shape == (6, 150)
 
     def test_fixed_15_l75(self):
         assert patch_per_cir(dummy_tensor(15), 75).values.shape == (30, 75)
 
     def test_index_arithmetic(self):
-        ps = patch_per_cir(dummy_tensor(5), 75)  # K = 2
-        assert ps.row_index[7] == 3 and ps.patch_j[7] == 1
+        m = dummy_tensor(5)
+        ps = patch_per_cir(m, 75)  # K = 2: patch 7 is row 7 // 2 = 3, block 1
+        assert ps.patch_j[7] == 1
+        assert np.array_equal(ps.values[7], m.values[3, 75:])
+        assert np.array_equal(ps.anchor_positions[7], m.anchor_positions[3])
 
     def test_non_divisor(self):
         with pytest.raises(ConfigError):
@@ -102,7 +102,7 @@ class TestPatchPerCir:
         m = dummy_tensor(4)
         ps = patch_per_cir(m, 50)
         for k in range(ps.n_patches):
-            i, j = ps.row_index[k], ps.patch_j[k]
+            i, j = k // 3, ps.patch_j[k]  # row-major: K = 150 / 50 = 3
             assert np.array_equal(ps.values[k], m.values[i, j * 50 : (j + 1) * 50])
 
     @pytest.mark.parametrize("l_patch", DIVISORS)
@@ -140,8 +140,9 @@ class TestEmbedPatches:
         cfg = make_model_config("multi_cir", "fixed", "learned", 15, 16, n_total=15)
         ex = prepare_from_tensor(dummy_tensor(15), cfg, np.array([5.0, 5.0, 1.0]))
         assert ex.patches.shape == (10, 225) and ex.n_tokens == 11
-        assert ex.pe_const is None and ex.within_idx is None
+        assert ex.pe_const is None
         model = CorrectionModel.initialize(cfg)
+        assert "pe.within" not in model.params
         assert model.params["embed.w"].shape == (225, 16)
         assert model.predict_prepared([ex]).shape == (1, 3)
 
@@ -150,7 +151,7 @@ class TestEmbedPatches:
         cfg = make_model_config("per_cir", "fixed", "spatial", 75, 16, n_total=3, extent=(10, 10, 3))
         ex = prepare_from_tensor(m, cfg, np.array([5.0, 5.0, 1.0]))
         assert ex.n_tokens == 7
-        assert np.array_equal(ex.within_idx, [0, 1, 0, 1, 0, 1])
+        assert np.array_equal(patch_per_cir(m, 75).patch_j, [0, 1, 0, 1, 0, 1])
         for k in range(6):
             want = spatial_pe(m.anchor_positions[k // 2], (10, 10, 3), cfg.d_model)
             assert np.array_equal(ex.pe_const[k], want)

@@ -246,7 +246,6 @@ class TestEvaluateModel:
         crippled = dataclasses.replace(
             small_dataset[0],
             raw_cirs=small_dataset[0].raw_cirs[:2],
-            detected_anchor_ids=small_dataset[0].detected_anchor_ids[:2],
         )
         cfg = make_model_config("per_cir", "fixed", "spatial", 150, 16, env=small_env)
         model = CorrectionModel.initialize(cfg, seed=0)
