@@ -239,14 +239,7 @@ class TestErrorExit:
     """A uwbcorr error ends the run with one stderr line and status 2."""
 
     def test_evaluate_on_a_corrupt_checkpoint(self, tiny_run, tmp_path, capsys):
-        env = dataio.read_environment(tiny_run / "environment.json")
-        model = CorrectionModel.initialize(
-            make_model_config("per_cir", "fixed", "spatial", 150, 8, env=env, n_heads=2)
-        )
-        path = tmp_path / "checkpoint.npz"
-        save_checkpoint(model, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+        path, arrays = self._checkpoint_arrays(tiny_run, tmp_path)
         name = next(k for k in arrays if k != "__meta__")
         arrays[name] = arrays[name][:-1]  # one row short
         np.savez(path, **arrays)
@@ -273,14 +266,7 @@ class TestErrorExit:
         assert err.count("\n") == 1
 
     def test_evaluate_on_a_checkpoint_with_a_rejected_config_value(self, tiny_run, tmp_path, capsys):
-        env = dataio.read_environment(tiny_run / "environment.json")
-        model = CorrectionModel.initialize(
-            make_model_config("per_cir", "fixed", "spatial", 150, 8, env=env, n_heads=2)
-        )
-        path = tmp_path / "checkpoint.npz"
-        save_checkpoint(model, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
+        path, arrays = self._checkpoint_arrays(tiny_run, tmp_path)
         meta = json.loads(str(arrays["__meta__"]))
         meta["config"]["l_patch"] = 7
         arrays["__meta__"] = np.array(json.dumps(meta))
@@ -289,6 +275,17 @@ class TestErrorExit:
         assert capsys.readouterr().err == (
             f"error: ConfigError: {path}: l_patch must divide 150, got 7\n"
         )
+
+    def _checkpoint_arrays(self, tiny_run, tmp_path):
+        """A saved checkpoint's path and its arrays, to edit and save back."""
+        env = dataio.read_environment(tiny_run / "environment.json")
+        model = CorrectionModel.initialize(
+            make_model_config("per_cir", "fixed", "spatial", 150, 8, env=env, n_heads=2)
+        )
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as data:
+            return path, {k: data[k] for k in data.files}
 
     def _evaluate(self, tiny_run, tmp_path, checkpoint):
         return main(
