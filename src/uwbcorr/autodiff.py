@@ -10,14 +10,13 @@ scales its input first. A 2-D right operand shared across the batch
 dimensions of ``a`` runs as one flattened GEMM in the forward and both
 backward products.
 
-Gradients accumulate into ``Tensor.grad``. Ownership rule: one array is
-kept by at most one tensor, because later contributions add into it in
-place. A backward closure hands over an array with ``fresh=True`` only when
-it allocated that array itself; anything else (the upstream gradient, a
-view of it) is copied on first write. A node whose inputs carry no
-gradient gets no closure, but model parameters always require grad, so an
-evaluation pass through the model still builds every closure it would need
-for a backward sweep; it only skips running them.
+Gradients accumulate into ``Tensor.grad`` out of place: a later
+contribution makes a new array and never writes into the one kept, so a
+backward closure may hand over the upstream gradient or a view of it
+without a copy, and several tensors may hold the same array. A node whose
+inputs carry no gradient gets no closure, but model parameters always
+require grad, so an evaluation pass through the model still builds every
+closure it would need for a backward sweep; it only skips running them.
 """
 
 from __future__ import annotations
@@ -67,18 +66,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False):
-    """Add g into t.grad. ``fresh`` means the caller just allocated g and
-    hands it over, so it is kept as is; otherwise g may alias another
-    tensor's grad or be a view of one, and the first write takes a copy.
-    One array is kept by at most one tensor, since later calls add into it
-    in place."""
+def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t.grad out of place; g may be shared, so it is never written."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if fresh else np.array(g)
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -93,7 +85,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.data.shape), fresh=True)
+            _accum(b, -_unbroadcast(g, b.data.shape))
 
     return _node(a.data - b.data, (a, b), bw)
 
@@ -101,24 +93,18 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     def bw(g):
-        _accum(a, g * c, fresh=True)
+        _accum(a, g * c)
 
     return _node(a.data * c, (a,), bw)
-
-
-def _accum_bias(bias: Tensor, g: np.ndarray):
-    gb = _unbroadcast(g, bias.data.shape)
-    # a bias of the output's full shape gets g itself back, which is not ours
-    _accum(bias, gb, fresh=gb is not g)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -145,22 +131,22 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
                 ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
             else:
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            _accum(a, ga, fresh=True)
+            _accum(a, ga)
         if b.requires_grad:
             if flat:
                 gb = a2.T @ g.reshape(-1, g.shape[-1])
             else:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            _accum(b, gb, fresh=True)
+            _accum(b, gb)
         if bias is not None and bias.requires_grad:
-            _accum_bias(bias, g)
+            _accum(bias, _unbroadcast(g, bias.data.shape))
 
     return _node(out, parents, bw)
 
 
 def relu(a: Tensor) -> Tensor:
     def bw(g):
-        _accum(a, g * (a.data > 0), fresh=True)
+        _accum(a, g * (a.data > 0))
 
     return _node(np.maximum(a.data, 0.0), (a,), bw)
 
@@ -180,7 +166,7 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
         ga *= y
         if scale is not None:
             ga *= scale
-        _accum(a, ga, fresh=True)
+        _accum(a, ga)
 
     return _node(y, (a,), bw)
 
@@ -202,9 +188,9 @@ def layer_norm(
 
     def bw(g):
         if gain is not None and gain.requires_grad:
-            _accum(gain, _unbroadcast(g * y, gain.data.shape), fresh=True)
+            _accum(gain, _unbroadcast(g * y, gain.data.shape))
         if bias is not None and bias.requires_grad:
-            _accum_bias(bias, g)
+            _accum(bias, _unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             gy = g * gain.data if gain is not None else g.copy()
             gym = gy.mean(axis=-1, keepdims=True)
@@ -212,7 +198,7 @@ def layer_norm(
             gy -= gym
             gy -= y * gyy
             gy *= inv
-            _accum(a, gy, fresh=True)
+            _accum(a, gy)
 
     return _node(out, parents, bw)
 
@@ -229,7 +215,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 
     def bw(g):
         # a C-ordered copy, so later products read contiguous memory
-        _accum(a, g.transpose(inverse).copy(), fresh=True)
+        _accum(a, g.transpose(inverse).copy())
 
     return _node(a.data.transpose(axes), (a,), bw)
 
@@ -252,7 +238,7 @@ def select(a: Tensor, axis: int, index: int) -> Tensor:
         sl = [slice(None)] * a.data.ndim
         sl[axis] = index
         full[tuple(sl)] = g
-        _accum(a, full, fresh=True)
+        _accum(a, full)
 
     return _node(np.take(a.data, index, axis=axis), (a,), bw)
 
@@ -262,11 +248,9 @@ def gather(table: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices, dtype=int)
 
     def bw(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, indices, g)
+        full = np.zeros_like(table.data)
+        np.add.at(full, indices, g)
+        _accum(table, full)
 
     return _node(table.data[indices], (table,), bw)
 
@@ -275,7 +259,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
     def bw(g):
-        _accum(a, np.full(a.data.shape, float(g) / n), fresh=True)
+        _accum(a, np.full(a.data.shape, float(g) / n))
 
     return _node(a.data.mean(), (a,), bw)
 

@@ -192,7 +192,7 @@ def cmd_sweep(args) -> int:
         combos = combos[: args.limit]
     results_path = out / "sweep_results.csv"
     done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
-    train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs, seed=cfg.seed)
+    train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs)
     solver = cfg.solver.options(env)
     for combo in combos:
         if _sweep_key(combo) in done:

@@ -12,7 +12,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, is_number
 from .model import ModelConfig, make_model_config
 from .simulate import Environment, default_environment
 from .tdoa import SolverOptions
@@ -47,6 +47,10 @@ class SolverSpec:
     pair_policy: str = "reference_anchor"
     fix_z: Optional[float] = 1.0  # keep equal to tag_height for planar runs
     bound_margin: Optional[float] = 2.0  # search box beyond the extent; None = unbounded
+
+    def __post_init__(self):
+        if self.bound_margin is not None and not is_number(self.bound_margin):
+            raise ConfigError(f"bound_margin must be a number or null, got {self.bound_margin!r}")
 
     def options(self, env: Environment) -> SolverOptions:
         if self.bound_margin is None:
@@ -93,6 +97,9 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
+    def __post_init__(self):
+        check_int("seed", self.seed, minimum=0)
+
 
 # section name -> its dataclass, for every field of ExperimentConfig built by a factory
 _SECTIONS = {
@@ -104,6 +111,8 @@ def config_from_json_dict(payload: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in payload.items():
         if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {key!r} must be a JSON object, got {value!r}")
             cls = _SECTIONS[key]
             allowed = {f.name for f in fields(cls)}
             unknown = set(value) - allowed
@@ -141,6 +150,8 @@ def apply_overrides(payload: dict, overrides) -> dict:
         *parents, leaf = dotted.split(".")
         for part in parents:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {item!r}: {part!r} is not a section")
         node[leaf] = value
     return payload
 

@@ -117,7 +117,7 @@ def constant_encoding_rows(patches: PatchSet, kind: str, d_model: int, extent) -
     The spatial rows are cached on (anchor positions in token order, extent,
     d_model) and returned read-only, so examples with the same anchor layout
     share one array. ``spatial_time`` adds its per-token delay rows into a
-    fresh array. Zero-padded absent rows are encoded like present ones: the
+    new array. Zero-padded absent rows are encoded like present ones: the
     anchor position is known even without a packet.
     """
     positions = patches.anchor_positions

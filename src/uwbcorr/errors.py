@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value checks that
+raise ConfigError."""
+
+import numbers
 
 
 class UwbcorrError(ValueError):
@@ -36,3 +39,13 @@ class IncompatibleOrderingError(UwbcorrError):
 
 class IncompatibleEncodingError(UwbcorrError):
     """The positional encoding kind does not fit the patching strategy."""
+
+
+def is_number(value) -> bool:
+    """An int or float, as JSON gives numbers; a bool is not a number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, minimum: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .cir import ORDERINGS, WINDOW_LENGTH, InputTensor, build_input_tensor
 from .encodings import ENCODING_KINDS, constant_encoding_rows
-from .errors import ConfigError, IncompatibleEncodingError
+from .errors import ConfigError, IncompatibleEncodingError, check_int, is_number
 from .patching import PATCH_STRATEGIES, check_l_patch, patch_multi_cir, patch_per_cir
 from .simulate import Environment, Sample
 
@@ -54,13 +54,18 @@ class ModelConfig:
     extent: tuple[float, float, float] = (30.0, 10.0, 3.0)
 
     def __post_init__(self):
+        for name in ("l_patch", "d_model", "n_layers", "n_heads", "d_ff", "n_total"):
+            check_int(name, getattr(self, name))
+        extent = self.extent
+        if not (
+            isinstance(extent, (tuple, list))
+            and len(extent) == 3
+            and all(is_number(v) and 0.0 < v < math.inf for v in extent)
+        ):
+            raise ConfigError(f"extent must be 3 finite positive numbers, got {extent!r}")
         # JSON gives lists; keep the config hashable and its extent float
         object.__setattr__(self, "head_widths", tuple(self.head_widths))
-        object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
-        for name in ("l_patch", "d_model", "n_layers", "n_heads", "d_ff"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        object.__setattr__(self, "extent", tuple(float(v) for v in extent))
         if self.patching not in PATCH_STRATEGIES:
             raise ConfigError(
                 f"unknown patching strategy {self.patching!r}; use one of {PATCH_STRATEGIES}"
@@ -81,8 +86,10 @@ class ModelConfig:
                 "spatial encodings need per-CIR patches; multi-CIR tokens mix "
                 "samples from every anchor"
             )
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must be in [0, 1)")
+        if not (is_number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0):
+            raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
+        if not isinstance(self.residual_output, bool):
+            raise ConfigError(f"residual_output must be a bool, got {self.residual_output!r}")
 
     @property
     def k_per_cir(self) -> int:

@@ -10,6 +10,7 @@ in lockstep as one row of stacked arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
@@ -21,6 +22,7 @@ from .errors import (
     InsufficientAnchorsError,
     InsufficientDataError,
     MissingAnchorError,
+    is_number,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -100,6 +102,18 @@ class SolverOptions:
     pair_policy: str = "reference_anchor"
     fix_z: Optional[float] = None
     bounds: Optional[tuple[tuple[float, float, float], tuple[float, float, float]]] = None
+
+    def __post_init__(self):
+        if self.fix_z is not None and not (is_number(self.fix_z) and math.isfinite(self.fix_z)):
+            raise ConfigError(f"fix_z must be a finite number or null, got {self.fix_z!r}")
+        if self.bounds is not None:
+            (x0, y0, z0), (x1, y1, z1) = self.bounds
+            # a flat z range is a plane; a flat x or y range pins every solve
+            if not (x0 < x1 and y0 < y1 and z0 <= z1):
+                raise ConfigError(
+                    "solver box must have lo < hi on x and y and lo <= hi on z, "
+                    f"got lo {self.bounds[0]}, hi {self.bounds[1]}"
+                )
 
     @classmethod
     def for_environment(cls, env, pair_policy="reference_anchor", fix_z=None, margin=2.0):

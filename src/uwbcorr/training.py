@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError, InsufficientDataError, check_int, is_number
 from .metrics import MetricsReport, metrics_report
 from .model import CorrectionModel, ModelConfig, PreparedExample, prepare_example
 from .simulate import Environment, Sample
@@ -38,14 +38,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ConfigError("warmup_fraction must be in (0, 1)")
-        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+        for name in ("lr_peak", "adam_eps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError("validation_fraction must be in (0, 1)")
+            if not (is_number(value) and 0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
+        for name in ("warmup_fraction", "validation_fraction"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 < value < 1.0):
+                raise ConfigError(f"{name} must be a number in (0, 1), got {value!r}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 <= value < 1.0):
+                raise ConfigError(f"{name} must be a number in [0, 1), got {value!r}")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            check_int(name, getattr(self, name))
+        check_int("seed", self.seed, minimum=0)
 
 
 @dataclass

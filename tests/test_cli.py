@@ -15,7 +15,7 @@ from uwbcorr.config import (
     enumerate_sweep,
     load_experiment_config,
 )
-from uwbcorr.errors import IncompatibleEncodingError
+from uwbcorr.errors import ConfigError, IncompatibleEncodingError
 from uwbcorr.model import ModelConfig
 
 
@@ -85,6 +85,8 @@ class TestConfig:
         assert payload["model"]["d_model"] == 128
         assert payload["solver"]["fix_z"] is None
         assert payload["output_dir"] == "x"
+        with pytest.raises(ConfigError, match="override 'model.d_model=4': 'model' is not a section"):
+            apply_overrides({"model": 3}, ["model.d_model=4"])
 
     def test_invalid_combination_rejected_at_validation(self, tiny_run):
         cfg = load_experiment_config(None, ["model.patching=multi_cir", "model.encoding=spatial", "model.l_patch=15"])
@@ -381,6 +383,8 @@ class TestErrorExit:
         [
             ("model.d_model=abc", "d_model must be an integer >= 1, got 'abc'"),
             ("model.n_layers=0", "n_layers must be an integer >= 1, got 0"),
+            ("model.dropout_p=x", "dropout_p must be a number in [0, 1), got 'x'"),
+            ('model.residual_output="no"', "residual_output must be a bool, got 'no'"),
         ],
     )
     def test_train_with_a_bad_model_size(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
@@ -405,8 +409,111 @@ class TestErrorExit:
         assert reads == []
         assert not (tmp_path / "checkpoint.npz").exists()
 
+    @pytest.mark.parametrize(
+        "override, shown",
+        [
+            ("train.lr_peak=abc", "lr_peak must be a finite positive number, got 'abc'"),
+            ("train.lr_peak=-1", "lr_peak must be a finite positive number, got -1"),
+            ("train.warmup_fraction=x", "warmup_fraction must be a number in (0, 1), got 'x'"),
+            ("train.validation_fraction=x", "validation_fraction must be a number in (0, 1), got 'x'"),
+            ("train.seed=abc", "seed must be an integer >= 0, got 'abc'"),
+            ("seed=abc", "seed must be an integer >= 0, got 'abc'"),
+            ("model=3", "section 'model' must be a JSON object, got 3"),
+        ],
+    )
+    def test_train_with_a_bad_config_value(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
+        solves = []
+        monkeypatch.setattr("uwbcorr.training.solve_baselines", lambda *a, **k: solves.append(a))
+        rc = main(
+            [
+                "train",
+                "--output-dir",
+                str(tmp_path),
+                "--env",
+                str(tiny_run / "environment.json"),
+                "--dataset",
+                str(tiny_run / "train.jsonl"),
+                *TINY_MODEL,
+                "--set",
+                override,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
+        assert solves == []
+        assert not (tmp_path / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize(
+        "override, shown",
+        [
+            # the default hall is 10 m deep: -5 m on each side leaves no y range
+            (
+                "solver.bound_margin=-5",
+                "solver box must have lo < hi on x and y and lo <= hi on z, "
+                "got lo (5, 5, 0.0), hi (25.0, 5.0, 3.0)",
+            ),
+            (
+                "solver.bound_margin=-6",
+                "solver box must have lo < hi on x and y and lo <= hi on z, "
+                "got lo (6, 6, 0.0), hi (24.0, 4.0, 3.0)",
+            ),
+            ("solver.fix_z=abc", "fix_z must be a finite number or null, got 'abc'"),
+            ("solver.bound_margin=abc", "bound_margin must be a number or null, got 'abc'"),
+        ],
+    )
+    def test_baseline_with_a_bad_solver_value(self, tiny_run, tmp_path, capsys, override, shown):
+        rc = main(
+            [
+                "baseline",
+                "--output-dir",
+                str(tmp_path),
+                "--dataset",
+                str(tiny_run / "eval.jsonl"),
+                "--env",
+                str(tiny_run / "environment.json"),
+                "--set",
+                override,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
+        assert not (tmp_path / "baseline_metrics.json").exists()
+
 
 class TestSweepCommand:
+    def test_sweep_and_train_seed_training_with_train_seed(self, tiny_run, tmp_path):
+        """The first sweep row and a train run of the same model and epochs
+        report the same MAE: both train with train.seed, not the top-level seed."""
+        data = [
+            "--env",
+            str(tiny_run / "environment.json"),
+            "--dataset",
+            str(tiny_run / "train.jsonl"),
+            "--eval-dataset",
+            str(tiny_run / "eval.jsonl"),
+            "--set",
+            "train.batch_size=16",
+            "--set",
+            "train.seed=3",
+        ]
+        sweep = [
+            "--limit",
+            "1",
+            "--set",
+            "sweep.max_epochs=2",
+            "--set",
+            "sweep.multi_d_model=[8]",
+            "--set",
+            "sweep.multi_l_patch=[75]",
+        ]
+        assert main(["sweep", "--output-dir", str(tmp_path / "sweep"), *data, *sweep]) == 0
+        (row,) = dataio.read_sweep_rows(tmp_path / "sweep" / "sweep_results.csv")
+        assert row["status"] == "ok"
+        model = [f"model.{k}={row[k]}" for k in ("patching", "ordering", "encoding", "l_patch", "d_model")]
+        sets = [arg for kv in [*model, "train.max_epochs=2"] for arg in ("--set", kv)]
+        assert main(["train", "--output-dir", str(tmp_path / "train"), *data, *sets]) == 0
+        metrics = json.loads((tmp_path / "train" / "metrics.json").read_text())
+        assert row["mae"] == f"{metrics['mae_m']:.6f}"
     def test_limited_sweep_and_pareto(self, tiny_run, tmp_path):
         args = [
             "sweep",

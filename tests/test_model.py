@@ -171,11 +171,32 @@ class TestModelConfig:
             ("n_heads", 2.0),
             ("d_ff", True),
             ("n_heads", -8),
+            ("n_total", 0),
+            ("n_total", 15.0),
         ],
     )
     def test_sizes_must_be_positive_integers(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1, got {value!r}$"):
             ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("dropout_p", "x", "dropout_p must be a number in [0, 1)"),
+            ("dropout_p", True, "dropout_p must be a number in [0, 1)"),
+            ("dropout_p", 1.0, "dropout_p must be a number in [0, 1)"),
+            ("residual_output", "no", "residual_output must be a bool"),
+            ("residual_output", 1, "residual_output must be a bool"),
+            ("extent", (30.0, 10.0), "extent must be 3 finite positive numbers"),
+            ("extent", (30.0, 10.0, 0.0), "extent must be 3 finite positive numbers"),
+            ("extent", (30.0, float("inf"), 3.0), "extent must be 3 finite positive numbers"),
+            ("extent", "abc", "extent must be 3 finite positive numbers"),
+        ],
+    )
+    def test_dropout_residual_flag_and_extent_are_checked(self, field, value, rule):
+        with pytest.raises(ConfigError) as info:
+            ModelConfig(**{field: value})
+        assert str(info.value) == f"{rule}, got {value!r}"
 
     def test_max_seq_len_counts_the_full_sequence(self):
         multi = make_model_config("multi_cir", "fixed", "learned", 15, 32, n_total=15)
@@ -446,6 +467,7 @@ class TestCheckpoint:
             ("l_patch", 7, "l_patch must divide 150, got 7"),
             ("n_heads", 0, "n_heads must be an integer >= 1, got 0"),
             ("patching", "multi_cir", "spatial encodings need per-CIR patches"),
+            ("extent", [30.0, 10.0], r"extent must be 3 finite positive numbers, got \[30\.0, 10\.0\]$"),
         ],
     )
     def test_rejected_config_value_names_the_file(self, small_env, tmp_path, field, value, message):

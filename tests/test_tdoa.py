@@ -245,6 +245,26 @@ def hall():
     return env, generate_dataset(env, points, 0.4, 42)
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("margin", [-5.0, -6.0])
+    def test_an_empty_or_inverted_box_is_rejected(self, margin):
+        # 10 m deep: -5 m on each side leaves no y range, -6 m inverts it
+        with pytest.raises(ConfigError, match="solver box must have lo < hi on x and y"):
+            SolverOptions.for_environment(default_environment(), margin=margin)
+
+    def test_a_flat_z_range_is_a_plane(self):
+        box = ((0.0, 0.0, 1.0), (5.0, 5.0, 1.0))
+        assert SolverOptions(bounds=box).bounds == box
+        with pytest.raises(ConfigError, match="lo <= hi on z"):
+            SolverOptions(bounds=((0.0, 0.0, 2.0), (5.0, 5.0, 1.0)))
+
+    @pytest.mark.parametrize("fix_z", ["abc", True, float("nan")])
+    def test_fix_z_must_be_a_number_or_none(self, fix_z):
+        with pytest.raises(ConfigError, match=f"fix_z must be a finite number or null, got {fix_z!r}"):
+            SolverOptions(fix_z=fix_z)
+        assert SolverOptions(fix_z=None).fix_z is None
+
+
 class TestSolveBaselines:
     @pytest.mark.parametrize("policy", ["all_pairs", "reference_anchor"])
     @pytest.mark.parametrize("fix_z", [1.0, None])

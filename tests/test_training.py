@@ -45,6 +45,31 @@ def test_step_counts_must_be_positive_integers(name, value):
     assert getattr(TrainConfig(**{name: 1}), name) == 1
 
 
+@pytest.mark.parametrize(
+    "name, value, rule",
+    [
+        ("lr_peak", -1.0, "a finite positive number"),
+        ("lr_peak", 0, "a finite positive number"),
+        ("lr_peak", "abc", "a finite positive number"),
+        ("lr_peak", float("inf"), "a finite positive number"),
+        ("adam_eps", True, "a finite positive number"),
+        ("warmup_fraction", "x", "a number in (0, 1)"),
+        ("warmup_fraction", 1.0, "a number in (0, 1)"),
+        ("validation_fraction", "x", "a number in (0, 1)"),
+        ("validation_fraction", float("nan"), "a number in (0, 1)"),
+        ("beta1", 1.0, "a number in [0, 1)"),
+        ("beta2", "0.999", "a number in [0, 1)"),
+        ("seed", 1.5, "an integer >= 0"),
+        ("seed", -1, "an integer >= 0"),
+        ("seed", True, "an integer >= 0"),
+    ],
+)
+def test_rates_fractions_and_seed_are_checked(name, value, rule):
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(**{name: value})
+    assert str(info.value) == f"{name} must be {rule}, got {value!r}"
+
+
 class TestLearningRate:
     def test_schedule_endpoints(self):
         cfg = TrainConfig(lr_peak=1e-3, warmup_fraction=0.05)
