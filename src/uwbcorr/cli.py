@@ -17,23 +17,24 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
-from .complexity import SweepResult, cnn_baseline_ops, op_count, pareto_front
-from .config import (
-    ExperimentConfig,
-    enumerate_sweep,
-    load_experiment_config,
-    resolve_environment,
-)
+from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
+from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
 from .errors import InsufficientDataError, UwbcorrError
 from .metrics import CEP_QUANTILES, metrics_report
-from .model import load_checkpoint, make_model_config, save_checkpoint
-from .simulate import ChannelConfig, generate_dataset, grid_trajectory, random_trajectory
+from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
+from .simulate import (
+    ChannelConfig,
+    default_environment,
+    generate_dataset,
+    grid_trajectory,
+    random_trajectory,
+)
 from .tdoa import solve_baselines
 from .training import evaluate_model, train
 
@@ -48,14 +49,17 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out
 
 
-def _environment(args, out: Path):
-    """The --env file, else the environment.json of a simulate run in ``out``."""
-    return dataio.read_environment(args.env or out / "environment.json")
+def _environment(args, out: Path, cfg: ExperimentConfig):
+    """The --env file, else the environment.json of a simulate run in ``out``,
+    and the solver options for it: a bad solver box fails before any dataset
+    is read."""
+    env = dataio.read_environment(args.env or out / "environment.json")
+    return env, cfg.solver.options(env)
 
 
 def cmd_simulate(args) -> int:
     cfg, out = _setup(args)
-    env = resolve_environment(cfg.environment)
+    env = dataio.read_environment(args.env) if args.env else default_environment()
     channel = ChannelConfig(snr_db=cfg.dataset.snr_db)
     z = cfg.environment.tag_height
 
@@ -71,7 +75,6 @@ def cmd_simulate(args) -> int:
     )
 
     dataio.write_environment(out / "environment.json", env)
-    dataio.write_anchors(out / "anchors.json", env.anchors)
     dataio.write_samples_jsonl(out / cfg.dataset.train_path, train_set)
     dataio.write_samples_jsonl(out / cfg.dataset.eval_path, eval_set)
 
@@ -94,9 +97,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg, out = _setup(args)
-    env = _environment(args, out)
+    env, solver = _environment(args, out, cfg)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    estimates = solve_baselines(dataset, env.anchors, cfg.solver.options(env))
+    estimates = solve_baselines(dataset, env.anchors, solver)
     solved = [(s.true_position, e.position) for s, e in zip(dataset, estimates) if e is not None]
     if not solved:
         raise InsufficientDataError(f"{args.dataset}: no solvable samples")
@@ -114,9 +117,9 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _evaluate_and_write(model, dataset, env, cfg: ExperimentConfig, out: Path) -> None:
+def _evaluate_and_write(model, dataset, env, solver, out: Path) -> None:
     """Corrected and baseline metrics to metrics.json, positions to estimates.csv."""
-    result = evaluate_model(model, dataset, env, solver=cfg.solver.options(env))
+    result = evaluate_model(model, dataset, env, solver=solver)
     dataio.write_metrics_json(
         out / "metrics.json",
         result.report,
@@ -136,8 +139,8 @@ def _evaluate_and_write(model, dataset, env, cfg: ExperimentConfig, out: Path) -
 
 def cmd_train(args) -> int:
     cfg, out = _setup(args)
-    env = _environment(args, out)
-    model_cfg = cfg.model.build(env)  # a bad model value fails before any dataset is read
+    env, solver = _environment(args, out, cfg)
+    model_cfg = cfg.model.with_environment(env)
     train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
     # Only the config's default evaluation set may be absent; an explicit
     # --eval-dataset must exist, and is read before any training time is spent.
@@ -146,7 +149,7 @@ def cmd_train(args) -> int:
     if args.eval_dataset or eval_path.exists():
         eval_set = dataio.read_samples_jsonl(eval_path)
     started = time.monotonic()
-    model = train(train_set, env, model_cfg, cfg.train, solver=cfg.solver.options(env))
+    model = train(train_set, env, model_cfg, cfg.train, solver=solver)
     elapsed = time.monotonic() - started
     save_checkpoint(model, out / "checkpoint.npz")
     dataio.write_history_csv(out / "history.csv", model.history)
@@ -157,34 +160,29 @@ def cmd_train(args) -> int:
         f"checkpoint at {out / 'checkpoint.npz'}"
     )
     if eval_set is not None:
-        _evaluate_and_write(model, eval_set, env, cfg, out)
+        _evaluate_and_write(model, eval_set, env, solver, out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg, out = _setup(args)
-    env = _environment(args, out)
+    env, solver = _environment(args, out, cfg)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    _evaluate_and_write(load_checkpoint(args.checkpoint), dataset, env, cfg, out)
+    _evaluate_and_write(load_checkpoint(args.checkpoint), dataset, env, solver, out)
     return 0
 
 
-_SWEEP_KEYS = ("patching", "ordering", "encoding", "l_patch", "d_model")
-
-
 def _sweep_key(combo: dict) -> tuple:
-    return tuple(str(combo[k]) for k in _SWEEP_KEYS)
+    return tuple(str(combo[k]) for k in SWEEP_KEYS)
 
 
 def cmd_sweep(args) -> int:
     cfg, out = _setup(args)
-    env = _environment(args, out)
+    env, solver = _environment(args, out, cfg)
     train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
     eval_set = dataio.read_samples_jsonl(args.eval_dataset or out / cfg.dataset.eval_path)
-    if cfg.sweep.n_train_cap:
-        train_set = train_set[: cfg.sweep.n_train_cap]
-    if cfg.sweep.n_eval_cap:
-        eval_set = eval_set[: cfg.sweep.n_eval_cap]
+    train_set = train_set[: cfg.sweep.n_train_cap]  # a None cap keeps every sample
+    eval_set = eval_set[: cfg.sweep.n_eval_cap]
     n_av = float(np.mean([len(s.raw_cirs) for s in eval_set]))
 
     combos = enumerate_sweep(cfg.sweep)
@@ -193,13 +191,12 @@ def cmd_sweep(args) -> int:
     results_path = out / "sweep_results.csv"
     done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
     train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs)
-    solver = cfg.solver.options(env)
     for combo in combos:
         if _sweep_key(combo) in done:
             continue
         row = dict(combo)
         try:
-            model_cfg = replace(cfg.model, **combo).build(env)
+            model_cfg = replace(cfg.model, **combo).with_environment(env)
             model = train(train_set, env, model_cfg, train_cfg, solver=solver)
             result = evaluate_model(model, eval_set, env, solver=solver)
             ops = op_count(model_cfg, n_av)
@@ -229,17 +226,15 @@ def _write_pareto(results_path, pareto_path) -> list[dict]:
     return front
 
 
-_OPS_COLUMNS = ("embedding_ops", "attention_ops", "feedforward_ops", "head_ops", "total_ops")
-
-
 def cmd_complexity(args) -> int:
     cfg, out = _setup(args)
+    ops_columns = [f.name for f in fields(OperationCount)]
     rows = []
     for combo in enumerate_sweep(cfg.sweep):
         ops = op_count(make_model_config(n_total=args.n_total, **combo), args.n_av)
-        rows.append({**combo, **{c: f"{getattr(ops, c):.0f}" for c in _OPS_COLUMNS}})
+        rows.append({**combo, **{c: f"{getattr(ops, c):.0f}" for c in ops_columns}})
     path = out / "complexity.csv"
-    dataio.write_table(path, rows, [*_SWEEP_KEYS, *_OPS_COLUMNS])
+    dataio.write_table(path, rows, [*SWEEP_KEYS, *ops_columns])
     pairs = args.n_av * (args.n_av - 1) / 2
     print(
         f"complexity table at {path}; pairwise-CNN reference at n_av={args.n_av}: "
@@ -275,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    command("simulate", cmd_simulate, "generate synthetic train/eval datasets")
+    p = command("simulate", cmd_simulate, "generate synthetic train/eval datasets")
+    p.add_argument("--env", help="environment JSON (default: the built-in hall)")
 
     p = command("baseline", cmd_baseline, "uncorrected TDoA metrics for a dataset")
     p.add_argument("--dataset", required=True)

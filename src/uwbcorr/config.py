@@ -1,20 +1,29 @@
 """Experiment configuration: one JSON file, every field flag-overridable.
 
-Sections: environment, dataset, solver, model, train, sweep. Values omitted
-from the file keep the defaults below. ``apply_overrides`` implements the
-``--set section.key=value`` CLI mechanism.
+Sections: environment, dataset, solver, model, train, sweep. The model
+section is a ``model.ModelConfig``: a file sets all of it but
+``head_widths`` and the environment's ``n_total`` and ``extent``, which a
+command fills with ``ModelConfig.with_environment``. The train section is a
+``training.TrainConfig``. Values omitted from the file keep their defaults.
+Each section checks its values when it is built, so a bad value fails with a
+ConfigError as the config loads.
+``apply_overrides`` implements the ``--set section.key=value`` CLI mechanism.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain, product
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, check_int, is_number
-from .model import ModelConfig, make_model_config
-from .simulate import Environment, default_environment
+from .cir import ORDERINGS
+from .encodings import ENCODING_KINDS
+from .errors import ConfigError, check_int, check_ints, is_number
+from .model import SWEEP_KEYS, ModelConfig
+from .simulate import Environment
 from .tdoa import SolverOptions
 from .training import TrainConfig
 
@@ -24,11 +33,22 @@ PER_CIR_L_PATCH = (6, 15, 30, 50, 75, 150)
 PER_CIR_D_MODEL = (32, 64, 128, 256)
 
 
+def _check_number(name: str, value) -> None:
+    if not (is_number(value) and math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_path(name: str, value) -> None:
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{name} must be a non-empty path string, got {value!r}")
+
+
 @dataclass
 class EnvironmentSpec:
-    environment_file: Optional[str] = None  # full environment JSON
-    anchors_file: Optional[str] = None  # replaces the default anchor layout
     tag_height: float = 1.0
+
+    def __post_init__(self):
+        _check_number("tag_height", self.tag_height)
 
 
 @dataclass
@@ -41,6 +61,17 @@ class DatasetSpec:
     drop_probability: float = 0.587
     snr_db: Optional[float] = 20.0
 
+    def __post_init__(self):
+        for name in ("train_path", "eval_path"):
+            _check_path(name, getattr(self, name))
+        for name in ("train_lines", "train_points_per_line", "n_eval"):
+            check_int(name, getattr(self, name))
+        p = self.drop_probability
+        if not (is_number(p) and 0.0 <= p < 1.0):
+            raise ConfigError(f"drop_probability must be a number in [0, 1), got {p!r}")
+        if self.snr_db is not None:  # None turns the noise off
+            _check_number("snr_db", self.snr_db)
+
 
 @dataclass
 class SolverSpec:
@@ -51,28 +82,10 @@ class SolverSpec:
     def __post_init__(self):
         if self.bound_margin is not None and not is_number(self.bound_margin):
             raise ConfigError(f"bound_margin must be a number or null, got {self.bound_margin!r}")
+        SolverOptions(self.pair_policy, self.fix_z)  # checks both now, before any data is read
 
     def options(self, env: Environment) -> SolverOptions:
-        if self.bound_margin is None:
-            return SolverOptions(pair_policy=self.pair_policy, fix_z=self.fix_z)
         return SolverOptions.for_environment(env, self.pair_policy, self.fix_z, self.bound_margin)
-
-
-@dataclass
-class ModelSpec:
-    patching: str = "per_cir"
-    ordering: str = "fixed"
-    encoding: str = "spatial"
-    l_patch: int = 150
-    d_model: int = 64
-    n_layers: int = 4
-    n_heads: int = 8
-    d_ff: int = 256
-    dropout_p: float = 0.15
-    residual_output: bool = True
-
-    def build(self, env: Environment) -> ModelConfig:
-        return make_model_config(**asdict(self), env=env)
 
 
 @dataclass
@@ -82,8 +95,16 @@ class SweepSpec:
     per_l_patch: tuple = PER_CIR_L_PATCH
     per_d_model: tuple = PER_CIR_D_MODEL
     max_epochs: int = 40  # desk-scale default; raise for a full run
-    n_train_cap: Optional[int] = 1000
+    n_train_cap: Optional[int] = 1000  # None = every sample
     n_eval_cap: Optional[int] = 400
+
+    def __post_init__(self):
+        for name in ("multi_l_patch", "multi_d_model", "per_l_patch", "per_d_model"):
+            check_ints(name, getattr(self, name))
+        check_int("max_epochs", self.max_epochs)
+        for name in ("n_train_cap", "n_eval_cap"):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name))
 
 
 @dataclass
@@ -93,18 +114,23 @@ class ExperimentConfig:
     environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     solver: SolverSpec = field(default_factory=SolverSpec)
-    model: ModelSpec = field(default_factory=ModelSpec)
+    model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)
 
     def __post_init__(self):
         check_int("seed", self.seed, minimum=0)
+        _check_path("output_dir", self.output_dir)
 
 
 # section name -> its dataclass, for every field of ExperimentConfig built by a factory
 _SECTIONS = {
     f.name: f.default_factory for f in fields(ExperimentConfig) if f.default_factory is not MISSING
 }
+# the keys each section of a file takes: its dataclass's fields, but the model
+# section leaves the head widths and the environment's n_total and extent out
+_SECTION_KEYS = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
+_SECTION_KEYS["model"] -= {"head_widths", "n_total", "extent"}
 
 
 def config_from_json_dict(payload: dict) -> ExperimentConfig:
@@ -113,15 +139,13 @@ def config_from_json_dict(payload: dict) -> ExperimentConfig:
         if key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"section {key!r} must be a JSON object, got {value!r}")
-            cls = _SECTIONS[key]
-            allowed = {f.name for f in fields(cls)}
-            unknown = set(value) - allowed
+            unknown = set(value) - _SECTION_KEYS[key]
             if unknown:
                 raise ConfigError(f"unknown keys in section {key!r}: {sorted(unknown)}")
             coerced = {
                 k: tuple(v) if isinstance(v, list) else v for k, v in value.items()
             }
-            kwargs[key] = cls(**coerced)
+            kwargs[key] = _SECTIONS[key](**coerced)
         elif key in ("seed", "output_dir"):
             kwargs[key] = value
         else:
@@ -156,51 +180,12 @@ def apply_overrides(payload: dict, overrides) -> dict:
     return payload
 
 
-def resolve_environment(spec: EnvironmentSpec) -> Environment:
-    from .dataio import load_anchors, read_environment
-
-    if spec.environment_file:
-        return read_environment(spec.environment_file)
-    env = default_environment()
-    if spec.anchors_file:
-        env = Environment(
-            anchors=load_anchors(spec.anchors_file),
-            obstacles=env.obstacles,
-            extent=env.extent,
-        )
-    return env
-
-
 def enumerate_sweep(spec: SweepSpec) -> list[dict]:
     """Every valid (patching, ordering, encoding, l_patch, d_model) combo.
 
     Multi-CIR runs learned encoding only (its tokens have no single source
     anchor); per-CIR runs all three encodings. Both orderings everywhere.
     """
-    combos = []
-    for ordering in ("fixed", "time_based"):
-        for l_patch in spec.multi_l_patch:
-            for d_model in spec.multi_d_model:
-                combos.append(
-                    {
-                        "patching": "multi_cir",
-                        "ordering": ordering,
-                        "encoding": "learned",
-                        "l_patch": l_patch,
-                        "d_model": d_model,
-                    }
-                )
-    for ordering in ("fixed", "time_based"):
-        for encoding in ("learned", "spatial", "spatial_time"):
-            for l_patch in spec.per_l_patch:
-                for d_model in spec.per_d_model:
-                    combos.append(
-                        {
-                            "patching": "per_cir",
-                            "ordering": ordering,
-                            "encoding": encoding,
-                            "l_patch": l_patch,
-                            "d_model": d_model,
-                        }
-                    )
-    return combos
+    multi = product(["multi_cir"], ORDERINGS, ["learned"], spec.multi_l_patch, spec.multi_d_model)
+    per = product(["per_cir"], ORDERINGS, ENCODING_KINDS, spec.per_l_patch, spec.per_d_model)
+    return [dict(zip(SWEEP_KEYS, combo)) for combo in chain(multi, per)]

@@ -1,4 +1,4 @@
-"""File formats: JSONL datasets, environment/anchor files, CSV tables.
+"""File formats: JSONL datasets, environment files, CSV tables.
 
 Dataset lines look like::
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import DatasetFormatError
 from .metrics import CEP_QUANTILES, MetricsReport
+from .model import SWEEP_KEYS
 from .simulate import Box, Environment, RawCir, Sample
 from .tdoa import Anchor
 from .training import TrainingHistory
@@ -89,44 +89,13 @@ def read_samples_jsonl(path) -> list[Sample]:
     return samples
 
 
-def anchors_to_records(anchors: Sequence[Anchor]) -> list[dict]:
-    return [
-        {"id": a.id, "x": float(a.position[0]), "y": float(a.position[1]), "z": float(a.position[2])}
-        for a in anchors
-    ]
-
-
-def anchors_from_records(records: Sequence[dict]) -> tuple[Anchor, ...]:
-    return tuple(Anchor(id=r["id"], position=np.array([r["x"], r["y"], r["z"]])) for r in records)
-
-
-def write_anchors(path, anchors: Sequence[Anchor]):
-    Path(path).write_text(json.dumps(anchors_to_records(anchors), indent=2) + "\n")
-
-
-@contextmanager
-def _schema_errors(path, what: str):
-    """Turn a JSON error, a missing key or a bad value met while reading
-    ``path`` into a DatasetFormatError naming the file."""
-    try:
-        yield
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
-    except KeyError as exc:
-        raise DatasetFormatError(f"{path}: {what} lacks key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{path}: bad {what} value: {exc}") from exc
-
-
-def load_anchors(path) -> tuple[Anchor, ...]:
-    with _schema_errors(path, "anchor record"):
-        return anchors_from_records(json.loads(Path(path).read_text()))
-
-
 def write_environment(path, env: Environment):
     payload = {
         "extent": list(env.extent),
-        "anchors": anchors_to_records(env.anchors),
+        "anchors": [
+            {"id": a.id, **{k: float(v) for k, v in zip("xyz", a.position)}}
+            for a in env.anchors
+        ],
         "obstacles": [
             {"lo": [float(v) for v in b.lo], "hi": [float(v) for v in b.hi]}
             for b in env.obstacles
@@ -138,15 +107,26 @@ def write_environment(path, env: Environment):
 
 
 def read_environment(path) -> Environment:
-    with _schema_errors(path, "environment"):
+    """The environment in ``path``; a JSON error, a missing key or a bad
+    value raises DatasetFormatError naming the file."""
+    try:
         payload = json.loads(Path(path).read_text())
         return Environment(
-            anchors=anchors_from_records(payload["anchors"]),
+            anchors=tuple(
+                Anchor(id=r["id"], position=np.array([r["x"], r["y"], r["z"]]))
+                for r in payload["anchors"]
+            ),
             obstacles=tuple(
                 Box(lo=np.array(b["lo"]), hi=np.array(b["hi"])) for b in payload["obstacles"]
             ),
             extent=tuple(payload["extent"]),
         )
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DatasetFormatError(f"{path}: environment lacks key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{path}: bad environment value: {exc}") from exc
 
 
 def write_metrics_json(path, report: MetricsReport, extra: dict | None = None):
@@ -197,21 +177,7 @@ def write_table(path, rows: Sequence[dict], columns: Sequence[str], append: bool
         writer.writerows(rows)
 
 
-SWEEP_COLUMNS = [
-    "patching",
-    "ordering",
-    "encoding",
-    "l_patch",
-    "d_model",
-    "total_ops",
-    "mae",
-    "cep50",
-    "cep75",
-    "cep90",
-    "cep95",
-    "cep99",
-    "status",
-]
+SWEEP_COLUMNS = (*SWEEP_KEYS, "total_ops", "mae", *(f"cep{q}" for q in CEP_QUANTILES), "status")
 
 
 def append_sweep_row(path, row: dict):

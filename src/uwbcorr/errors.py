@@ -13,8 +13,8 @@ class ConfigError(UwbcorrError):
 
 
 class DatasetFormatError(UwbcorrError):
-    """A dataset line, environment file or anchor file is not valid JSON,
-    lacks a field of the schema or holds a bad value."""
+    """A dataset line or environment file is not valid JSON, lacks a field
+    of the schema or holds a bad value."""
 
 
 class InsufficientDataError(UwbcorrError):
@@ -46,6 +46,16 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
 def check_int(name: str, value, minimum: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if not _is_int(value, minimum):
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_ints(name: str, values) -> None:
+    """A list or tuple of integers >= 1, as JSON or a dataclass default gives it."""
+    if not (isinstance(values, (tuple, list)) and all(_is_int(v, 1) for v in values)):
+        raise ConfigError(f"{name} must be a list of integers >= 1, got {values!r}")

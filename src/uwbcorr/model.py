@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,11 +26,12 @@ import numpy as np
 from . import autodiff as ad
 from .cir import ORDERINGS, WINDOW_LENGTH, InputTensor, build_input_tensor
 from .encodings import ENCODING_KINDS, constant_encoding_rows
-from .errors import ConfigError, IncompatibleEncodingError, check_int, is_number
+from .errors import ConfigError, IncompatibleEncodingError, check_int, check_ints, is_number
 from .patching import PATCH_STRATEGIES, check_l_patch, patch_multi_cir, patch_per_cir
 from .simulate import Environment, Sample
 
 CHECKPOINT_SCHEMA_VERSION = 2
+SWEEP_KEYS = ("patching", "ordering", "encoding", "l_patch", "d_model")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,9 @@ class ModelConfig:
             and all(is_number(v) and 0.0 < v < math.inf for v in extent)
         ):
             raise ConfigError(f"extent must be 3 finite positive numbers, got {extent!r}")
+        check_ints("head_widths", self.head_widths)
+        if not self.head_widths or self.head_widths[-1] != 3:
+            raise ConfigError(f"regression head must end in 3 outputs, got {self.head_widths!r}")
         # JSON gives lists; keep the config hashable and its extent float
         object.__setattr__(self, "head_widths", tuple(self.head_widths))
         object.__setattr__(self, "extent", tuple(float(v) for v in extent))
@@ -79,8 +83,6 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.head_widths[-1] != 3:
-            raise ConfigError("regression head must end in 3 outputs")
         if self.patching == "multi_cir" and self.encoding != "learned":
             raise IncompatibleEncodingError(
                 "spatial encodings need per-CIR patches; multi-CIR tokens mix "
@@ -90,6 +92,10 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
         if not isinstance(self.residual_output, bool):
             raise ConfigError(f"residual_output must be a bool, got {self.residual_output!r}")
+
+    def with_environment(self, env: Environment) -> "ModelConfig":
+        """This config with the anchor count and extent of ``env``."""
+        return replace(self, n_total=env.n_anchors, extent=env.extent)
 
     @property
     def k_per_cir(self) -> int:
@@ -112,9 +118,8 @@ def make_model_config(
     **overrides,
 ) -> ModelConfig:
     """A ModelConfig from the five sweep keys; ``env`` fills n_total and extent."""
-    if env is not None:
-        overrides = {"n_total": env.n_anchors, "extent": env.extent, **overrides}
-    return ModelConfig(patching, ordering, encoding, l_patch, d_model, **overrides)
+    cfg = ModelConfig(patching, ordering, encoding, l_patch, d_model, **overrides)
+    return cfg if env is None else cfg.with_environment(env)
 
 
 def init_parameters(

@@ -104,6 +104,10 @@ class SolverOptions:
     bounds: Optional[tuple[tuple[float, float, float], tuple[float, float, float]]] = None
 
     def __post_init__(self):
+        if self.pair_policy not in PAIR_POLICIES:
+            raise ConfigError(
+                f"unknown pair policy {self.pair_policy!r}; use one of {PAIR_POLICIES}"
+            )
         if self.fix_z is not None and not (is_number(self.fix_z) and math.isfinite(self.fix_z)):
             raise ConfigError(f"fix_z must be a finite number or null, got {self.fix_z!r}")
         if self.bounds is not None:
@@ -117,6 +121,10 @@ class SolverOptions:
 
     @classmethod
     def for_environment(cls, env, pair_policy="reference_anchor", fix_z=None, margin=2.0):
+        """The search box is the extent grown by ``margin`` on x and y; no box
+        when ``margin`` is None."""
+        if margin is None:
+            return cls(pair_policy=pair_policy, fix_z=fix_z)
         lo = (-margin, -margin, 0.0)
         hi = (env.extent[0] + margin, env.extent[1] + margin, env.extent[2])
         return cls(pair_policy=pair_policy, fix_z=fix_z, bounds=(lo, hi))

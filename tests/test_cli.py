@@ -1,22 +1,27 @@
 import argparse
 import json
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from uwbcorr import CorrectionModel, dataio, default_environment, make_model_config, save_checkpoint
+from uwbcorr import (
+    CorrectionModel,
+    Environment,
+    dataio,
+    default_environment,
+    make_model_config,
+    save_checkpoint,
+)
 from uwbcorr.cli import build_parser, main
 from uwbcorr.config import (
     ExperimentConfig,
-    ModelSpec,
     SweepSpec,
     apply_overrides,
     enumerate_sweep,
     load_experiment_config,
 )
-from uwbcorr.errors import ConfigError, IncompatibleEncodingError
-from uwbcorr.model import ModelConfig
+from uwbcorr.errors import ConfigError, IncompatibleEncodingError, is_number
 
 
 TINY_MODEL = [
@@ -32,30 +37,44 @@ TINY_MODEL = [
     "train.batch_size=16",
 ]
 
+TINY_DATA = [
+    "--set",
+    "dataset.train_lines=3",
+    "--set",
+    "dataset.train_points_per_line=12",
+    "--set",
+    "dataset.n_eval=12",
+    "--set",
+    "dataset.drop_probability=0.3",
+    "--set",
+    "seed=5",
+]
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """A small simulate run shared by the command tests."""
     out = tmp_path_factory.mktemp("run")
-    rc = main(
-        [
-            "simulate",
-            "--output-dir",
-            str(out),
-            "--set",
-            "dataset.train_lines=3",
-            "--set",
-            "dataset.train_points_per_line=12",
-            "--set",
-            "dataset.n_eval=12",
-            "--set",
-            "dataset.drop_probability=0.3",
-            "--set",
-            "seed=5",
-        ]
-    )
-    assert rc == 0
+    assert main(["simulate", "--output-dir", str(out), *TINY_DATA]) == 0
     return out
+
+
+def _numeric_settings() -> list[str]:
+    """``section.key`` of every config field whose default is a number or a
+    tuple of numbers, and the top-level numbers."""
+
+    def numeric(value):
+        return is_number(value) or (isinstance(value, tuple) and all(map(is_number, value)))
+
+    default = ExperimentConfig()
+    keys = []
+    for f in fields(default):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            keys += [f"{f.name}.{g.name}" for g in fields(value) if numeric(getattr(value, g.name))]
+        elif numeric(value):
+            keys.append(f.name)
+    return keys
 
 
 class TestSweepEnumeration:
@@ -88,21 +107,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="override 'model.d_model=4': 'model' is not a section"):
             apply_overrides({"model": 3}, ["model.d_model=4"])
 
-    def test_invalid_combination_rejected_at_validation(self, tiny_run):
-        cfg = load_experiment_config(None, ["model.patching=multi_cir", "model.encoding=spatial", "model.l_patch=15"])
-        env = dataio.read_environment(tiny_run / "environment.json")
+    def test_invalid_combination_rejected_at_validation(self):
         with pytest.raises(IncompatibleEncodingError):
-            cfg.model.build(env)
+            load_experiment_config(
+                None, ["model.patching=multi_cir", "model.encoding=spatial", "model.l_patch=15"]
+            )
 
     def test_model_section_matches_the_model_config(self):
-        """Every model-section field is a ModelConfig field, and the section's
-        defaults build the paper's default config."""
-        model_fields = {f.name for f in fields(ModelConfig)}
-        assert {f.name for f in fields(ModelSpec)} <= model_fields
-        env = default_environment()
-        assert ExperimentConfig().model.build(env) == make_model_config(
-            "per_cir", "fixed", "spatial", 150, 64, env=env
+        """The model section is a ModelConfig whose defaults, filled from the
+        default hall, are the paper's default model; the file sets neither the
+        head widths nor the environment's anchor count and extent."""
+        hall = default_environment()
+        assert ExperimentConfig().model.with_environment(hall) == make_model_config(
+            "per_cir", "fixed", "spatial", 150, 64, env=hall
         )
+        eight = Environment(anchors=hall.anchors[:8], obstacles=(), extent=(30.0, 10.0, 4.0))
+        filled = ExperimentConfig().model.with_environment(eight)
+        assert (filled.n_total, filled.extent) == (8, (30.0, 10.0, 4.0))
+        for key in ("head_widths", "n_total", "extent"):
+            with pytest.raises(ConfigError, match=rf"^unknown keys in section 'model': \['{key}'\]$"):
+                load_experiment_config(None, [f"model.{key}=[1]"])
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -117,7 +141,6 @@ class TestSimulate:
         assert (tiny_run / "train.jsonl").exists()
         assert (tiny_run / "eval.jsonl").exists()
         assert (tiny_run / "environment.json").exists()
-        assert (tiny_run / "anchors.json").exists()
         summary = json.loads((tiny_run / "simulate_summary.json").read_text())
         assert summary["n_train"] == 36 and summary["n_eval"] == 12
         # drop model on: mean available anchors lands near n_anchors * keep rate
@@ -131,26 +154,23 @@ class TestSimulate:
         assert not train_ys & eval_ys
 
     def test_deterministic_rerun(self, tiny_run, tmp_path):
-        rc = main(
-            [
-                "simulate",
-                "--output-dir",
-                str(tmp_path),
-                "--set",
-                "dataset.train_lines=3",
-                "--set",
-                "dataset.train_points_per_line=12",
-                "--set",
-                "dataset.n_eval=12",
-                "--set",
-                "dataset.drop_probability=0.3",
-                "--set",
-                "seed=5",
-            ]
-        )
-        assert rc == 0
+        assert main(["simulate", "--output-dir", str(tmp_path), *TINY_DATA]) == 0
         assert (tmp_path / "train.jsonl").read_bytes() == (tiny_run / "train.jsonl").read_bytes()
         assert (tmp_path / "eval.jsonl").read_bytes() == (tiny_run / "eval.jsonl").read_bytes()
+
+    def test_env_file_is_the_environment_simulated(self, tmp_path):
+        hall = default_environment()
+        custom = Environment(anchors=hall.anchors[7:], obstacles=hall.obstacles[:1], extent=hall.extent)
+        env_path = tmp_path / "custom.json"
+        dataio.write_environment(env_path, custom)
+        out = tmp_path / "out"
+        assert main(["simulate", "--output-dir", str(out), "--env", str(env_path), *TINY_DATA]) == 0
+        assert (out / "environment.json").read_bytes() == env_path.read_bytes()
+        samples = dataio.read_samples_jsonl(out / "train.jsonl")
+        samples += dataio.read_samples_jsonl(out / "eval.jsonl")
+        heard = {c.anchor_id for s in samples for c in s.raw_cirs}
+        assert heard <= {a.id for a in custom.anchors} and len(heard) > 1
+        assert json.loads((out / "simulate_summary.json").read_text())["n_anchors"] == 8
 
 
 class TestBaseline:
@@ -239,6 +259,19 @@ class TestTrainEvaluate:
 
 class TestErrorExit:
     """A uwbcorr error ends the run with one stderr line and status 2."""
+
+    @pytest.mark.parametrize(
+        "setting",
+        [f"{key}=abc" for key in _numeric_settings()]
+        + ["dataset.train_path=5", "output_dir=[]"],
+    )
+    def test_every_setting_is_checked_at_load(self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        assert main(["simulate", "--output-dir", str(out), "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert setting.split("=")[0].split(".")[-1] in err  # names the field
+        assert not out.exists()  # nothing written
 
     def test_evaluate_on_a_corrupt_checkpoint(self, tiny_run, tmp_path, capsys):
         path, arrays = self._checkpoint_arrays(tiny_run, tmp_path)
@@ -385,6 +418,10 @@ class TestErrorExit:
             ("model.n_layers=0", "n_layers must be an integer >= 1, got 0"),
             ("model.dropout_p=x", "dropout_p must be a number in [0, 1), got 'x'"),
             ('model.residual_output="no"', "residual_output must be a bool, got 'no'"),
+            (
+                "solver.pair_policy=bogus",
+                "unknown pair policy 'bogus'; use one of ('all_pairs', 'reference_anchor')",
+            ),
         ],
     )
     def test_train_with_a_bad_model_size(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
@@ -461,7 +498,9 @@ class TestErrorExit:
             ("solver.bound_margin=abc", "bound_margin must be a number or null, got 'abc'"),
         ],
     )
-    def test_baseline_with_a_bad_solver_value(self, tiny_run, tmp_path, capsys, override, shown):
+    def test_baseline_with_a_bad_solver_value(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
+        reads = []
+        monkeypatch.setattr("uwbcorr.dataio.read_samples_jsonl", lambda *a: reads.append(a))
         rc = main(
             [
                 "baseline",
@@ -477,6 +516,7 @@ class TestErrorExit:
         )
         assert rc == 2
         assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
+        assert reads == []  # the solver box is checked before the dataset is read
         assert not (tmp_path / "baseline_metrics.json").exists()
 
 
@@ -612,7 +652,7 @@ class TestParser:
     def test_flag_sets(self):
         common = {"-h", "--help", "--config", "--output-dir", "--set"}
         expected = {
-            "simulate": set(),
+            "simulate": {"--env"},
             "baseline": {"--dataset", "--env"},
             "train": {"--dataset", "--eval-dataset", "--env"},
             "evaluate": {"--checkpoint", "--dataset", "--env"},

@@ -43,15 +43,6 @@ def test_environment_round_trip(tmp_path):
         assert np.allclose(a.lo, b.lo) and np.allclose(a.hi, b.hi)
 
 
-def test_anchors_file_round_trip(tmp_path):
-    env = default_environment()
-    path = tmp_path / "anchors.json"
-    dataio.write_anchors(path, env.anchors)
-    back = dataio.load_anchors(path)
-    assert len(back) == 15
-    assert all(a.id == b.id and np.allclose(a.position, b.position) for a, b in zip(env.anchors, back))
-
-
 def test_sweep_rows_round_trip(tmp_path):
     path = tmp_path / "sweep.csv"
     row = {
@@ -118,12 +109,13 @@ def test_environment_with_bad_extent_names_file_and_value(tmp_path):
 
 
 def test_anchor_record_without_z_names_file_and_key(tmp_path):
-    path = tmp_path / "anchors.json"
-    records = dataio.anchors_to_records(default_environment().anchors)
-    del records[3]["z"]
-    path.write_text(json.dumps(records))
-    with pytest.raises(DatasetFormatError, match=r"anchors\.json: anchor record lacks key 'z'"):
-        dataio.load_anchors(path)
+    path = tmp_path / "env.json"
+    dataio.write_environment(path, default_environment())
+    payload = json.loads(path.read_text())
+    del payload["anchors"][3]["z"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetFormatError, match=r"env\.json: environment lacks key 'z'"):
+        dataio.read_environment(path)
 
 
 def test_history_csv_appends_step_columns_after_lr(tmp_path):

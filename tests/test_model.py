@@ -191,6 +191,10 @@ class TestModelConfig:
             ("extent", (30.0, 10.0, 0.0), "extent must be 3 finite positive numbers"),
             ("extent", (30.0, float("inf"), 3.0), "extent must be 3 finite positive numbers"),
             ("extent", "abc", "extent must be 3 finite positive numbers"),
+            ("head_widths", ("a", 3), "head_widths must be a list of integers >= 1"),
+            ("head_widths", (0, 3), "head_widths must be a list of integers >= 1"),
+            ("head_widths", "abc", "head_widths must be a list of integers >= 1"),
+            ("head_widths", (), "regression head must end in 3 outputs"),
         ],
     )
     def test_dropout_residual_flag_and_extent_are_checked(self, field, value, rule):
@@ -468,6 +472,9 @@ class TestCheckpoint:
             ("n_heads", 0, "n_heads must be an integer >= 1, got 0"),
             ("patching", "multi_cir", "spatial encodings need per-CIR patches"),
             ("extent", [30.0, 10.0], r"extent must be 3 finite positive numbers, got \[30\.0, 10\.0\]$"),
+            ("head_widths", ["a", 3], r"head_widths must be a list of .* got \['a', 3\]$"),
+            ("head_widths", [0, 3], r"head_widths must be a list of .* got \[0, 3\]$"),
+            ("head_widths", [], r"regression head must end in 3 outputs, got \[\]$"),
         ],
     )
     def test_rejected_config_value_names_the_file(self, small_env, tmp_path, field, value, message):

@@ -258,6 +258,14 @@ class TestSolverOptions:
         with pytest.raises(ConfigError, match="lo <= hi on z"):
             SolverOptions(bounds=((0.0, 0.0, 2.0), (5.0, 5.0, 1.0)))
 
+    def test_no_margin_means_no_box(self):
+        options = SolverOptions.for_environment(default_environment(), fix_z=1.0, margin=None)
+        assert options == SolverOptions(fix_z=1.0)
+
+    def test_an_unknown_pair_policy_is_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown pair policy 'bogus'; use one of"):
+            SolverOptions(pair_policy="bogus")
+
     @pytest.mark.parametrize("fix_z", ["abc", True, float("nan")])
     def test_fix_z_must_be_a_number_or_none(self, fix_z):
         with pytest.raises(ConfigError, match=f"fix_z must be a finite number or null, got {fix_z!r}"):
