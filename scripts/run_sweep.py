@@ -29,9 +29,9 @@ def run(argv=None):
         "--dataset", f"{args.output_dir}/train.jsonl",
         "--eval-dataset", f"{args.output_dir}/eval.jsonl",
     ]
-    if args.limit:
+    if args.limit is not None:  # the sweep command rejects a limit below 1
         cmd += ["--limit", str(args.limit)]
-    if args.epochs:
+    if args.epochs is not None:
         cmd += ["--set", f"sweep.max_epochs={args.epochs}"]
     rc = cli(cmd)
     if rc:

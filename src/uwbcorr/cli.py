@@ -25,7 +25,7 @@ import numpy as np
 from . import dataio
 from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
 from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
-from .errors import InsufficientDataError, UwbcorrError
+from .errors import InsufficientDataError, UwbcorrError, check_int
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
 from .simulate import (
@@ -35,8 +35,7 @@ from .simulate import (
     grid_trajectory,
     random_trajectory,
 )
-from .tdoa import solve_baselines
-from .training import evaluate_model, train
+from .training import evaluate_model, solve_solvable, train
 
 
 def _setup(args) -> tuple[ExperimentConfig, Path]:
@@ -51,10 +50,10 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
 
 def _environment(args, out: Path, cfg: ExperimentConfig):
     """The --env file, else the environment.json of a simulate run in ``out``,
-    and the solver options for it: a bad solver box fails before any dataset
-    is read."""
+    and the solver options for it, which solve on the plane of the tag height:
+    a bad solver box or plane fails before any dataset is read."""
     env = dataio.read_environment(args.env or out / "environment.json")
-    return env, cfg.solver.options(env)
+    return env, cfg.solver.options(env, cfg.environment.tag_height)
 
 
 def cmd_simulate(args) -> int:
@@ -99,12 +98,12 @@ def cmd_baseline(args) -> int:
     cfg, out = _setup(args)
     env, solver = _environment(args, out, cfg)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    estimates = solve_baselines(dataset, env.anchors, solver)
-    solved = [(s.true_position, e.position) for s, e in zip(dataset, estimates) if e is not None]
+    solved = solve_solvable(dataset, env, solver)
     if not solved:
         raise InsufficientDataError(f"{args.dataset}: no solvable samples")
     unsolvable = len(dataset) - len(solved)
-    truths, estimates = (np.array(column) for column in zip(*solved))
+    truths = np.array([s.true_position for s, _ in solved])
+    estimates = np.array([e.position for _, e in solved])
     report = metrics_report(estimates, truths)
     dataio.write_metrics_json(
         out / "baseline_metrics.json", report, extra={"n_unsolvable": unsolvable}
@@ -177,6 +176,8 @@ def _sweep_key(combo: dict) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    if args.limit is not None:  # checked before anything is read or written
+        check_int("--limit", args.limit)
     cfg, out = _setup(args)
     env, solver = _environment(args, out, cfg)
     train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
@@ -185,9 +186,7 @@ def cmd_sweep(args) -> int:
     eval_set = eval_set[: cfg.sweep.n_eval_cap]
     n_av = float(np.mean([len(s.raw_cirs) for s in eval_set]))
 
-    combos = enumerate_sweep(cfg.sweep)
-    if args.limit:
-        combos = combos[: args.limit]
+    combos = enumerate_sweep(cfg.sweep)[: args.limit]  # a None limit runs them all
     results_path = out / "sweep_results.csv"
     done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
     train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs)

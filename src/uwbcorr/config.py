@@ -76,16 +76,16 @@ class DatasetSpec:
 @dataclass
 class SolverSpec:
     pair_policy: str = "reference_anchor"
-    fix_z: Optional[float] = 1.0  # keep equal to tag_height for planar runs
     bound_margin: Optional[float] = 2.0  # search box beyond the extent; None = unbounded
 
     def __post_init__(self):
         if self.bound_margin is not None and not is_number(self.bound_margin):
             raise ConfigError(f"bound_margin must be a number or null, got {self.bound_margin!r}")
-        SolverOptions(self.pair_policy, self.fix_z)  # checks both now, before any data is read
+        SolverOptions(self.pair_policy)  # checks the policy now, before any data is read
 
-    def options(self, env: Environment) -> SolverOptions:
-        return SolverOptions.for_environment(env, self.pair_policy, self.fix_z, self.bound_margin)
+    def options(self, env: Environment, tag_height: float) -> SolverOptions:
+        """Solve on the plane z = ``tag_height``, the height simulated tags move at."""
+        return SolverOptions.for_environment(env, self.pair_policy, tag_height, self.bound_margin)
 
 
 @dataclass

@@ -93,10 +93,10 @@ class PositionEstimate:
 class SolverOptions:
     """How baseline positions are computed from a set of timestamps.
 
-    ``bounds`` clips the search to a box. Badly corrupted DDoA sets can be
-    inconsistent (no hyperboloid intersection), in which case the unconstrained
-    minimum runs off to the far field; bounding to the deployment area keeps
-    estimates physical.
+    A number ``fix_z`` pins each solve to the plane z = ``fix_z``, inside the
+    z range of ``bounds`` if given; None solves in 3-D. ``bounds`` clips the
+    search to a box: the minimum of a corrupted DDoA set with no hyperboloid
+    intersection would otherwise run off to the far field.
     """
 
     pair_policy: str = "reference_anchor"
@@ -118,6 +118,8 @@ class SolverOptions:
                     "solver box must have lo < hi on x and y and lo <= hi on z, "
                     f"got lo {self.bounds[0]}, hi {self.bounds[1]}"
                 )
+            if self.fix_z is not None and not z0 <= self.fix_z <= z1:
+                raise ConfigError(f"fix_z must lie in the box's z range [{z0}, {z1}], got {self.fix_z!r}")
 
     @classmethod
     def for_environment(cls, env, pair_policy="reference_anchor", fix_z=None, margin=2.0):

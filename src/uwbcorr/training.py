@@ -21,7 +21,7 @@ from .errors import ConfigError, InsufficientDataError, check_int, is_number
 from .metrics import MetricsReport, metrics_report
 from .model import CorrectionModel, ModelConfig, PreparedExample, prepare_example
 from .simulate import Environment, Sample
-from .tdoa import SolverOptions, solve_baselines
+from .tdoa import PositionEstimate, SolverOptions, solve_baselines
 
 
 @dataclass(frozen=True)
@@ -167,14 +167,17 @@ def _eval_loss(model, examples, batch_size: int) -> float:
     return total / len(examples)
 
 
-def _solve_and_prepare(samples, env, model_cfg, solver) -> list[PreparedExample]:
-    """Baseline-solve the samples and featurize the solvable ones, each with
-    its true position as target; unsolvable samples are dropped."""
+def solve_solvable(samples, env, solver) -> list[tuple[Sample, PositionEstimate]]:
+    """Each solvable sample with its baseline estimate, in order; the rest are dropped."""
     estimates = solve_baselines(samples, env.anchors, solver)
+    return [(s, e) for s, e in zip(samples, estimates) if e is not None]
+
+
+def _solve_and_prepare(samples, env, model_cfg, solver) -> list[PreparedExample]:
+    """Featurize the solvable samples, each with its true position as target."""
     return [
         prepare_example(sample, env, model_cfg, estimate.position, sample.true_position)
-        for sample, estimate in zip(samples, estimates)
-        if estimate is not None
+        for sample, estimate in solve_solvable(samples, env, solver)
     ]
 
 

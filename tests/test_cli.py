@@ -22,6 +22,8 @@ from uwbcorr.config import (
     load_experiment_config,
 )
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError, is_number
+from uwbcorr.metrics import metrics_report
+from uwbcorr.tdoa import SolverOptions, solve_baselines
 
 
 TINY_MODEL = [
@@ -100,9 +102,9 @@ class TestSweepEnumeration:
 
 class TestConfig:
     def test_overrides(self):
-        payload = apply_overrides({}, ["model.d_model=128", "solver.fix_z=null", "output_dir=x"])
+        payload = apply_overrides({}, ["model.d_model=128", "solver.bound_margin=null", "output_dir=x"])
         assert payload["model"]["d_model"] == 128
-        assert payload["solver"]["fix_z"] is None
+        assert payload["solver"]["bound_margin"] is None
         assert payload["output_dir"] == "x"
         with pytest.raises(ConfigError, match="override 'model.d_model=4': 'model' is not a section"):
             apply_overrides({"model": 3}, ["model.d_model=4"])
@@ -191,6 +193,28 @@ class TestBaseline:
         assert set(metrics["cep_m"]) == {"50", "75", "90", "95", "99"}
         assert metrics["mae_m"] >= 0
         assert "n_unsolvable" in metrics
+
+    def test_solves_on_the_plane_of_the_tag_height(self, tmp_path):
+        """Tags simulated at 1.5 m are solved on z = 1.5, the one tag height
+        both commands read, not on a plane of the solver's own."""
+        height = ["--set", "environment.tag_height=1.5"]
+        assert main(["simulate", "--output-dir", str(tmp_path), *TINY_DATA, *height]) == 0
+        dataset = dataio.read_samples_jsonl(tmp_path / "eval.jsonl")
+        assert {float(s.true_position[2]) for s in dataset} == {1.5}
+        dataset_path = str(tmp_path / "eval.jsonl")
+        assert main(["baseline", "--output-dir", str(tmp_path), "--dataset", dataset_path, *height]) == 0
+        mae = json.loads((tmp_path / "baseline_metrics.json").read_text())["mae_m"]
+
+        env = dataio.read_environment(tmp_path / "environment.json")
+
+        def plane_mae(z):
+            estimates = solve_baselines(dataset, env.anchors, SolverOptions.for_environment(env, fix_z=z))
+            solved = [(s.true_position, e.position) for s, e in zip(dataset, estimates) if e is not None]
+            truths, positions = (np.array(column) for column in zip(*solved))
+            return metrics_report(positions, truths).mae
+
+        assert mae == plane_mae(1.5)
+        assert mae != plane_mae(1.0)
 
 
 class TestTrainEvaluate:
@@ -494,7 +518,9 @@ class TestErrorExit:
                 "solver box must have lo < hi on x and y and lo <= hi on z, "
                 "got lo (6, 6, 0.0), hi (24.0, 4.0, 3.0)",
             ),
-            ("solver.fix_z=abc", "fix_z must be a finite number or null, got 'abc'"),
+            # the solve plane is the tag height: a plane above the 3 m ceiling is rejected
+            ("environment.tag_height=5", "fix_z must lie in the box's z range [0.0, 3.0], got 5"),
+            ("solver.fix_z=abc", "unknown keys in section 'solver': ['fix_z']"),
             ("solver.bound_margin=abc", "bound_margin must be a number or null, got 'abc'"),
         ],
     )
@@ -516,7 +542,7 @@ class TestErrorExit:
         )
         assert rc == 2
         assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
-        assert reads == []  # the solver box is checked before the dataset is read
+        assert reads == []  # the solver box and plane are checked before the dataset is read
         assert not (tmp_path / "baseline_metrics.json").exists()
 
 
@@ -554,6 +580,7 @@ class TestSweepCommand:
         assert main(["train", "--output-dir", str(tmp_path / "train"), *data, *sets]) == 0
         metrics = json.loads((tmp_path / "train" / "metrics.json").read_text())
         assert row["mae"] == f"{metrics['mae_m']:.6f}"
+
     def test_limited_sweep_and_pareto(self, tiny_run, tmp_path):
         args = [
             "sweep",
@@ -593,6 +620,27 @@ class TestSweepCommand:
                     float(other["total_ops"]) <= float(row["total_ops"])
                     and float(other["mae"]) < float(row["mae"])
                 )
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_a_limit_below_one_is_rejected(self, tiny_run, tmp_path, capsys, limit):
+        rc = main(
+            [
+                "sweep",
+                "--output-dir",
+                str(tmp_path / "out"),
+                "--env",
+                str(tiny_run / "environment.json"),
+                "--dataset",
+                str(tiny_run / "train.jsonl"),
+                "--eval-dataset",
+                str(tiny_run / "eval.jsonl"),
+                "--limit",
+                limit,
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: ConfigError: --limit must be an integer >= 1, got {limit}\n"
+        assert not (tmp_path / "out").exists()  # no sweep_results.csv, nothing written
 
 
 class TestSweepFailureHandling:

@@ -17,10 +17,15 @@ from uwbcorr.config import load_experiment_config
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def recorded_argvs(script: str, script_args: list[str]) -> list[list[str]]:
+def load_script(script: str):
     spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def recorded_argvs(script: str, script_args: list[str]) -> list[list[str]]:
+    module = load_script(script)
     calls = []
     module.cli = lambda argv: calls.append(list(argv)) or 0
     assert module.run(script_args) == 0
@@ -55,3 +60,19 @@ def test_sweep_sets_the_sweep_epochs():
     sweep = recorded_argvs("run_sweep", ["--epochs", "2"])[0]
     args = build_parser().parse_args(sweep)
     assert load_experiment_config(None, args.set).sweep.max_epochs == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, shown",
+    [
+        ("--limit", "0", "--limit must be an integer >= 1, got 0"),
+        ("--epochs", "0", "max_epochs must be an integer >= 1, got 0"),
+    ],
+)
+def test_sweep_passes_a_zero_on_and_the_cli_rejects_it(tmp_path, capsys, flag, value, shown):
+    """A 0 is not dropped: the real CLI refuses it, exits 2 with one line
+    and writes no sweep table."""
+    out = tmp_path / "out"
+    assert load_script("run_sweep").run(["--output-dir", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
+    assert not out.exists()

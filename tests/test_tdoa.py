@@ -272,6 +272,15 @@ class TestSolverOptions:
             SolverOptions(fix_z=fix_z)
         assert SolverOptions(fix_z=None).fix_z is None
 
+    @pytest.mark.parametrize("fix_z", [-0.5, 3.5])
+    def test_a_plane_outside_the_box_is_rejected(self, fix_z):
+        env = default_environment()  # 3 m high
+        with pytest.raises(ConfigError, match=rf"^fix_z must lie in the box's z range \[0.0, 3.0\], got {fix_z}$"):
+            SolverOptions.for_environment(env, fix_z=fix_z)
+        for z in (0.0, 3.0):  # the floor and ceiling planes are in the box
+            assert SolverOptions.for_environment(env, fix_z=z).fix_z == z
+        assert SolverOptions.for_environment(env, fix_z=fix_z, margin=None).fix_z == fix_z  # no box
+
 
 class TestSolveBaselines:
     @pytest.mark.parametrize("policy", ["all_pairs", "reference_anchor"])
