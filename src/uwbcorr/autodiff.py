@@ -14,14 +14,20 @@ Gradients accumulate into ``Tensor.grad`` out of place: a later
 contribution makes a new array and never writes into the one kept, so a
 backward closure may hand over the upstream gradient or a view of it
 without a copy, and several tensors may hold the same array. A node whose
-inputs carry no gradient gets no closure, but model parameters always
-require grad, so an evaluation pass through the model still builds every
-closure it would need for a backward sweep; it only skips running them.
+inputs carry no gradient gets no closure, and inside a ``no_grad()`` block
+no node gets one, so an evaluation pass keeps no tape. ``backward`` frees
+the tape as it sweeps: once a node's closure has run, the node drops it,
+its parents and its gradient, so each activation and inner gradient goes
+as soon as the sweep has passed it. Only leaves keep ``.grad``.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+_grad_enabled = True
 
 
 class Tensor:
@@ -45,9 +51,20 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Build no closures inside the block: every op output is a plain leaf."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
         out._backward = backward
@@ -265,7 +282,10 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def backward(root: Tensor):
-    """Reverse-topological sweep seeding d(root)/d(root) = 1."""
+    """Reverse-topological sweep seeding d(root)/d(root) = 1; it frees the
+    graph as it goes, so a root can be swept once."""
+    if root._backward is None:
+        raise ValueError("backward needs a root with a tape: built under no_grad or swept")
     topo: list[Tensor] = []
     seen = set()
     stack = [(root, False)]
@@ -281,6 +301,8 @@ def backward(root: Tensor):
         for p in node._parents:
             stack.append((p, False))
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._backward, node._parents, node.grad = None, (), None

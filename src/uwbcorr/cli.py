@@ -38,22 +38,28 @@ from .simulate import (
 from .training import evaluate_model, solve_solvable, train
 
 
-def _setup(args) -> tuple[ExperimentConfig, Path]:
-    """The config from --config and --set, and its output directory, created."""
+def _setup(args, create: bool = True) -> tuple[ExperimentConfig, Path]:
+    """The config from --config and --set, and its output directory, created
+    unless ``create`` is false."""
     cfg = load_experiment_config(args.config, args.set or [])
     if args.output_dir:
         cfg.output_dir = args.output_dir
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if create:
+        out.mkdir(parents=True, exist_ok=True)
     return cfg, out
 
 
-def _environment(args, out: Path, cfg: ExperimentConfig):
-    """The --env file, else the environment.json of a simulate run in ``out``,
-    and the solver options for it, which solve on the plane of the tag height:
-    a bad solver box or plane fails before any dataset is read."""
+def _setup_solving(args):
+    """:func:`_setup` for a command that solves, with the --env file, else the
+    environment.json of a simulate run in ``out``, and its solver options on
+    the plane of the tag height. A bad solver box or plane fails before any
+    dataset is read, and the output directory is made only after that."""
+    cfg, out = _setup(args, create=False)
     env = dataio.read_environment(args.env or out / "environment.json")
-    return env, cfg.solver.options(env, cfg.environment.tag_height)
+    solver = cfg.solver.options(env, cfg.environment.tag_height)
+    out.mkdir(parents=True, exist_ok=True)
+    return cfg, out, env, solver
 
 
 def cmd_simulate(args) -> int:
@@ -95,8 +101,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg, out = _setup(args)
-    env, solver = _environment(args, out, cfg)
+    cfg, out, env, solver = _setup_solving(args)
     dataset = dataio.read_samples_jsonl(args.dataset)
     solved = solve_solvable(dataset, env, solver)
     if not solved:
@@ -137,8 +142,7 @@ def _evaluate_and_write(model, dataset, env, solver, out: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg, out = _setup(args)
-    env, solver = _environment(args, out, cfg)
+    cfg, out, env, solver = _setup_solving(args)
     model_cfg = cfg.model.with_environment(env)
     train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
     # Only the config's default evaluation set may be absent; an explicit
@@ -164,8 +168,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, out = _setup(args)
-    env, solver = _environment(args, out, cfg)
+    cfg, out, env, solver = _setup_solving(args)
     dataset = dataio.read_samples_jsonl(args.dataset)
     _evaluate_and_write(load_checkpoint(args.checkpoint), dataset, env, solver, out)
     return 0
@@ -178,8 +181,7 @@ def _sweep_key(combo: dict) -> tuple:
 def cmd_sweep(args) -> int:
     if args.limit is not None:  # checked before anything is read or written
         check_int("--limit", args.limit)
-    cfg, out = _setup(args)
-    env, solver = _environment(args, out, cfg)
+    cfg, out, env, solver = _setup_solving(args)
     train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
     eval_set = dataio.read_samples_jsonl(args.eval_dataset or out / cfg.dataset.eval_path)
     train_set = train_set[: cfg.sweep.n_train_cap]  # a None cap keeps every sample

@@ -340,7 +340,8 @@ class CorrectionModel:
         return h
 
     def predict_prepared(self, examples: Sequence[PreparedExample]) -> np.ndarray:
-        return self.forward_prepared(examples, train=False).data
+        with ad.no_grad():
+            return self.forward_prepared(examples, train=False).data
 
     def predict(self, sample: Sample, env: Environment, p_tdoa) -> np.ndarray:
         example = prepare_example(sample, env, self.config, p_tdoa)

@@ -162,8 +162,9 @@ def _token_batches(examples, size: int, rng=None) -> list[list[int]]:
 
 def _eval_loss(model, examples, batch_size: int) -> float:
     total = 0.0
-    for idx in _token_batches(examples, batch_size):
-        total += float(batch_loss(model, [examples[i] for i in idx]).data) * len(idx)
+    with ad.no_grad():
+        for idx in _token_batches(examples, batch_size):
+            total += float(batch_loss(model, [examples[i] for i in idx]).data) * len(idx)
     return total / len(examples)
 
 

@@ -1,5 +1,7 @@
 """Per-op gradient checks for the tape engine against central differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,18 +178,23 @@ class TestEngine:
                 assert np.allclose(g, ref, rtol=1e-12, atol=1e-15)
 
     def test_transpose_hands_back_a_c_ordered_gradient(self):
+        # The sweep drops an inner node's gradient once it has passed, so the
+        # closure runs here on a known upstream array.
         x = ad.Tensor(np.random.default_rng(6).normal(size=(2, 12)), requires_grad=True)
         r = ad.reshape(x, (2, 3, 2, 2))
         t = ad.transpose(r, (0, 2, 1, 3))
-        ad.backward(ad.mean_all(squared(t)))
+        g = np.random.default_rng(7).normal(size=t.shape)
+        t._backward(g)
         assert r.grad.flags.c_contiguous
+        assert np.array_equal(r.grad, g.transpose(0, 2, 1, 3))
 
     def test_reshape_hands_back_a_view_of_the_output_gradient(self):
         x = ad.Tensor(np.random.default_rng(8).normal(size=(2, 12)), requires_grad=True)
         r = ad.reshape(x, (2, 3, 4))
-        ad.backward(ad.mean_all(squared(r)))
-        assert np.shares_memory(x.grad, r.grad)
-        assert np.allclose(x.grad, 2 * x.data / x.data.size)
+        g = np.random.default_rng(9).normal(size=r.shape)
+        r._backward(g)
+        assert np.shares_memory(x.grad, g)
+        assert np.array_equal(x.grad, g.reshape(2, 12))
 
     def test_full_shape_bias_collecting_from_two_ops_matches_finite_differences(self):
         # A bias of the output's full shape gets the upstream array itself
@@ -203,3 +210,51 @@ class TestEngine:
         y = ad.layer_norm(ad.Tensor(rng.normal(2.0, 3.0, size=(6, 32)))).data
         assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(y.var(axis=-1), 1.0, atol=1e-4)
+
+
+class TestTapeLifetime:
+    def test_the_sweep_frees_inner_activations_while_the_root_is_held(self):
+        x = ad.Tensor(np.random.default_rng(10).normal(size=(4, 5)), requires_grad=True)
+        inner = ad.relu(ad.scale(x, 2.0))
+        activation = weakref.ref(inner.data)
+        loss = ad.mean_all(squared(inner))
+        del inner
+        ad.backward(loss)
+        assert activation() is None
+        assert np.allclose(x.grad, 8.0 * x.data * (x.data > 0) / x.data.size)
+        assert loss._backward is None and loss.grad is None  # only leaves keep .grad
+
+    def test_a_second_sweep_is_refused(self):
+        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        loss = ad.mean_all(squared(x))
+        ad.backward(loss)
+        grad = x.grad
+        with pytest.raises(ValueError, match="no_grad or swept") as info:
+            ad.backward(loss)
+        assert "\n" not in str(info.value)
+        assert x.grad is grad
+
+    def test_a_root_built_without_grad_is_refused(self):
+        x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            loss = ad.mean_all(squared(x))
+        assert not loss.requires_grad and loss._backward is None
+        with pytest.raises(ValueError, match="no_grad or swept"):
+            ad.backward(loss)
+        assert x.grad is None
+
+    def test_no_grad_restores_the_flag_when_nested_and_after_an_error(self):
+        x = ad.Tensor(np.ones(3), requires_grad=True)
+
+        def taped():
+            return ad.scale(x, 2.0)._backward is not None
+
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not taped()
+            assert not taped()  # the inner block restores the outer one's state
+        assert taped()
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert taped()

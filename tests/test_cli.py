@@ -527,11 +527,12 @@ class TestErrorExit:
     def test_baseline_with_a_bad_solver_value(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
         reads = []
         monkeypatch.setattr("uwbcorr.dataio.read_samples_jsonl", lambda *a: reads.append(a))
+        out = tmp_path / "out"
         rc = main(
             [
                 "baseline",
                 "--output-dir",
-                str(tmp_path),
+                str(out),
                 "--dataset",
                 str(tiny_run / "eval.jsonl"),
                 "--env",
@@ -543,7 +544,7 @@ class TestErrorExit:
         assert rc == 2
         assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
         assert reads == []  # the solver box and plane are checked before the dataset is read
-        assert not (tmp_path / "baseline_metrics.json").exists()
+        assert not out.exists()  # and before the output directory is made
 
 
 class TestSweepCommand:

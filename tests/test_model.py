@@ -219,6 +219,26 @@ class TestEncoderForward:
         b = model.predict_prepared([example])
         assert np.array_equal(a, b)
 
+    def test_predict_builds_no_tape_and_matches_the_taped_forward(self, small_env, monkeypatch):
+        model = tiny_model(small_env)
+        p_tdoa = np.array([5.0, 5.0, 1.0])
+        examples = [
+            prepare_example(one_sample(small_env, seed=s), small_env, model.config, p_tdoa)
+            for s in range(3)
+        ]
+        taped = model.forward_prepared(examples)
+        assert taped._backward is not None
+        outputs = []
+        forward = CorrectionModel.forward_prepared
+
+        def recording(self, *args, **kwargs):
+            outputs.append(forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(CorrectionModel, "forward_prepared", recording)
+        assert np.array_equal(model.predict_prepared(examples), taped.data)
+        assert outputs[0]._backward is None and not outputs[0].requires_grad
+
     def test_hand_computed_two_token_layer(self, small_env):
         """Two blocks over two tokens: both rows of block 0 feed the keys and
         values of block 1, whose CLS row is all the stack returns."""

@@ -27,6 +27,7 @@ round-off only. A gradient that is zero in exact arithmetic (the attention
 key biases) is held below 1e-12 of the largest gradient entry instead.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,8 @@ from uwbcorr import (
     train,
 )
 from uwbcorr.simulate import random_trajectory
-from uwbcorr.training import compute_gradients, prepare_training_examples
+from uwbcorr.model import prepare_example
+from uwbcorr.training import batch_loss, compute_gradients, prepare_training_examples
 
 FIXTURE = Path(__file__).parent / "data" / "training_golden.npz"
 CONFIGS = {
@@ -57,17 +59,25 @@ GRAD_RTOL = 1e-12
 POSITION_TOL_M = 1e-10
 
 
-def golden_setup(name):
-    """The config, solver, samples and gradient batch of one fixture entry."""
-    env = default_environment()
+def golden_config(name, env):
     patching, ordering, encoding, l_patch = CONFIGS[name]
-    cfg = make_model_config(
+    return make_model_config(
         patching, ordering, encoding, l_patch, 16, env=env,
         n_heads=2, n_layers=2, d_ff=32, head_widths=(32, 16, 3),
     )
-    solver = SolverOptions.for_environment(env, fix_z=1.0)
+
+
+def golden_samples(env):
     points = random_trajectory(env, N_SAMPLES, z=1.0, seed=41, step=2.0)
-    samples = generate_dataset(env, points, 0.587, 42)
+    return generate_dataset(env, points, 0.587, 42)
+
+
+def golden_setup(name):
+    """The config, solver, samples and gradient batch of one fixture entry."""
+    env = default_environment()
+    cfg = golden_config(name, env)
+    solver = SolverOptions.for_environment(env, fix_z=1.0)
+    samples = golden_samples(env)
     examples, _ = prepare_training_examples(samples, env, cfg, solver)
     counts = [e.n_tokens for e in examples]
     largest = max(sorted(set(counts)), key=counts.count)
@@ -136,6 +146,37 @@ def test_predictions_match_golden(golden, entry):
     for key in (f"{name}/predict", f"{name}/trained"):
         assert got[key].shape == golden[key].shape, key
         assert np.max(np.abs(got[key] - golden[key])) <= POSITION_TOL_M, key
+
+
+@pytest.mark.parametrize("name, size", [("train_default", 64), ("train_ragged", 17)])
+def test_a_training_step_peaks_near_the_tape_a_forward_keeps(name, size):
+    """The backward sweep frees each activation and inner gradient once it has
+    passed, so a step's peak stays near the bytes its forward tape holds; a
+    sweep that kept them all to the end peaked near twice that."""
+    env = default_environment()
+    cfg = golden_config(name, env)
+    examples = [
+        prepare_example(s, env, cfg, s.true_position, s.true_position)
+        for s in golden_samples(env)
+    ]
+    counts = [e.n_tokens for e in examples]
+    group = [e for e in examples if e.n_tokens == max(set(counts), key=counts.count)]
+    batch = [group[i % len(group)] for i in range(size)]
+    model = CorrectionModel.initialize(cfg, seed=7, zero_final_layer=False)
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, batch, train=True, rng=np.random.default_rng(8))
+        tape = tracemalloc.get_traced_memory()[0] - start
+        del loss
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        compute_gradients(model, batch, train=True, rng=np.random.default_rng(8))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tape, (peak, tape)
 
 
 if __name__ == "__main__":
