@@ -29,10 +29,8 @@ from .tdoa import (
     baseline_position,
     euclidean_distance,
     measured_ddoa_set,
-    residuals,
     solve_baselines,
     solve_tdoa,
-    true_ddoa,
 )
 from .training import TrainConfig, compute_gradients, evaluate_model, train
 

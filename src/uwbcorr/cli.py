@@ -5,8 +5,10 @@ pareto. Every run is reproducible from the config file plus the seed; any
 config field can be overridden with ``--set section.key=value``, the
 training epochs with ``--set train.max_epochs=N``. ``train`` evaluates on
 the evaluation set when there is one and, like ``evaluate``, writes
-metrics.json and estimates.csv. An error from ``uwbcorr.errors`` (bad
-config, dataset, environment or checkpoint) prints one line,
+metrics.json and estimates.csv. Every command reads all its inputs before
+it makes the output directory, so a bad or missing input leaves no directory
+behind. An error from ``uwbcorr.errors`` (bad config, dataset, environment
+or checkpoint) or a missing input file prints one line,
 ``error: <Type>: <message>``, to stderr and exits with status 2; any other
 exception keeps its traceback.
 """
@@ -38,33 +40,29 @@ from .simulate import (
 from .training import evaluate_model, solve_solvable, train
 
 
-def _setup(args, create: bool = True) -> tuple[ExperimentConfig, Path]:
-    """The config from --config and --set, and its output directory, created
-    unless ``create`` is false."""
+def _setup(args) -> tuple[ExperimentConfig, Path]:
+    """The config from --config and --set, and its output directory, which
+    the command makes once it has read its inputs."""
     cfg = load_experiment_config(args.config, args.set or [])
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    out = Path(cfg.output_dir)
-    if create:
-        out.mkdir(parents=True, exist_ok=True)
-    return cfg, out
+    return cfg, Path(cfg.output_dir)
 
 
 def _setup_solving(args):
     """:func:`_setup` for a command that solves, with the --env file, else the
     environment.json of a simulate run in ``out``, and its solver options on
     the plane of the tag height. A bad solver box or plane fails before any
-    dataset is read, and the output directory is made only after that."""
-    cfg, out = _setup(args, create=False)
+    dataset is read."""
+    cfg, out = _setup(args)
     env = dataio.read_environment(args.env or out / "environment.json")
-    solver = cfg.solver.options(env, cfg.environment.tag_height)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, out, env, solver
+    return cfg, out, env, cfg.solver.options(env, cfg.environment.tag_height)
 
 
 def cmd_simulate(args) -> int:
     cfg, out = _setup(args)
     env = dataio.read_environment(args.env) if args.env else default_environment()
+    out.mkdir(parents=True, exist_ok=True)
     channel = ChannelConfig(snr_db=cfg.dataset.snr_db)
     z = cfg.environment.tag_height
 
@@ -106,6 +104,7 @@ def cmd_baseline(args) -> int:
     solved = solve_solvable(dataset, env, solver)
     if not solved:
         raise InsufficientDataError(f"{args.dataset}: no solvable samples")
+    out.mkdir(parents=True, exist_ok=True)
     unsolvable = len(dataset) - len(solved)
     truths = np.array([s.true_position for s, _ in solved])
     estimates = np.array([e.position for _, e in solved])
@@ -151,6 +150,7 @@ def cmd_train(args) -> int:
     eval_set = None
     if args.eval_dataset or eval_path.exists():
         eval_set = dataio.read_samples_jsonl(eval_path)
+    out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     model = train(train_set, env, model_cfg, cfg.train, solver=solver)
     elapsed = time.monotonic() - started
@@ -169,8 +169,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
+    model = load_checkpoint(args.checkpoint)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    _evaluate_and_write(load_checkpoint(args.checkpoint), dataset, env, solver, out)
+    out.mkdir(parents=True, exist_ok=True)
+    _evaluate_and_write(model, dataset, env, solver, out)
     return 0
 
 
@@ -186,6 +188,7 @@ def cmd_sweep(args) -> int:
     eval_set = dataio.read_samples_jsonl(args.eval_dataset or out / cfg.dataset.eval_path)
     train_set = train_set[: cfg.sweep.n_train_cap]  # a None cap keeps every sample
     eval_set = eval_set[: cfg.sweep.n_eval_cap]
+    out.mkdir(parents=True, exist_ok=True)
     n_av = float(np.mean([len(s.raw_cirs) for s in eval_set]))
 
     combos = enumerate_sweep(cfg.sweep)[: args.limit]  # a None limit runs them all
@@ -210,16 +213,16 @@ def cmd_sweep(args) -> int:
         except Exception as exc:  # record and continue: one bad combo must not kill the sweep
             row.update(status=f"error:{type(exc).__name__}: {exc}")
         dataio.append_sweep_row(results_path, row)
-    _write_pareto(results_path, out / "pareto.csv")
+    _write_pareto(dataio.read_sweep_rows(results_path), out / "pareto.csv")
     print(f"sweep table at {results_path}")
     return 0
 
 
-def _write_pareto(results_path, pareto_path) -> list[dict]:
+def _write_pareto(rows: list[dict], pareto_path) -> list[dict]:
     """Write the non-dominated ``ok`` rows of a sweep table, strings as read."""
     results = [
         SweepResult(config=row, total_ops=float(row["total_ops"]), mae=float(row["mae"]))
-        for row in dataio.read_sweep_rows(results_path)
+        for row in rows
         if row.get("status") == "ok"
     ]
     front = [r.config for r in pareto_front(results)]
@@ -229,6 +232,7 @@ def _write_pareto(results_path, pareto_path) -> list[dict]:
 
 def cmd_complexity(args) -> int:
     cfg, out = _setup(args)
+    out.mkdir(parents=True, exist_ok=True)
     ops_columns = [f.name for f in fields(OperationCount)]
     rows = []
     for combo in enumerate_sweep(cfg.sweep):
@@ -246,7 +250,9 @@ def cmd_complexity(args) -> int:
 
 def cmd_pareto(args) -> int:
     cfg, out = _setup(args)
-    front = _write_pareto(args.results, out / "pareto.csv")
+    rows = dataio.read_sweep_rows(args.results)
+    out.mkdir(parents=True, exist_ok=True)
+    front = _write_pareto(rows, out / "pareto.csv")
     print(f"{len(front)} Pareto-optimal rows -> {out / 'pareto.csv'}")
     return 0
 
@@ -307,7 +313,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UwbcorrError as exc:
+    except (UwbcorrError, FileNotFoundError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ differences scaled by the speed of light give distance differences (DDoAs),
 each constraining the tag to a hyperboloid. The solver minimizes the squared
 hyperboloid residuals with a damped Gauss-Newton (Levenberg-Marquardt) loop
 using the analytic Jacobian; every start of every sample in a batch advances
-in lockstep as one row of stacked arrays.
+in lockstep as one row of stacked arrays, with each sample's pairs padded to
+the batch's widest set by pairs of zero residual and zero Jacobian.
 """
 
 from __future__ import annotations
@@ -141,16 +142,6 @@ def euclidean_distance(p, a) -> float:
     return float(np.linalg.norm(p - a))
 
 
-def true_ddoa(p, a_i: Anchor, a_j: Anchor) -> float:
-    """Distance difference d_i - d_j for a tag at p, in meters.
-
-    Antisymmetric in the anchor arguments.
-    """
-    if a_i.id == a_j.id:
-        raise ValueError(f"true_ddoa needs two distinct anchors, got id {a_i.id} twice")
-    return euclidean_distance(p, a_i.position) - euclidean_distance(p, a_j.position)
-
-
 def measured_ddoa_set(
     timestamps: Mapping[int, float], pair_policy: str = "reference_anchor"
 ) -> DdoaSet:
@@ -182,29 +173,25 @@ def measured_ddoa_set(
     return DdoaSet(pairs=pairs)
 
 
-def _positions_by_id(anchors: Sequence[Anchor]) -> dict[int, np.ndarray]:
-    return {a.id: a.position for a in anchors}
+def _pair_geometry(ddoas: DdoaSet, pos: Mapping[int, np.ndarray], width: int):
+    """A set's pair ends (2 * width, 3), the anchors at the i ends and then
+    at the j ends, and its DDoAs (width,), padded to ``width`` pairs.
 
-
-def _pair_geometry(ddoas: DdoaSet, anchors: Sequence[Anchor]):
-    pos = _positions_by_id(anchors)
+    A pad pair has the set's first anchor at both ends and a DDoA of 0, so
+    its residual and Jacobian row are exactly 0 at every point.
+    """
     for i, j, _ in ddoas.pairs:
         for a in (i, j):
             if a not in pos:
                 raise MissingAnchorError(f"no position known for anchor id {a}")
-    a_i = np.array([pos[i] for i, _, _ in ddoas.pairs])
-    a_j = np.array([pos[j] for _, j, _ in ddoas.pairs])
-    dd = np.array([d for _, _, d in ddoas.pairs])
-    return a_i, a_j, dd
-
-
-def residuals(p, ddoas: DdoaSet, anchors: Sequence[Anchor]) -> np.ndarray:
-    """Per-pair hyperboloid residuals [d_i(p) - d_j(p)] - ddoa_ij, meters."""
-    a_i, a_j, dd = _pair_geometry(ddoas, anchors)
-    p = np.asarray(p, dtype=float)
-    d_i = np.linalg.norm(p - a_i, axis=1)
-    d_j = np.linalg.norm(p - a_j, axis=1)
-    return (d_i - d_j) - dd
+    m = len(ddoas.pairs)
+    ends = np.empty((2, width, 3))
+    ends[:, m:] = pos[ddoas.pairs[0][0]]
+    ends[0, :m] = [pos[i] for i, _, _ in ddoas.pairs]
+    ends[1, :m] = [pos[j] for _, j, _ in ddoas.pairs]
+    dd = np.zeros(width)
+    dd[:m] = [d for _, _, d in ddoas.pairs]
+    return ends.reshape(2 * width, 3), dd
 
 
 def _require_three_anchors(ddoas: DdoaSet) -> set[int]:
@@ -230,15 +217,36 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def _residuals_and_jacobian(p, a_i, a_j, dd, free):
-    """Residuals (n, m) and Jacobian (n, m, k) of n rows at points p (n, 3)."""
-    u_i = p[:, None, :] - a_i
-    u_j = p[:, None, :] - a_j
-    d_i = np.sqrt(np.add.reduce(u_i * u_i, axis=2))  # np.linalg.norm(u_i, axis=2)
-    d_j = np.sqrt(np.add.reduce(u_j * u_j, axis=2))
-    g_i = u_i / np.maximum(d_i, 1e-12)[..., None]
-    g_j = u_j / np.maximum(d_j, 1e-12)[..., None]
-    return (d_i - d_j) - dd, (g_i - g_j)[..., free]
+def _spans(counts: np.ndarray) -> list[tuple[int, int, int]]:
+    """(first row, end row, pair count) of each run of rows with one pair
+    count in the sorted ``counts``."""
+    cuts = np.flatnonzero(np.diff(counts, prepend=-1, append=-1)).tolist()
+    return [(lo, hi, int(counts[lo])) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _span_costs(r: np.ndarray, spans) -> np.ndarray:
+    """Each row's r . r over its own pairs: a dot over padded columns would
+    sum in another order once it is long enough."""
+    cost = np.empty(len(r))
+    for lo, hi, m in spans:
+        cost[lo:hi] = _sq_norms(r[lo:hi, :m])
+    return cost
+
+
+def _residuals_and_jacobian(p, ends, dd, k):
+    """Residuals (n, m) and Jacobian (n, m, k) of n rows at points p (n, 3).
+
+    ``ends`` (3, n, 2m) holds the coordinate planes of the anchors at the i
+    ends of the m pairs, then at the j ends. The Jacobian is a (n, m, k) view
+    of a (k, n, m) array, so its pair axis is contiguous: with a C-ordered
+    Jacobian, J^T J takes another BLAS path than the one-row solver's
+    recorded results and rounds differently.
+    """
+    m = dd.shape[1]
+    u = p.T[:, :, None] - ends
+    d = np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])  # np.linalg.norm over x, y, z
+    g = u[:k] / np.maximum(d, 1e-12)
+    return (d[:, :m] - d[:, m:]) - dd, (g[:, :, :m] - g[:, :, m:]).transpose(1, 2, 0)
 
 
 def _solve_each(normal: np.ndarray, rhs: np.ndarray):
@@ -253,23 +261,32 @@ def _solve_each(normal: np.ndarray, rhs: np.ndarray):
     return step, ok
 
 
-def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds):
+def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
     """Levenberg-Marquardt from every row's start, all rows in lockstep.
 
-    Row r minimizes its own hyperboloid residuals (pairs ``a_i[r]``,
-    ``a_j[r]``, ``dd[r]``) from ``starts[r]`` and keeps its own point,
-    residuals, Jacobian, damping, cost and stopping state. The damping is
-    multiplied by 10 on a rejected step (or a singular normal matrix) and
-    divided by 10 on an accepted one. A row stops when its step norm drops
-    below ``STEP_TOL`` (converged), when a rejected step pushes the damping
-    above 1e14, or after ``MAX_ITERATIONS``; stopped rows leave the stack
-    and the others carry on.
+    Row r minimizes its own hyperboloid residuals (pair ends ``ends[:, r]``,
+    DDoAs ``dd[r]``) from ``starts[r]`` and keeps its own point, residuals,
+    Jacobian, damping, cost and stopping state. The damping is multiplied by
+    10 on a rejected step (or a singular normal matrix) and divided by 10 on
+    an accepted one. A row stops when its step norm drops below ``STEP_TOL``
+    (converged), when a rejected step pushes the damping above 1e14, or
+    after ``MAX_ITERATIONS``; stopped rows leave the stack and the others
+    carry on.
+
+    The rows are sorted by their pair count ``counts`` and padded to the
+    widest with pairs of zero residual and zero Jacobian. The elementwise
+    work, the normal matrices J^T J and the batched solve give the same bits
+    with or without the zero pairs, so they run once over the whole stack.
+    J^T r and the cost r . r are BLAS sums whose order changes with their
+    length, so they run once per span of rows with one pair count, on the
+    unpadded columns. Each row's arithmetic is then that of a solve of its
+    set alone.
 
     Returns positions (R, 3), residual norms (R,), iterations (R,) and
     converged flags (R,).
     """
-    free = np.array([0, 1] if fix_z is not None else [0, 1, 2])
-    eye = np.eye(len(free))
+    k = 2 if fix_z is not None else 3  # the free coordinates: x, y and, off the plane, z
+    eye = np.eye(k)
     box = None if bounds is None else (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
 
     def place(pts):
@@ -280,8 +297,9 @@ def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds):
         return pts
 
     p = place(np.array(starts, dtype=float))
-    r, jac = _residuals_and_jacobian(p, a_i, a_j, dd, free)
-    cost = _sq_norms(r)
+    spans = _spans(counts)  # rebuilt only when rows leave
+    r, jac = _residuals_and_jacobian(p, ends, dd, k)
+    cost = _span_costs(r, spans)
     lam = np.full(len(p), DAMPING)
     rows = np.arange(len(p))  # the output row of each row still running
     out_p, out_cost = np.empty_like(p), np.empty_like(cost)
@@ -292,16 +310,19 @@ def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds):
             break
         jac_t = jac.swapaxes(1, 2)  # jac_t @ jac on one buffer runs as syrk, like jac.T @ jac
         normal = jac_t @ jac + lam[:, None, None] * eye
-        rhs = -(jac_t @ r[:, :, None])
+        rhs = np.empty((len(p), k, 1))
+        for lo, hi, m in spans:
+            rhs[lo:hi] = jac_t[lo:hi, :, :m] @ r[lo:hi, :m, None]
+        rhs = -rhs
         try:
             step, solved = np.linalg.solve(normal, rhs)[:, :, 0], True
         except np.linalg.LinAlgError:
             step, solved = _solve_each(normal, rhs)
         p_new = p.copy()
-        p_new[:, free] += step
+        p_new[:, :k] += step
         p_new = place(p_new)
-        r_new, jac_new = _residuals_and_jacobian(p_new, a_i, a_j, dd, free)
-        cost_new = _sq_norms(r_new)
+        r_new, jac_new = _residuals_and_jacobian(p_new, ends, dd, k)
+        cost_new = _span_costs(r_new, spans)
         small = np.sqrt(_sq_norms(step)) < STEP_TOL
         accept = solved & np.isfinite(cost_new) & (cost_new < cost)
         np.copyto(p, p_new, where=accept[:, None])
@@ -315,9 +336,11 @@ def _levenberg_marquardt(starts, a_i, a_j, dd, *, fix_z, bounds):
             out_p[done], out_cost[done] = p[stop], cost[stop]
             iterations[done], converged[done] = it, small[stop]
             keep = ~stop
-            rows, p, r, jac, cost, lam, a_i, a_j, dd = (
-                x[keep] for x in (rows, p, r, jac, cost, lam, a_i, a_j, dd)
+            rows, p, r, jac, cost, lam, dd, counts = (
+                x[keep] for x in (rows, p, r, jac, cost, lam, dd, counts)
             )
+            ends = ends[:, keep]
+            spans = _spans(counts)
     out_p[rows], out_cost[rows] = p, cost
     return out_p, np.sqrt(out_cost), iterations, converged
 
@@ -330,17 +353,20 @@ def _solve_group(
     fix_z: Optional[float],
     bounds,
 ) -> list[PositionEstimate]:
-    """Multi-start solves of DDoA sets with one pair count, in one LM run.
+    """Multi-start solves of DDoA sets of any pair counts, in one LM run.
 
-    Each set contributes one row per start. A set's result is its first
-    start with a strictly lowest residual norm, scanning the starts in order
-    and stopping at the first whose running best is exact-level (<= 1e-9).
+    Each set contributes one row per start. The rows are stacked in order of
+    pair count and padded to the widest set (see ``_levenberg_marquardt``).
+    A set's result is its first start with a strictly lowest residual norm,
+    scanning the starts in order and stopping at the first whose running
+    best is exact-level (<= 1e-9).
     """
-    pos = _positions_by_id(anchors)
-    owner, starts, spans, geometry = [], [], [], []
-    for n, ddoas in enumerate(ddoa_sets):
+    pos = {a.id: a.position for a in anchors}
+    width = max(len(ddoas.pairs) for ddoas in ddoa_sets)
+    sets = []  # (starts, pair ends, DDoAs) of each set, in input order
+    for ddoas in ddoa_sets:
         referenced = _require_three_anchors(ddoas)
-        geometry.append(_pair_geometry(ddoas, anchors))  # raises MissingAnchorError first
+        ends, dd = _pair_geometry(ddoas, pos, width)  # raises MissingAnchorError
         participating = np.array([pos[i] for i in sorted(referenced)])
         if init is not None:
             mine = [np.asarray(init, dtype=float)]
@@ -348,15 +374,21 @@ def _solve_group(
             centroid = participating.mean(axis=0)
             picks = np.linspace(0, len(participating) - 1, min(EXTRA_STARTS, len(participating)))
             mine = [centroid] + [0.8 * participating[int(i)] + 0.2 * centroid for i in picks]
-        spans.append(range(len(starts), len(starts) + len(mine)))
-        owner.extend([n] * len(mine))
-        starts.extend(mine)
-    a_i, a_j, dd = (np.stack(column)[owner] for column in zip(*geometry))
+        sets.append((mine, ends, dd))
+    owner, starts, first = [], [], {}
+    for n in sorted(range(len(sets)), key=lambda n: len(ddoa_sets[n].pairs)):
+        first[n] = len(starts)
+        owner.extend([n] * len(sets[n][0]))
+        starts.extend(sets[n][0])
+    ends = np.ascontiguousarray(np.stack([e for _, e, _ in sets])[owner].transpose(2, 0, 1))
+    dd = np.stack([d for _, _, d in sets])[owner]
+    counts = np.array([len(ddoa_sets[n].pairs) for n in owner])
     position, residual, iterations, converged = _levenberg_marquardt(
-        starts, a_i, a_j, dd, fix_z=fix_z, bounds=bounds
+        starts, ends, dd, counts, fix_z=fix_z, bounds=bounds
     )
     results = []
-    for rows in spans:
+    for n, (mine, _, _) in enumerate(sets):
+        rows = range(first[n], first[n] + len(mine))
         best = rows[0]
         for row in rows:
             if residual[row] < residual[best]:
@@ -417,28 +449,27 @@ def solve_baselines(
 ) -> list[Optional[PositionEstimate]]:
     """Baseline estimates for many samples, solved together.
 
-    Samples are grouped by their number of DDoA pairs, so the rows of a
-    group (one per sample and start) stack without padding, and each group
-    is solved in lockstep LM runs of up to ``BATCH_SAMPLES`` samples. Every
-    result equals ``baseline_position`` on the same sample; an unsolvable
-    sample (fewer than 2 timestamps or 3 anchors) gives ``None`` at its
-    index.
+    The solvable samples are sorted by their number of DDoA pairs, which
+    keeps the padding of each run narrow, and solved in lockstep LM runs of
+    up to ``BATCH_SAMPLES`` samples each. Every result equals
+    ``baseline_position`` on the same sample; an unsolvable sample (fewer
+    than 2 timestamps or 3 anchors) gives ``None`` at its index.
     """
     results: list[Optional[PositionEstimate]] = [None] * len(samples)
-    groups: dict[int, list[tuple[int, DdoaSet]]] = {}
+    solvable: list[tuple[int, DdoaSet]] = []
     for k, sample in enumerate(samples):
         try:
             ddoas = _sample_ddoas(sample, options.pair_policy)
             _require_three_anchors(ddoas)
         except InsufficientDataError:
             continue
-        groups.setdefault(len(ddoas.pairs), []).append((k, ddoas))
-    for members in groups.values():
-        for lo in range(0, len(members), BATCH_SAMPLES):
-            batch = members[lo : lo + BATCH_SAMPLES]
-            solved = _solve_group(
-                [d for _, d in batch], anchors, fix_z=options.fix_z, bounds=options.bounds
-            )
-            for (k, _), estimate in zip(batch, solved):
-                results[k] = estimate
+        solvable.append((k, ddoas))
+    solvable.sort(key=lambda item: len(item[1].pairs))
+    for lo in range(0, len(solvable), BATCH_SAMPLES):
+        batch = solvable[lo : lo + BATCH_SAMPLES]
+        solved = _solve_group(
+            [d for _, d in batch], anchors, fix_z=options.fix_z, bounds=options.bounds
+        )
+        for (k, _), estimate in zip(batch, solved):
+            results[k] = estimate
     return results

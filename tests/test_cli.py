@@ -260,7 +260,7 @@ class TestTrainEvaluate:
         for name in ("metrics.json", "estimates.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / "eval_out" / name).read_bytes()
 
-    def test_only_the_default_eval_dataset_may_be_absent(self, tiny_run, tmp_path):
+    def test_only_the_default_eval_dataset_may_be_absent(self, tiny_run, tmp_path, capsys):
         args = [
             "train",
             "--output-dir",
@@ -272,8 +272,9 @@ class TestTrainEvaluate:
             *TINY_MODEL,
         ]
         missing = tmp_path / "no_such_eval.jsonl"
-        with pytest.raises(FileNotFoundError, match="no_such_eval.jsonl"):
-            main([*args, "--eval-dataset", str(missing)])
+        assert main([*args, "--eval-dataset", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and str(missing) in err
         assert not (tmp_path / "checkpoint.npz").exists()  # failed before training
 
         assert main(args) == 0  # <output-dir>/eval.jsonl is absent: train only
@@ -315,6 +316,7 @@ class TestErrorExit:
         for path in (text, array):
             assert self._evaluate(tiny_run, tmp_path, path) == 2
             assert capsys.readouterr().err == f"error: ConfigError: {path}: not an .npz checkpoint\n"
+            assert not (tmp_path / "out").exists()  # the checkpoint is read before the directory is made
 
     def test_evaluate_on_metadata_that_is_not_json(self, tiny_run, tmp_path, capsys):
         path = tmp_path / "checkpoint.npz"
@@ -382,6 +384,7 @@ class TestErrorExit:
         assert self._baseline(tiny_run, tmp_path, path) == 2
         err = capsys.readouterr().err
         assert err == f"error: DatasetFormatError: {path}:2: missing field 'measurements'\n"
+        assert not (tmp_path / "out").exists()  # the dataset is read before the directory is made
 
     def test_baseline_on_a_line_without_measurements(self, tiny_run, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -402,13 +405,15 @@ class TestErrorExit:
         assert self._baseline(tiny_run, tmp_path, path) == 2
         err = capsys.readouterr().err
         assert err == f"error: InsufficientDataError: {path}: no solvable samples\n"
-        assert not (tmp_path / "out" / "baseline_metrics.json").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_other_exceptions_keep_their_traceback(self, tiny_run, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            self._baseline(tiny_run, tmp_path, tmp_path / "absent.jsonl")
-        with pytest.raises(FileNotFoundError):
-            self._evaluate(tiny_run, tmp_path, tmp_path / "absent.npz")
+        folder = tmp_path / "a_folder"  # an input path that names a directory
+        folder.mkdir()
+        with pytest.raises(IsADirectoryError):
+            self._baseline(tiny_run, tmp_path, folder)
+        with pytest.raises(IsADirectoryError):
+            self._evaluate(tiny_run, tmp_path, folder)
 
     @pytest.mark.parametrize("value, shown", [("0", "0"), ("two", "'two'")])
     def test_train_with_a_bad_epoch_count(self, tiny_run, tmp_path, capsys, monkeypatch, value, shown):
@@ -545,6 +550,42 @@ class TestErrorExit:
         assert capsys.readouterr().err == f"error: ConfigError: {shown}\n"
         assert reads == []  # the solver box and plane are checked before the dataset is read
         assert not out.exists()  # and before the output directory is made
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "checkpoint.npz"
+    config = make_model_config("per_cir", "fixed", "spatial", 150, 8, env=default_environment(), n_heads=2)
+    save_checkpoint(CorrectionModel.initialize(config), path)
+    return path
+
+
+class TestMissingInputs:
+    """A missing input file ends the run with one stderr line naming it and
+    status 2, before the output directory is made."""
+
+    INPUTS = {  # each command's input flags and the tiny run's file for each
+        "simulate": {"--env": "environment.json"},
+        "baseline": {"--env": "environment.json", "--dataset": "eval.jsonl"},
+        "train": {"--env": "environment.json", "--dataset": "train.jsonl", "--eval-dataset": "eval.jsonl"},
+        "evaluate": {"--env": "environment.json", "--dataset": "eval.jsonl", "--checkpoint": None},
+        "sweep": {"--env": "environment.json", "--dataset": "train.jsonl", "--eval-dataset": "eval.jsonl"},
+    }
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in INPUTS.items() for f in flags])
+    def test_names_the_file_and_makes_no_directory(
+        self, tiny_run, tiny_checkpoint, tmp_path, capsys, command, flag
+    ):
+        out, missing = tmp_path / "out", tmp_path / "missing.file"
+        argv = [command, "--output-dir", str(out), *TINY_MODEL]
+        for name, file in self.INPUTS[command].items():
+            path = tiny_checkpoint if file is None else tiny_run / file
+            argv += [name, str(missing if name == flag else path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+        assert f"'{missing}'" in err
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -10,7 +10,8 @@ running this module as a script (``PYTHONPATH=src python
 tests/test_solver_golden.py``) at commit 5e820d1, where every start of the
 multi-start ran one after another in a Python loop; JSON stores the floats
 exactly. Do not regenerate it from a newer solver: it is the reference a
-rewrite of the solver must reproduce.
+rewrite of the solver must reproduce. The script refuses to overwrite the
+file unless it is given ``--rewrite``.
 
 ``reference_anchor`` results must match bit for bit. ``all_pairs`` results
 (n(n-1)/2 pairs for n anchors) may differ by 1e-12 m, from summation order
@@ -18,7 +19,10 @@ in the normal equations, but must keep the iteration count and the
 converged flag. ``solve_baselines`` is held to the same fixture.
 """
 
+import argparse
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +122,18 @@ def test_solve_baselines_matches_golden(golden, cases, combo):
             assert_matches(record(estimate), want, policy, f"sample {k}")
 
 
+def test_running_the_module_keeps_the_fixture():
+    before = FIXTURE.read_bytes()
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "pass --rewrite to overwrite it" in proc.stderr
+    assert FIXTURE.read_bytes() == before
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=f"Record {FIXTURE.name} from the current solver code.")
+    parser.add_argument("--rewrite", action="store_true", help="overwrite an existing fixture")
+    if not parser.parse_args().rewrite and FIXTURE.exists():
+        parser.error(f"{FIXTURE} is the reference; pass --rewrite to overwrite it")
     env, samples, inits = golden_cases()
     payload = {
         "cases": [

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,8 @@ from uwbcorr import (
     euclidean_distance,
     generate_dataset,
     measured_ddoa_set,
-    residuals,
     solve_baselines,
     solve_tdoa,
-    true_ddoa,
 )
 from uwbcorr import tdoa
 from uwbcorr.simulate import random_trajectory
@@ -29,12 +28,31 @@ from uwbcorr.errors import (
     MissingAnchorError,
 )
 
+from test_solver_golden import assert_matches, record
+
 finite_coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 point = st.tuples(finite_coord, finite_coord, finite_coord).map(np.array)
 
 
 def make_anchors(positions):
     return [Anchor(i + 1, np.asarray(p, dtype=float)) for i, p in enumerate(positions)]
+
+
+def true_ddoa(p, a_i, a_j):
+    """d_i - d_j in meters for a tag at p: the Euclidean distance to anchor i
+    minus the distance to anchor j."""
+    if a_i.id == a_j.id:
+        raise ValueError(f"true_ddoa needs two distinct anchors, got id {a_i.id} twice")
+    return math.dist(p, a_i.position) - math.dist(p, a_j.position)
+
+
+def residuals(p, ddoas, anchors):
+    """Per-pair hyperboloid residuals [d_i(p) - d_j(p)] - ddoa_ij in meters,
+    one pair at a time."""
+    pos = {a.id: a.position for a in anchors}
+    return np.array(
+        [math.dist(p, pos[i]) - math.dist(p, pos[j]) - d for i, j, d in ddoas.pairs]
+    )
 
 
 class TestEuclideanDistance:
@@ -211,9 +229,9 @@ class TestResiduals:
 
     def test_missing_anchor(self):
         anchors = make_anchors([(0, 0, 0), (10, 0, 0), (0, 10, 0)])
-        ddoas = DdoaSet(pairs=((1, 9, 0.0),))
-        with pytest.raises(MissingAnchorError):
-            residuals(np.zeros(3), ddoas, anchors)
+        ddoas = DdoaSet(pairs=((1, 9, 0.0), (2, 9, 0.0)))
+        with pytest.raises(MissingAnchorError, match="no position known for anchor id 9"):
+            solve_tdoa(ddoas, anchors)
 
 
 def test_baseline_position_round_trip(clean_dataset, open_env):
@@ -342,3 +360,54 @@ class TestSolveBaselines:
         for got, want in zip(together, alone):
             assert_same_estimate(got, want)
         assert alone[0].converged and alone[2].converged
+
+
+class TestPaddedSolve:
+    """One LM run holds sets of every pair count, padded to the widest."""
+
+    @pytest.mark.parametrize("fix_z", [1.0, None])
+    def test_all_pairs_widths_around_16_match_one_at_a_time(self, hall, fix_z):
+        # 5, 6, 7 and 8 anchors give 10, 15, 21 and 28 pairs: BLAS sums
+        # change their order from a length of 16, so these straddle it
+        env, samples = hall
+        wide = [s for s in samples if len(s.raw_cirs) >= 8]
+        batch = [keep_anchors(s, n) for s, n in zip(wide, [8, 5, 7, 6, 5, 8, 6, 7])]
+        assert sorted({len(s.raw_cirs) for s in batch}) == [5, 6, 7, 8]
+        options = SolverOptions.for_environment(env, pair_policy="all_pairs", fix_z=fix_z)
+        got = solve_baselines(batch, env.anchors, options)
+        for k, (sample, estimate) in enumerate(zip(batch, got)):
+            want = baseline_position(sample, env.anchors, options=options)
+            assert_matches(record(estimate), record(want), "all_pairs", f"sample {k}")
+
+    def test_more_samples_than_one_run_keep_input_order(self):
+        env = default_environment()
+        points = random_trajectory(env, tdoa.BATCH_SAMPLES + 6, z=1.0, seed=43, step=2.0)
+        samples = generate_dataset(env, points, 0.3, 44)
+        rng = np.random.default_rng(45)
+        mixed = [keep_anchors(s, int(rng.integers(3, 10))) for s in samples]
+        assert len({len(s.raw_cirs) for s in mixed}) >= 5
+        options = SolverOptions.for_environment(env, fix_z=1.0)
+        got = solve_baselines(mixed, env.anchors, options)
+        assert len(got) == len(mixed) > tdoa.BATCH_SAMPLES
+        for sample, estimate in zip(mixed, got):
+            assert_same_estimate(estimate, baseline_position(sample, env.anchors, options=options))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_pad_pair_has_zero_residual_and_jacobian(self, k):
+        anchors = make_anchors([(0, 0, 3), (10, 0, 2.5), (10, 10, 3), (0, 10, 2.8)])
+        ddoas = DdoaSet(pairs=((2, 1, 0.7), (3, 1, -1.2), (4, 1, 0.4)))
+        pos = {a.id: a.position for a in anchors}
+        # the second point sits on anchor 2, the pad pairs' anchor
+        points = np.array([[4.0, 6.0, 1.0], pos[2], [-30.0, 55.0, 9.0]])
+
+        def evaluate(width):
+            ends, dd = tdoa._pair_geometry(ddoas, pos, width)
+            stacked = np.ascontiguousarray(np.repeat(ends[None], len(points), 0).transpose(2, 0, 1))
+            return tdoa._residuals_and_jacobian(points, stacked, np.repeat(dd[None], len(points), 0), k)
+
+        r, jac = evaluate(3)
+        r_pad, jac_pad = evaluate(7)
+        assert np.array_equal(r_pad[:, :3], r) and np.array_equal(jac_pad[:, :3], jac)
+        assert np.all(r_pad[:, 3:] == 0.0) and np.all(jac_pad[:, 3:] == 0.0)
+        # the pair axis is contiguous, as in the one-row solver's J^T J
+        assert jac_pad.strides[1] == jac_pad.itemsize

@@ -19,7 +19,8 @@ module as a script (``PYTHONPATH=src python tests/test_training_golden.py``)
 at commit 209e218, where every encoder block computed all token rows and
 the head read the CLS row afterwards; ``.npz`` stores the float64 arrays
 exactly. Do not regenerate it from a newer model: it is the reference a
-rewrite of the forward or backward pass must reproduce.
+rewrite of the forward or backward pass must reproduce. The script refuses to
+overwrite the file unless it is given ``--rewrite``.
 
 Gradients and the loss must match to 1e-12 relative to the largest entry
 of each array, positions to 1e-10 m. Those margins cover summation-order
@@ -27,6 +28,9 @@ round-off only. A gradient that is zero in exact arithmetic (the attention
 key biases) is held below 1e-12 of the largest gradient entry instead.
 """
 
+import argparse
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -179,7 +183,18 @@ def test_a_training_step_peaks_near_the_tape_a_forward_keeps(name, size):
     assert peak <= 1.25 * tape, (peak, tape)
 
 
+def test_running_the_module_keeps_the_fixture():
+    before = FIXTURE.read_bytes()
+    proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "pass --rewrite to overwrite it" in proc.stderr
+    assert FIXTURE.read_bytes() == before
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=f"Record {FIXTURE.name} from the current training code.")
+    parser.add_argument("--rewrite", action="store_true", help="overwrite an existing fixture")
+    if not parser.parse_args().rewrite and FIXTURE.exists():
+        parser.error(f"{FIXTURE} is the reference; pass --rewrite to overwrite it")
     arrays = {}
     for config in CONFIGS:
         arrays.update(compute_entry(config))
