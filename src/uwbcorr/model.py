@@ -175,9 +175,14 @@ def init_parameters(
 
 @dataclass
 class PreparedExample:
-    """Constant per-sample inputs for the differentiable forward pass."""
+    """Constant per-sample inputs for the differentiable forward pass.
 
-    patches: np.ndarray  # (n_patches, patch_size)
+    Only the patches that are not all zero are kept, with their row indices;
+    the zero rows of absent anchors are restored in ``forward_prepared``.
+    """
+
+    patch_rows: np.ndarray  # (n_kept,) indices of the kept patches, ascending
+    patch_values: np.ndarray  # (n_kept, patch_size) those patches
     pe_const: Optional[np.ndarray]  # (n_patches, d_model) sin/cos addend, spatial kinds
     p_tdoa: np.ndarray  # (3,)
     target: Optional[np.ndarray]  # (3,) true position, None at inference
@@ -200,8 +205,10 @@ def prepare_from_tensor(
             )
     else:
         pe_const = constant_encoding_rows(patches, cfg.encoding, cfg.d_model, cfg.extent)
+    rows = np.flatnonzero(patches.values.any(axis=1))
     return PreparedExample(
-        patches=patches.values,
+        patch_rows=rows,
+        patch_values=patches.values[rows],
         pe_const=pe_const,
         p_tdoa=np.asarray(p_tdoa, dtype=float),
         target=None if target is None else np.asarray(target, dtype=float),
@@ -310,8 +317,11 @@ class CorrectionModel:
         prm = self.params
         batch = len(examples)
 
-        patches = ad.Tensor(np.stack([e.patches for e in examples]))
-        embedded = ad.matmul(patches, prm["embed.w"], prm["embed.b"])
+        patch_size = prm["embed.w"].data.shape[0]
+        patches = np.zeros((batch, n_tokens - 1, patch_size))
+        for b, e in enumerate(examples):
+            patches[b, e.patch_rows] = e.patch_values
+        embedded = ad.matmul(ad.Tensor(patches), prm["embed.w"], prm["embed.b"])
         cls_tok = ad.add(
             ad.reshape(prm["cls"], (1, 1, cfg.d_model)),
             ad.Tensor(np.zeros((batch, 1, cfg.d_model))),

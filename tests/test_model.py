@@ -301,7 +301,7 @@ def test_multi_cir_time_ordering_pads_missing_anchors(small_env):
     assert len(sample.raw_cirs) < small_env.n_anchors
     example = prepare_example(sample, small_env, cfg, np.array([5.0, 5.0, 1.0]))
     # zero padding keeps the patch height at n_total even with missing anchors
-    assert example.patches.shape == (10, small_env.n_anchors * 15)
+    assert example.n_tokens == 11 and example.patch_values.shape[1] == small_env.n_anchors * 15
     model = CorrectionModel.initialize(cfg, seed=0)
     assert model.predict_prepared([example]).shape == (1, 3)
 

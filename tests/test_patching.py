@@ -11,7 +11,7 @@ from uwbcorr import (
     patch_per_cir,
     spatial_pe,
 )
-from uwbcorr.cir import InputTensor
+from uwbcorr.cir import InputTensor, build_input_tensor
 from uwbcorr.errors import ConfigError, IncompatibleOrderingError
 from uwbcorr.model import CorrectionModel, prepare_example, prepare_from_tensor
 
@@ -116,6 +116,14 @@ class TestPatchPerCir:
         assert patch_per_cir(dummy_tensor(n), l).n_patches == n * (150 // l)
 
 
+def dense_patches(ex):
+    """The (n_patches, patch_size) matrix ``forward_prepared`` rebuilds from
+    an example's kept rows."""
+    out = np.zeros((ex.n_tokens - 1, ex.patch_values.shape[1]))
+    out[ex.patch_rows] = ex.patch_values
+    return out
+
+
 class TestEmbedPatches:
     """What reaches the model's patch embedding: the prepared example's
     patches, token count and per-patch provenance."""
@@ -130,16 +138,29 @@ class TestEmbedPatches:
         assert absent
         cfg = make_model_config("per_cir", "fixed", "spatial", 75, 16, env=small_env)
         ex = prepare_example(sample, small_env, cfg, np.array([5.0, 5.0, 1.0]))
+        patches = dense_patches(ex)
         for i in absent:
-            assert not ex.patches[2 * i : 2 * i + 2].any()
+            assert not patches[2 * i : 2 * i + 2].any()
+            assert not np.isin([2 * i, 2 * i + 1], ex.patch_rows).any()  # not stored
             want = spatial_pe(small_env.anchors[i].position, small_env.extent, cfg.d_model)
             assert np.array_equal(ex.pe_const[2 * i], want)
-        assert all(ex.patches[2 * i].any() for i in range(small_env.n_anchors) if i not in absent)
+        assert all(patches[2 * i].any() for i in range(small_env.n_anchors) if i not in absent)
+
+    @pytest.mark.parametrize("l_patch", [150, 30])
+    def test_an_example_keeps_only_its_non_zero_patches(self, small_env, l_patch):
+        sample = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])], 0.5, 3, ChannelConfig())[0]
+        cfg = make_model_config("per_cir", "fixed", "spatial", l_patch, 16, env=small_env)
+        ex = prepare_example(sample, small_env, cfg, np.array([5.0, 5.0, 1.0]))
+        tensor = build_input_tensor(sample, small_env, "fixed")
+        full = patch_per_cir(tensor, l_patch).values
+        assert np.array_equal(ex.patch_rows, np.flatnonzero(full.any(axis=1)))
+        assert len(ex.patch_rows) < len(full) and ex.patch_values.any(axis=1).all()
+        assert np.array_equal(dense_patches(ex), full)
 
     def test_shape_multi_cir(self):
         cfg = make_model_config("multi_cir", "fixed", "learned", 15, 16, n_total=15)
         ex = prepare_from_tensor(dummy_tensor(15), cfg, np.array([5.0, 5.0, 1.0]))
-        assert ex.patches.shape == (10, 225) and ex.n_tokens == 11
+        assert dense_patches(ex).shape == (10, 225) and ex.n_tokens == 11
         assert ex.pe_const is None
         model = CorrectionModel.initialize(cfg)
         assert "pe.within" not in model.params
