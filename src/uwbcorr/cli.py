@@ -30,6 +30,7 @@ from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
 from .errors import InsufficientDataError, UwbcorrError, check_int
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
+from .tdoa import STOP_REASONS
 from .simulate import (
     ChannelConfig,
     default_environment,
@@ -106,13 +107,17 @@ def cmd_baseline(args) -> int:
         raise InsufficientDataError(f"{args.dataset}: no solvable samples")
     out.mkdir(parents=True, exist_ok=True)
     unsolvable = len(dataset) - len(solved)
+    solves = [e for _, e in solved]
     truths = np.array([s.true_position for s, _ in solved])
-    estimates = np.array([e.position for _, e in solved])
+    estimates = np.array([e.position for e in solves])
     report = metrics_report(estimates, truths)
-    dataio.write_metrics_json(
-        out / "baseline_metrics.json", report, extra={"n_unsolvable": unsolvable}
-    )
-    dataio.write_estimates_csv(out / "baseline_estimates.csv", truths, estimates)
+    extra = {
+        "n_unsolvable": unsolvable,
+        "stop_reasons": {r: sum(e.stop_reason == r for e in solves) for r in STOP_REASONS},
+        "on_bound_share": float(np.mean([e.on_bound for e in solves])),
+    }
+    dataio.write_metrics_json(out / "baseline_metrics.json", report, extra=extra)
+    dataio.write_estimates_csv(out / "baseline_estimates.csv", truths, estimates, solves=solves)
     print(
         f"baseline MAE {report.mae:.3f} m over {report.n_samples} samples "
         f"({unsolvable} unsolvable, excluded)"
@@ -193,7 +198,9 @@ def cmd_sweep(args) -> int:
 
     combos = enumerate_sweep(cfg.sweep)[: args.limit]  # a None limit runs them all
     results_path = out / "sweep_results.csv"
-    done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
+    done = set()
+    if results_path.exists():  # a rerun skips the configurations already in the table
+        done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
     train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs)
     for combo in combos:
         if _sweep_key(combo) in done:

@@ -150,7 +150,10 @@ def write_history_csv(path, history: TrainingHistory):
     write_table(path, rows, ["epoch"] + columns)
 
 
-def write_estimates_csv(path, truths, baselines, estimates=None):
+def write_estimates_csv(path, truths, baselines, estimates=None, solves=None):
+    """True, baseline and (given ``estimates``) corrected positions per row;
+    ``solves``, the baseline ``PositionEstimate`` of each row, adds why its
+    solve stopped and whether it ended on the box wall (1) or not (0)."""
     columns = ["true_x", "true_y", "true_z", "tdoa_x", "tdoa_y", "tdoa_z"]
     blocks = [truths, baselines]
     if estimates is not None:
@@ -160,6 +163,10 @@ def write_estimates_csv(path, truths, baselines, estimates=None):
         dict(zip(columns, (f"{v:.6f}" for position in positions for v in position)))
         for positions in zip(*blocks)
     ]
+    if solves is not None:
+        columns += ["stop_reason", "on_bound"]
+        for row, solve in zip(rows, solves):
+            row.update(stop_reason=solve.stop_reason, on_bound=int(solve.on_bound))
     write_table(path, rows, columns)
 
 
@@ -185,8 +192,6 @@ def append_sweep_row(path, row: dict):
 
 
 def read_sweep_rows(path) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        return []
-    with path.open(newline="") as fh:
+    """The rows of a sweep table; a missing file raises FileNotFoundError."""
+    with Path(path).open(newline="") as fh:
         return list(csv.DictReader(fh))

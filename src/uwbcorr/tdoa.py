@@ -4,9 +4,11 @@ A tag transmits once; anchors record reception timestamps. Pairwise timestamp
 differences scaled by the speed of light give distance differences (DDoAs),
 each constraining the tag to a hyperboloid. The solver minimizes the squared
 hyperboloid residuals with a damped Gauss-Newton (Levenberg-Marquardt) loop
-using the analytic Jacobian; every start of every sample in a batch advances
-in lockstep as one row of stacked arrays, with each sample's pairs padded to
-the batch's widest set by pairs of zero residual and zero Jacobian.
+using the analytic Jacobian. A coordinate on a wall of the search box stays
+there while its gradient points outward. Every start of every sample in a
+batch advances in lockstep as one row of stacked arrays, with each sample's
+pairs padded to the batch's widest set by pairs of zero residual and zero
+Jacobian.
 """
 
 from __future__ import annotations
@@ -31,10 +33,13 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 PAIR_POLICIES = ("all_pairs", "reference_anchor")
 
 # Levenberg-Marquardt settings shared by every solve: the iteration cap, the
-# step norm (m) below which a run has converged, the starting damping, and
-# the anchor-biased restarts tried after the centroid when no init is given.
+# step norm (m), projected gradient and relative cost decrease at which a run
+# has converged, the starting damping, and the anchor-biased restarts tried
+# after the centroid when no init is given.
 MAX_ITERATIONS = 100
 STEP_TOL = 1e-10
+GRAD_TOL = 1e-9  # m: the largest entry of the projected J^T r at a minimum
+COST_RTOL = 1e-10  # an accepted step that lowers r . r by no more than this share
 DAMPING = 1e-3
 EXTRA_STARTS = 4
 
@@ -82,12 +87,25 @@ class DdoaSet:
                 raise ValueError(f"pair ({i},{j}) has non-finite ddoa")
 
 
+# Why a solve stopped: the first three are convergence.
+STOP_REASONS = ("step", "cost", "gradient", "cap", "damping")
+_STEP, _COST, _GRADIENT, _CAP, _DAMPING = range(len(STOP_REASONS))
+
+
 @dataclass(frozen=True)
 class PositionEstimate:
+    """A solve's position, residual norm, LM iterations, why it stopped (one
+    of ``STOP_REASONS``) and whether it ended on a wall of the search box."""
+
     position: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool
+    stop_reason: str
+    on_bound: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("step", "cost", "gradient")
 
 
 @dataclass(frozen=True)
@@ -268,10 +286,18 @@ def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
     DDoAs ``dd[r]``) from ``starts[r]`` and keeps its own point, residuals,
     Jacobian, damping, cost and stopping state. The damping is multiplied by
     10 on a rejected step (or a singular normal matrix) and divided by 10 on
-    an accepted one. A row stops when its step norm drops below ``STEP_TOL``
-    (converged), when a rejected step pushes the damping above 1e14, or
-    after ``MAX_ITERATIONS``; stopped rows leave the stack and the others
-    carry on.
+    an accepted one.
+
+    Inside a box, a free coordinate on a wall whose gradient g = J^T r would
+    carry it out of the box is held there (the active set of Moré 1978): its
+    row and column of the normal matrix become the identity's and its entry
+    of g is zeroed, so the step moves the other coordinates only. A row stops
+    at the first of, in this order: the projected gradient is small,
+    max |g| <= ``GRAD_TOL`` (the step is then not taken); the step norm is
+    below ``STEP_TOL``; an accepted step lowers the cost r . r by no more
+    than ``COST_RTOL`` of it; a rejected step pushes the damping above 1e14;
+    ``MAX_ITERATIONS``. The first three are convergence (Madsen, Nielsen &
+    Tingleff 2004). Stopped rows leave the stack and the others carry on.
 
     The rows are sorted by their pair count ``counts`` and padded to the
     widest with pairs of zero residual and zero Jacobian. The elementwise
@@ -282,12 +308,16 @@ def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
     unpadded columns. Each row's arithmetic is then that of a solve of its
     set alone.
 
-    Returns positions (R, 3), residual norms (R,), iterations (R,) and
-    converged flags (R,).
+    Returns positions (R, 3), residual norms (R,), iterations (R,), stop
+    reasons (R,) as indices into ``STOP_REASONS``, and on-bound flags (R,):
+    a free coordinate of the result lies on a box wall.
     """
     k = 2 if fix_z is not None else 3  # the free coordinates: x, y and, off the plane, z
     eye = np.eye(k)
+    diag = np.arange(k)
     box = None if bounds is None else (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
+    if box is not None:
+        wall_lo, wall_hi = box[0][:k, None], box[1][:k, None]
 
     def place(pts):
         if box is not None:
@@ -304,37 +334,48 @@ def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
     rows = np.arange(len(p))  # the output row of each row still running
     out_p, out_cost = np.empty_like(p), np.empty_like(cost)
     iterations = np.full(len(p), MAX_ITERATIONS)
-    converged = np.zeros(len(p), dtype=bool)
+    reasons = np.full(len(p), _CAP)
     for it in range(1, MAX_ITERATIONS + 1):
         if rows.size == 0:
             break
         jac_t = jac.swapaxes(1, 2)  # jac_t @ jac on one buffer runs as syrk, like jac.T @ jac
         normal = jac_t @ jac + lam[:, None, None] * eye
-        rhs = np.empty((len(p), k, 1))
+        grad = np.empty((len(p), k, 1))  # J^T r, half the gradient of the cost
         for lo, hi, m in spans:
-            rhs[lo:hi] = jac_t[lo:hi, :, :m] @ r[lo:hi, :m, None]
-        rhs = -rhs
+            grad[lo:hi] = jac_t[lo:hi, :, :m] @ r[lo:hi, :m, None]
+        if box is not None:
+            x = p[:, :k, None]
+            held = np.where(grad > 0.0, x <= wall_lo, (x >= wall_hi) & (grad < 0.0))
+            if held.any():
+                grad[held] = 0.0
+                held = held[:, :, 0]
+                normal[held[:, :, None] | held[:, None, :]] = 0.0
+                normal[:, diag, diag] = np.where(held, 1.0, normal[:, diag, diag])
+        flat = np.abs(grad).max(axis=(1, 2)) <= GRAD_TOL
         try:
-            step, solved = np.linalg.solve(normal, rhs)[:, :, 0], True
+            step, solved = np.linalg.solve(normal, -grad)[:, :, 0], True
         except np.linalg.LinAlgError:
-            step, solved = _solve_each(normal, rhs)
+            step, solved = _solve_each(normal, -grad)
         p_new = p.copy()
         p_new[:, :k] += step
         p_new = place(p_new)
         r_new, jac_new = _residuals_and_jacobian(p_new, ends, dd, k)
         cost_new = _span_costs(r_new, spans)
-        small = np.sqrt(_sq_norms(step)) < STEP_TOL
-        accept = solved & np.isfinite(cost_new) & (cost_new < cost)
+        small = solved & (np.sqrt(_sq_norms(step)) < STEP_TOL)
+        accept = solved & (cost_new < cost) & ~flat  # a NaN cost is never lower
+        level = accept & (cost - cost_new <= COST_RTOL * cost)
         np.copyto(p, p_new, where=accept[:, None])
         np.copyto(r, r_new, where=accept[:, None])
         np.copyto(jac, jac_new, where=accept[:, None, None])
         cost = np.where(accept, cost_new, cost)
         lam = np.where(accept, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
-        stop = solved & (small | (~accept & (lam > 1e14)))
+        damped = solved & ~accept & (lam > 1e14)
+        stop = flat | small | level | damped
         if stop.any():
+            why = np.where(flat, _GRADIENT, np.where(small, _STEP, np.where(level, _COST, _DAMPING)))
             done = rows[stop]
             out_p[done], out_cost[done] = p[stop], cost[stop]
-            iterations[done], converged[done] = it, small[stop]
+            iterations[done], reasons[done] = it, why[stop]
             keep = ~stop
             rows, p, r, jac, cost, lam, dd, counts = (
                 x[keep] for x in (rows, p, r, jac, cost, lam, dd, counts)
@@ -342,7 +383,10 @@ def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
             ends = ends[:, keep]
             spans = _spans(counts)
     out_p[rows], out_cost[rows] = p, cost
-    return out_p, np.sqrt(out_cost), iterations, converged
+    on_bound = np.zeros(len(out_p), dtype=bool)
+    if box is not None:
+        on_bound = ((out_p[:, :k] <= box[0][:k]) | (out_p[:, :k] >= box[1][:k])).any(axis=1)
+    return out_p, np.sqrt(out_cost), iterations, reasons, on_bound
 
 
 def _solve_group(
@@ -383,7 +427,7 @@ def _solve_group(
     ends = np.ascontiguousarray(np.stack([e for _, e, _ in sets])[owner].transpose(2, 0, 1))
     dd = np.stack([d for _, _, d in sets])[owner]
     counts = np.array([len(ddoa_sets[n].pairs) for n in owner])
-    position, residual, iterations, converged = _levenberg_marquardt(
+    position, residual, iterations, reasons, on_bound = _levenberg_marquardt(
         starts, ends, dd, counts, fix_z=fix_z, bounds=bounds
     )
     results = []
@@ -400,7 +444,8 @@ def _solve_group(
                 position=position[best].copy(),
                 residual_norm=float(residual[best]),
                 iterations=int(iterations[best]),
-                converged=bool(converged[best]),
+                stop_reason=STOP_REASONS[reasons[best]],
+                on_bound=bool(on_bound[best]),
             )
         )
     return results
@@ -417,10 +462,13 @@ def solve_tdoa(
     """Least-squares tag position from a DDoA set.
 
     Levenberg-Marquardt on the hyperboloid residuals: the damping factor is
-    multiplied by 10 on a rejected step and divided by 10 on an accepted one;
-    a run stops when the step norm drops below ``STEP_TOL`` or after
-    ``MAX_ITERATIONS``. Non-convergence returns the best iterate with
-    ``converged=False`` rather than raising.
+    multiplied by 10 on a rejected step and divided by 10 on an accepted one,
+    and a coordinate that a wall of ``bounds`` holds is left out of the step.
+    A run converges on a small projected gradient, step or relative cost
+    decrease (``GRAD_TOL``, ``STEP_TOL``, ``COST_RTOL``), and otherwise stops
+    at the damping limit or after ``MAX_ITERATIONS``; the estimate's
+    ``stop_reason`` says which. Non-convergence returns the best iterate with
+    ``converged`` False rather than raising.
 
     The squared-residual surface has mirror basins, so unless ``init`` is
     given the solver restarts from a few anchor-biased points and keeps the

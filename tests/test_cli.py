@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from dataclasses import fields, is_dataclass
 
@@ -23,7 +24,7 @@ from uwbcorr.config import (
 )
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError, is_number
 from uwbcorr.metrics import metrics_report
-from uwbcorr.tdoa import SolverOptions, solve_baselines
+from uwbcorr.tdoa import STOP_REASONS, SolverOptions, solve_baselines
 
 
 TINY_MODEL = [
@@ -193,6 +194,27 @@ class TestBaseline:
         assert set(metrics["cep_m"]) == {"50", "75", "90", "95", "99"}
         assert metrics["mae_m"] >= 0
         assert "n_unsolvable" in metrics
+
+    def test_records_why_each_solve_stopped(self, tiny_run, tmp_path):
+        dataset, env_path = tiny_run / "eval.jsonl", tiny_run / "environment.json"
+        argv = ["baseline", "--output-dir", str(tmp_path), "--dataset", str(dataset), "--env", str(env_path)]
+        assert main(argv) == 0
+        metrics = json.loads((tmp_path / "baseline_metrics.json").read_text())
+        with (tmp_path / "baseline_estimates.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[-2:] == ["stop_reason", "on_bound"]
+        # the rows are the solvable samples' estimates, in dataset order
+        env = dataio.read_environment(env_path)
+        cfg = load_experiment_config(None, [])
+        options = cfg.solver.options(env, cfg.environment.tag_height)
+        estimates = [e for e in solve_baselines(dataio.read_samples_jsonl(dataset), env.anchors, options) if e]
+        assert [(r["stop_reason"], r["on_bound"]) for r in rows] == [
+            (e.stop_reason, str(int(e.on_bound))) for e in estimates
+        ]
+        assert set(metrics["stop_reasons"]) == set(STOP_REASONS)
+        assert metrics["stop_reasons"] == {k: sum(r["stop_reason"] == k for r in rows) for k in STOP_REASONS}
+        assert sum(metrics["stop_reasons"].values()) == metrics["n_samples"] == len(rows)
+        assert metrics["on_bound_share"] == np.mean([e.on_bound for e in estimates])
 
     def test_solves_on_the_plane_of_the_tag_height(self, tmp_path):
         """Tags simulated at 1.5 m are solved on z = 1.5, the one tag height
@@ -570,6 +592,7 @@ class TestMissingInputs:
         "train": {"--env": "environment.json", "--dataset": "train.jsonl", "--eval-dataset": "eval.jsonl"},
         "evaluate": {"--env": "environment.json", "--dataset": "eval.jsonl", "--checkpoint": None},
         "sweep": {"--env": "environment.json", "--dataset": "train.jsonl", "--eval-dataset": "eval.jsonl"},
+        "pareto": {"--results": "sweep_results.csv"},
     }
 
     @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in INPUTS.items() for f in flags])

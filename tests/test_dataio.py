@@ -65,6 +65,8 @@ def test_sweep_rows_round_trip(tmp_path):
     rows = dataio.read_sweep_rows(path)
     assert len(rows) == 2
     assert rows[0]["d_model"] == "64" and rows[1]["d_model"] == "128"
+    with pytest.raises(FileNotFoundError):
+        dataio.read_sweep_rows(tmp_path / "missing.csv")
 
 
 def test_truncated_line_names_file_and_line(tmp_path, small_dataset):

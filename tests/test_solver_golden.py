@@ -5,18 +5,24 @@ cases built by :func:`golden_cases`: 64 seeded samples from
 ``default_environment()``, 48 with half the anchors dropped at random and
 16 with 85% dropped (so pair counts vary and a few samples are
 unsolvable), under both pair policies, with ``fix_z=1.0`` and
-``fix_z=None``, and with and without an ``init`` point. It was written by
-running this module as a script (``PYTHONPATH=src python
-tests/test_solver_golden.py``) at commit 5e820d1, where every start of the
-multi-start ran one after another in a Python loop; JSON stores the floats
-exactly. Do not regenerate it from a newer solver: it is the reference a
-rewrite of the solver must reproduce. The script refuses to overwrite the
-file unless it is given ``--rewrite``.
+``fix_z=None``, and with and without an ``init`` point. It was first
+written at commit 5e820d1, where every start of the multi-start ran one
+after another in a Python loop, and held through the lockstep and padded
+rewrites. It was re-recorded (``PYTHONPATH=src python
+tests/test_solver_golden.py --rewrite``) in the commit after 8b07e4f, which
+holds coordinates on the box wall out of the step and added the gradient
+and cost stops (``tdoa.GRAD_TOL``, ``tdoa.COST_RTOL``), so iterations, stop
+reasons and positions changed by design. JSON stores the floats exactly.
+Re-record it only for a change meant to move the solver's results, and say
+why; a rewrite that keeps the results must reproduce it. The script refuses
+to overwrite the file unless it is given ``--rewrite``, and then prints the
+converged share and the count of each stop reason.
 
 ``reference_anchor`` results must match bit for bit. ``all_pairs`` results
 (n(n-1)/2 pairs for n anchors) may differ by 1e-12 m, from summation order
-in the normal equations, but must keep the iteration count and the
-converged flag. ``solve_baselines`` is held to the same fixture.
+in the normal equations, but must keep the iteration count, the stop
+reason and the on-bound flag. ``solve_baselines`` is held to the same
+fixture.
 """
 
 import argparse
@@ -60,6 +66,8 @@ def record(estimate):
         "residual_norm": estimate.residual_norm,
         "iterations": estimate.iterations,
         "converged": estimate.converged,
+        "stop_reason": estimate.stop_reason,
+        "on_bound": estimate.on_bound,
     }
 
 
@@ -76,7 +84,8 @@ def assert_matches(got, want, policy, where):
     if "error" in want or policy == "reference_anchor":
         assert got == want, where
         return
-    assert (got["iterations"], got["converged"]) == (want["iterations"], want["converged"]), where
+    kept = ("iterations", "converged", "stop_reason", "on_bound")
+    assert [got[k] for k in kept] == [want[k] for k in kept], where
     assert np.max(np.abs(np.subtract(got["position"], want["position"]))) <= 1e-12, where
     assert got["residual_norm"] == pytest.approx(want["residual_norm"], abs=1e-12), where
 
@@ -148,4 +157,9 @@ if __name__ == "__main__":
         ]
     }
     FIXTURE.write_text(json.dumps(payload, indent=None, separators=(",", ":")) + "\n")
-    print(f"wrote {FIXTURE}")
+    solved = [r for case in payload["cases"] for r in case["results"] if "error" not in r]
+    reasons = ", ".join(f"{k} {sum(r['stop_reason'] == k for r in solved)}" for k in tdoa.STOP_REASONS)
+    print(
+        f"wrote {FIXTURE}: {sum(r['converged'] for r in solved)}/{len(solved)} solves converged; "
+        f"stop reasons {reasons}"
+    )

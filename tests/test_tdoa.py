@@ -28,7 +28,7 @@ from uwbcorr.errors import (
     MissingAnchorError,
 )
 
-from test_solver_golden import assert_matches, record
+from test_solver_golden import assert_matches, golden_cases, record
 
 finite_coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 point = st.tuples(finite_coord, finite_coord, finite_coord).map(np.array)
@@ -244,10 +244,11 @@ def test_baseline_position_round_trip(clean_dataset, open_env):
 
 def assert_same_estimate(got, want):
     assert np.array_equal(got.position, want.position)
-    assert (got.residual_norm, got.iterations, got.converged) == (
+    assert (got.residual_norm, got.iterations, got.stop_reason, got.on_bound) == (
         want.residual_norm,
         want.iterations,
-        want.converged,
+        want.stop_reason,
+        want.on_bound,
     )
 
 
@@ -352,6 +353,7 @@ class TestSolveBaselines:
         monkeypatch.setattr(tdoa, "DAMPING", 0.0)
         alone = [solve_tdoa(d, anchors, fix_z=0.0) for d in sets]
         assert alone[1].iterations == 100 and not alone[1].converged
+        assert alone[1].stop_reason == "cap"
         fallbacks = []
         solve_each = tdoa._solve_each
         monkeypatch.setattr(tdoa, "_solve_each", lambda *a: fallbacks.append(1) or solve_each(*a))
@@ -392,6 +394,18 @@ class TestPaddedSolve:
         for sample, estimate in zip(mixed, got):
             assert_same_estimate(estimate, baseline_position(sample, env.anchors, options=options))
 
+    @pytest.mark.parametrize("fix_z", [1.0, None])
+    def test_a_mixed_batch_with_rows_on_the_wall_matches_one_at_a_time(self, hall, fix_z):
+        # rows whose coordinates the box wall holds change the normal
+        # matrices of some rows in some iterations and not of others
+        env, samples = hall
+        mixed = [keep_anchors(s, n) for s, n in zip(samples, [3, 4, 5, 6, 7, 8] * 4)]
+        options = SolverOptions.for_environment(env, fix_z=fix_z)
+        got = solve_baselines(mixed, env.anchors, options)
+        assert sum(e.on_bound for e in got) >= 5 and sum(not e.on_bound for e in got) >= 5
+        for sample, estimate in zip(mixed, got):
+            assert_same_estimate(estimate, baseline_position(sample, env.anchors, options=options))
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_pad_pair_has_zero_residual_and_jacobian(self, k):
         anchors = make_anchors([(0, 0, 3), (10, 0, 2.5), (10, 10, 3), (0, 10, 2.8)])
@@ -411,3 +425,63 @@ class TestPaddedSolve:
         assert np.all(r_pad[:, 3:] == 0.0) and np.all(jac_pad[:, 3:] == 0.0)
         # the pair axis is contiguous, as in the one-row solver's J^T J
         assert jac_pad.strides[1] == jac_pad.itemsize
+
+
+def projected_gradient(position, sample, anchors, options):
+    """J^T r of the solver's cost at ``position``, from the formula one pair at
+    a time, over the free coordinates, and the mask of those a box wall holds:
+    on the wall with the descent direction -J^T r pointing out of the box."""
+    ddoas = measured_ddoa_set({c.anchor_id: c.rx_time for c in sample.raw_cirs}, options.pair_policy)
+    pos = {a.id: a.position for a in anchors}
+    k = 2 if options.fix_z is not None else 3
+    grad = np.zeros(3)
+    for r, (i, j, _) in zip(residuals(position, ddoas, anchors), ddoas.pairs):
+        grad += r * ((position - pos[i]) / math.dist(position, pos[i]) - (position - pos[j]) / math.dist(position, pos[j]))
+    grad, x = grad[:k], position[:k]
+    lo, hi = np.array(options.bounds[0][:k]), np.array(options.bounds[1][:k])
+    held = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
+    return grad, held
+
+
+class TestFirstOrder:
+    """Converged solves of the golden cases end at a minimum of the cost on
+    the box, as far as their stop rule can tell."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        env, samples, _ = golden_cases()
+        out = {}
+        for policy in ("reference_anchor", "all_pairs"):
+            for fix_z in (1.0, None):
+                options = SolverOptions.for_environment(env, pair_policy=policy, fix_z=fix_z)
+                estimates = solve_baselines(samples, env.anchors, options)
+                out[policy, fix_z] = [(s, e) for s, e in zip(samples, estimates) if e is not None]
+        return env, out
+
+    @pytest.mark.parametrize("policy", ["reference_anchor", "all_pairs"])
+    @pytest.mark.parametrize("fix_z", [1.0, None])
+    def test_converged_results_meet_the_first_order_conditions(self, solved, policy, fix_z):
+        env, results = solved
+        options = SolverOptions.for_environment(env, pair_policy=policy, fix_z=fix_z)
+        k = 2 if fix_z is not None else 3
+        lo, hi = np.array(options.bounds[0][:k]), np.array(options.bounds[1][:k])
+        converged = [(s, e) for s, e in results[policy, fix_z] if e.converged]
+        assert len(converged) >= 0.8 * len(results[policy, fix_z])
+        for sample, estimate in converged:
+            p = estimate.position
+            if min(math.dist(p, a.position) for a in env.anchors) <= 1e-6:
+                continue  # on an anchor the cost has a cone tip and no gradient
+            grad, held = projected_gradient(p, sample, env.anchors, options)
+            on_wall = (p[:k] <= lo) | (p[:k] >= hi)
+            assert estimate.on_bound == bool(on_wall.any())
+            # a coordinate on a wall is held there by its gradient, or has none
+            assert np.all(held | ~on_wall | (np.abs(grad) <= tdoa.GRAD_TOL)), sample.sample_id
+            free = np.where(held, 0.0, grad)
+            if estimate.stop_reason == "gradient":
+                assert np.max(np.abs(free)) <= tdoa.GRAD_TOL, sample.sample_id
+            else:
+                # the cost rule's promise: a move of 1e-7 m along any free
+                # coordinate lowers the cost r . r (slope 2 J^T r) by at
+                # most COST_RTOL of it
+                cost = float(np.sum(residuals(p, tdoa._sample_ddoas(sample, policy), env.anchors) ** 2))
+                assert np.max(np.abs(free)) * 2e-7 <= tdoa.COST_RTOL * cost, sample.sample_id

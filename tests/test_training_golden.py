@@ -14,13 +14,18 @@
 The configs are the benchmark's two training models (per-CIR fixed/spatial
 with ``l_patch=150``; per-CIR time-ordered spatial+time with ``l_patch=30``)
 and multi-CIR with learned encodings, at a small width (d_model 16, two
-encoder blocks) so the file stays small. It was written by running this
-module as a script (``PYTHONPATH=src python tests/test_training_golden.py``)
-at commit 209e218, where every encoder block computed all token rows and
-the head read the CLS row afterwards; ``.npz`` stores the float64 arrays
-exactly. Do not regenerate it from a newer model: it is the reference a
-rewrite of the forward or backward pass must reproduce. The script refuses to
-overwrite the file unless it is given ``--rewrite``.
+encoder blocks) so the file stays small. It was first written at commit
+209e218, where every encoder block computed all token rows and the head
+read the CLS row afterwards, and held unchanged through 8b07e4f, which
+stores only the non-zero patch rows of an example. It was re-recorded
+(``PYTHONPATH=src python tests/test_training_golden.py --rewrite``) in the
+next commit, whose active-set solver moved the baseline positions
+``p_tdoa`` the examples are built from; the model code was the one that had
+reproduced the 209e218 arrays. ``.npz`` stores the float64 arrays exactly.
+Do not regenerate it for a change to the model: it is the reference a
+rewrite of the forward or backward pass must reproduce. The script refuses
+to overwrite the file unless it is given ``--rewrite``, and then prints the
+loss of each config.
 
 Gradients and the loss must match to 1e-12 relative to the largest entry
 of each array, positions to 1e-10 m. Those margins cover summation-order
@@ -199,4 +204,5 @@ if __name__ == "__main__":
     for config in CONFIGS:
         arrays.update(compute_entry(config))
     np.savez(FIXTURE, **arrays)
-    print(f"wrote {FIXTURE} ({len(arrays)} arrays)")
+    losses = ", ".join(f"{name} {float(arrays[f'{name}/loss']):.6g}" for name in CONFIGS)
+    print(f"wrote {FIXTURE} ({len(arrays)} arrays); losses {losses}")
