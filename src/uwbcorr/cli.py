@@ -30,7 +30,6 @@ from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
 from .errors import InsufficientDataError, UwbcorrError, check_int
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
-from .tdoa import STOP_REASONS
 from .simulate import (
     ChannelConfig,
     default_environment,
@@ -38,6 +37,7 @@ from .simulate import (
     grid_trajectory,
     random_trajectory,
 )
+from .tdoa import STOP_REASONS
 from .training import evaluate_model, solve_solvable, train
 
 
