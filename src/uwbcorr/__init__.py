@@ -2,7 +2,7 @@
 
 from .cir import InputTensor, build_input_tensor, iq_to_amplitude, normalize_minmax, trim_window
 from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
-from .encodings import frequency_bands, spatial_pe, time_diff_pe
+from .encodings import frequency_bands
 from .metrics import MetricsReport, cep, mae, metrics_report
 from .model import CorrectionModel, ModelConfig, load_checkpoint, make_model_config, save_checkpoint
 from .patching import PatchSet, patch_multi_cir, patch_per_cir
@@ -18,7 +18,6 @@ from .simulate import (
     los_status,
     random_trajectory,
     synth_cir,
-    timestamp_error,
 )
 from .tdoa import (
     SPEED_OF_LIGHT,

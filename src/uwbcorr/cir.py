@@ -7,8 +7,7 @@ windows are stacked into an ordered matrix with one row per CIR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +62,6 @@ class InputTensor:
     """
 
     values: np.ndarray  # (n_rows, 150)
-    anchor_ids: np.ndarray  # (n_rows,) int
     anchor_positions: np.ndarray  # (n_rows, 3)
     rx_times: np.ndarray  # (n_rows,) float, NaN for absent rows
     padded: bool
@@ -71,16 +69,6 @@ class InputTensor:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    def permuted(self, order: Sequence[int]) -> "InputTensor":
-        order = np.asarray(order, dtype=int)
-        return replace(
-            self,
-            values=self.values[order],
-            anchor_ids=self.anchor_ids[order],
-            anchor_positions=self.anchor_positions[order],
-            rx_times=self.rx_times[order],
-        )
 
 
 def build_input_tensor(
@@ -116,7 +104,6 @@ def build_input_tensor(
             rx_times[row] = raw.rx_time
     return InputTensor(
         values=values,
-        anchor_ids=np.array(ids, dtype=int),
         anchor_positions=np.array([anchors[i].position for i in ids]),
         rx_times=rx_times,
         padded=ordering == "fixed" or pad_missing,

@@ -16,6 +16,7 @@ Three kinds:
 
 Spatial kinds only make sense for per-CIR tokens: a multi-CIR token mixes
 samples from every anchor, so it has no single source coordinate.
+``ModelConfig`` rejects that combination.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import functools
 
 import numpy as np
 
-from .errors import ConfigError, IncompatibleEncodingError, OutOfBoundsError
-from .patching import PatchSet
+from .cir import InputTensor
+from .errors import ConfigError, OutOfBoundsError
 
 ENCODING_KINDS = ("learned", "spatial", "spatial_time")
 OMEGA_LO = 1.0  # lowest band, rad per unit of normalized input
@@ -38,16 +39,14 @@ def max_bands(d_model: int) -> int:
     return max(1, d_model // 6)
 
 
-def frequency_bands(n_bands: int, lo: float = OMEGA_LO, hi: float = OMEGA_HI) -> np.ndarray:
-    """Geometric progression from lo to hi, n_bands values."""
-    if not 0 < lo < hi:
-        raise ConfigError("need 0 < lo < hi")
+def frequency_bands(n_bands: int) -> np.ndarray:
+    """Geometric progression from OMEGA_LO to OMEGA_HI, n_bands values."""
     if n_bands < 1:
         raise ConfigError("need at least one frequency band")
     if n_bands == 1:
-        return np.array([lo])
+        return np.array([OMEGA_LO])
     exponents = np.arange(n_bands) / (n_bands - 1)
-    return lo * (hi / lo) ** exponents
+    return OMEGA_LO * (OMEGA_HI / OMEGA_LO) ** exponents
 
 
 def _sincos_rows(values: np.ndarray, d_model: int) -> np.ndarray:
@@ -77,57 +76,42 @@ def _normalized_positions(positions: np.ndarray, extent) -> np.ndarray:
     return normalized
 
 
-def _time_rows(deltas: np.ndarray, d_model: int) -> np.ndarray:
-    clamped = np.clip(deltas, 0.0, DELTA_T_MAX_S)
-    return _sincos_rows(clamped[:, None] / DELTA_T_MAX_S, d_model)
-
-
-def spatial_pe(anchor_position, extent, d_model: int) -> np.ndarray:
-    """Sinusoidal encoding of a normalized 3D coordinate, padded to d_model."""
-    pos = np.asarray(anchor_position, dtype=float)
-    return _sincos_rows(_normalized_positions(pos[None], extent), d_model)[0]
-
-
-def time_diff_pe(delta_t: float, d_model: int) -> np.ndarray:
-    """Sinusoidal encoding of a reception delay, clamped to DELTA_T_MAX_S."""
-    return _time_rows(np.array([float(delta_t)]), d_model)[0]
-
-
-def token_time_deltas(patches: PatchSet) -> np.ndarray:
-    """Per-patch delay since the earliest reception; absent rows clamp to max."""
-    times = patches.rx_times
+def token_time_deltas(tensor: InputTensor) -> np.ndarray:
+    """Per-row delay since the earliest reception; absent rows clamp to max."""
+    times = tensor.rx_times
     finite = np.isfinite(times)
-    deltas = np.full(patches.n_patches, DELTA_T_MAX_S)
+    deltas = np.full(tensor.n_rows, DELTA_T_MAX_S)
     if finite.any():
         deltas[finite] = times[finite] - times[finite].min()
     return deltas
 
 
 @functools.lru_cache(maxsize=32)
-def _spatial_rows(positions: tuple, extent: tuple, d_model: int) -> np.ndarray:
+def _spatial_rows(positions: tuple, k_per_cir: int, extent: tuple, d_model: int) -> np.ndarray:
     rows = _sincos_rows(_normalized_positions(np.reshape(positions, (-1, 3)), extent), d_model)
+    rows = np.repeat(rows, k_per_cir, axis=0)
     rows.flags.writeable = False
     return rows
 
 
-def constant_encoding_rows(patches: PatchSet, kind: str, d_model: int, extent) -> np.ndarray:
+def constant_encoding_rows(
+    tensor: InputTensor, k_per_cir: int, kind: str, d_model: int, extent
+) -> np.ndarray:
     """The non-trainable (sin/cos) encoding addend of a ``kind`` encoding
-    for each patch token.
+    for each per-CIR token: row i of ``tensor`` encoded once and repeated
+    over its ``k_per_cir`` tokens.
 
-    The spatial rows are cached on (anchor positions in token order, extent,
-    d_model) and returned read-only, so examples with the same anchor layout
-    share one array. ``spatial_time`` adds its per-token delay rows into a
-    new array. Zero-padded absent rows are encoded like present ones: the
-    anchor position is known even without a packet.
+    The spatial rows are cached on (anchor positions in row order,
+    k_per_cir, extent, d_model) and returned read-only, so examples with the
+    same anchor layout share one array. ``spatial_time`` adds its per-token
+    delay rows into a new array. Zero-padded absent rows are encoded like
+    present ones: the anchor position is known even without a packet.
     """
-    positions = patches.anchor_positions
-    if np.isnan(positions).any():
-        raise IncompatibleEncodingError(
-            "spatial encodings need per-CIR tokens; multi-CIR tokens have no "
-            "single source anchor"
-        )
-    key = tuple(positions.ravel().tolist())
-    rows = _spatial_rows(key, tuple(np.asarray(extent, dtype=float).tolist()), d_model)
+    key = tuple(tensor.anchor_positions.ravel().tolist())
+    extent = tuple(np.asarray(extent, dtype=float).tolist())
+    rows = _spatial_rows(key, k_per_cir, extent, d_model)
     if kind == "spatial_time":
-        rows = rows + _time_rows(token_time_deltas(patches), d_model)
+        clamped = np.clip(token_time_deltas(tensor), 0.0, DELTA_T_MAX_S)
+        delays = _sincos_rows(clamped[:, None] / DELTA_T_MAX_S, d_model)
+        rows = rows + np.repeat(delays, k_per_cir, axis=0)
     return rows

@@ -204,7 +204,9 @@ def prepare_from_tensor(
                 f"{patches.n_patches + 1} tokens exceed max_seq_len={cfg.max_seq_len}"
             )
     else:
-        pe_const = constant_encoding_rows(patches, cfg.encoding, cfg.d_model, cfg.extent)
+        pe_const = constant_encoding_rows(
+            tensor, cfg.k_per_cir, cfg.encoding, cfg.d_model, cfg.extent
+        )
     rows = np.flatnonzero(patches.values.any(axis=1))
     return PreparedExample(
         patch_rows=rows,
@@ -305,11 +307,12 @@ class CorrectionModel:
     def forward_prepared(
         self, examples: Sequence[PreparedExample], train: bool = False, rng=None
     ) -> ad.Tensor:
-        """Batched predictions (B, 3); all examples must share a token count."""
+        """Batched predictions (B, 3); all examples must share a token count.
+        Training draws its dropout masks from ``rng``, so it must be given."""
         if not examples:
             raise ValueError("empty batch")
         if train and rng is None:
-            rng = np.random.default_rng()
+            raise ValueError("train=True needs an rng for the dropout masks")
         n_tokens = examples[0].n_tokens
         if any(e.n_tokens != n_tokens for e in examples):
             raise ValueError("examples in one batch must have equal token counts")
@@ -352,10 +355,6 @@ class CorrectionModel:
     def predict_prepared(self, examples: Sequence[PreparedExample]) -> np.ndarray:
         with ad.no_grad():
             return self.forward_prepared(examples, train=False).data
-
-    def predict(self, sample: Sample, env: Environment, p_tdoa) -> np.ndarray:
-        example = prepare_example(sample, env, self.config, p_tdoa)
-        return self.predict_prepared([example])[0]
 
 
 def save_checkpoint(model: CorrectionModel, path):

@@ -25,17 +25,10 @@ def check_l_patch(l_patch: int):
 
 @dataclass(frozen=True)
 class PatchSet:
-    """Flattened patches plus per-patch provenance.
-
-    ``anchor_positions`` and ``rx_times`` are NaN where a patch is not tied
-    to a single anchor (multi-CIR) or the source row is a zero-padded absent
-    anchor.
-    """
+    """Flattened patches. A per-CIR patch's source anchor and reception time
+    are those of tensor row ``patch // K``; multi-CIR patches have none."""
 
     values: np.ndarray  # (n_patches, patch_size)
-    patch_j: np.ndarray  # (n_patches,) column-block index within a CIR
-    anchor_positions: np.ndarray  # (n_patches, 3)
-    rx_times: np.ndarray  # (n_patches,)
 
     @property
     def n_patches(self) -> int:
@@ -54,12 +47,7 @@ def patch_multi_cir(m: InputTensor, l_patch: int) -> PatchSet:
     values = np.stack(
         [m.values[:, j * l_patch : (j + 1) * l_patch].reshape(-1) for j in range(k)]
     )
-    return PatchSet(
-        values=values,
-        patch_j=np.arange(k, dtype=int),
-        anchor_positions=np.full((k, 3), np.nan),
-        rx_times=np.full(k, np.nan),
-    )
+    return PatchSet(values=values)
 
 
 def patch_per_cir(m: InputTensor, l_patch: int) -> PatchSet:
@@ -69,12 +57,4 @@ def patch_per_cir(m: InputTensor, l_patch: int) -> PatchSet:
     """
     check_l_patch(l_patch)
     k = WINDOW_LENGTH // l_patch
-    n = m.n_rows
-    values = m.values.reshape(n * k, l_patch)
-    rows = np.repeat(np.arange(n, dtype=int), k)
-    return PatchSet(
-        values=values,
-        patch_j=np.tile(np.arange(k, dtype=int), n),
-        anchor_positions=m.anchor_positions[rows],
-        rx_times=m.rx_times[rows],
-    )
+    return PatchSet(values=m.values.reshape(m.n_rows * k, l_patch))

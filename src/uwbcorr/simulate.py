@@ -7,7 +7,8 @@ detected first path arrives late and the reception timestamp carries a
 positive error. Line-of-sight links are timestamped exactly.
 
 The channel parameters are placeholders tuned for plausible-looking CIRs,
-not radio fidelity; every knob sits in :class:`ChannelConfig`.
+not radio fidelity. The three that runs and tests vary sit in
+:class:`ChannelConfig`; the rest are the module constants below.
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ import numpy as np
 
 from .errors import OutOfBoundsError
 from .tdoa import SPEED_OF_LIGHT, Anchor, euclidean_distance
+
+SAMPLE_PERIOD_S = 1e-9  # CIR tap spacing
+CIR_LENGTH = 192  # samples per raw CIR buffer
+FIRST_PATH_SLOT = 64  # buffer index of the detected first path
+PULSE_HALFWIDTH_SAMPLES = 2.0
+EXTRA_TAPS = (3, 8)  # inclusive range of diffuse multipath taps per link
+EXTRA_TAP_MAX_EXCESS_M = 30.0
+EXTRA_TAP_DECAY_M = 8.0
+NLOS_DIRECT_GAIN = (0.0, 0.3)  # uniform range of a blocked direct tap's gain
+NLOS_REFLECTED_GAIN = (0.7, 1.0)  # and of the dominant reflection's gain
 
 
 @dataclass(frozen=True)
@@ -61,12 +72,6 @@ class Environment:
     def n_anchors(self) -> int:
         return len(self.anchors)
 
-    def anchor_by_id(self, anchor_id: int) -> Anchor:
-        for a in self.anchors:
-            if a.id == anchor_id:
-                return a
-        raise KeyError(f"no anchor with id {anchor_id}")
-
     def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)
         return bool(np.all(p >= 0) and np.all(p <= np.array(self.extent)))
@@ -107,18 +112,9 @@ class Sample:
 class ChannelConfig:
     """Knobs for the synthetic channel; values are placeholders, not physics."""
 
-    sample_period_s: float = 1e-9
-    cir_length: int = 192
-    first_path_slot: int = 64
-    pulse_halfwidth_samples: float = 2.0
     snr_db: Optional[float] = 20.0  # None disables noise
     multipath: bool = True
-    extra_taps: tuple[int, int] = (3, 8)
-    extra_tap_max_excess_m: float = 30.0
-    extra_tap_decay_m: float = 8.0
-    nlos_direct_gain: tuple[float, float] = (0.0, 0.3)
     nlos_excess_m: tuple[float, float] = (0.5, 15.0)
-    nlos_reflected_gain: tuple[float, float] = (0.7, 1.0)
 
 
 def _segment_hits_box(p0: np.ndarray, p1: np.ndarray, box: Box) -> bool:
@@ -192,18 +188,18 @@ def synth_cir(
         detected_delay = tau_direct
         taps.append((tau_direct, np.exp(1j * rng.uniform(0, 2 * np.pi))))
     else:
-        direct_gain = rng.uniform(*cfg.nlos_direct_gain)
+        direct_gain = rng.uniform(*NLOS_DIRECT_GAIN)
         excess_m = rng.uniform(*cfg.nlos_excess_m)
-        reflected_gain = rng.uniform(*cfg.nlos_reflected_gain)
+        reflected_gain = rng.uniform(*NLOS_REFLECTED_GAIN)
         detected_delay = tau_direct + excess_m / SPEED_OF_LIGHT
         taps.append((tau_direct, direct_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
         taps.append((detected_delay, reflected_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
 
     if cfg.multipath:
-        n_extra = int(rng.integers(cfg.extra_taps[0], cfg.extra_taps[1] + 1))
+        n_extra = int(rng.integers(EXTRA_TAPS[0], EXTRA_TAPS[1] + 1))
         for _ in range(n_extra):
-            excess = rng.uniform(0.5, cfg.extra_tap_max_excess_m)
-            gain = np.exp(-excess / cfg.extra_tap_decay_m) * rng.uniform(0.2, 0.6)
+            excess = rng.uniform(0.5, EXTRA_TAP_MAX_EXCESS_M)
+            gain = np.exp(-excess / EXTRA_TAP_DECAY_M) * rng.uniform(0.2, 0.6)
             taps.append(
                 (
                     detected_delay + excess / SPEED_OF_LIGHT,
@@ -211,30 +207,24 @@ def synth_cir(
                 )
             )
 
-    grid = np.arange(cfg.cir_length, dtype=float)
-    iq = np.zeros(cfg.cir_length, dtype=np.complex128)
+    grid = np.arange(CIR_LENGTH, dtype=float)
+    iq = np.zeros(CIR_LENGTH, dtype=np.complex128)
     for delay, amp in taps:
-        pos = cfg.first_path_slot + (delay - detected_delay) / cfg.sample_period_s
-        iq += amp * _pulse(grid - pos, cfg.pulse_halfwidth_samples)
+        pos = FIRST_PATH_SLOT + (delay - detected_delay) / SAMPLE_PERIOD_S
+        iq += amp * _pulse(grid - pos, PULSE_HALFWIDTH_SAMPLES)
 
     if cfg.snr_db is not None:
         peak = max(abs(a) for _, a in taps)
         sigma = peak * 10.0 ** (-cfg.snr_db / 20.0)
-        noise = rng.normal(0.0, sigma / np.sqrt(2.0), size=(2, cfg.cir_length))
+        noise = rng.normal(0.0, sigma / np.sqrt(2.0), size=(2, CIR_LENGTH))
         iq += noise[0] + 1j * noise[1]
 
     return RawCir(
         iq=iq,
-        first_path_index=cfg.first_path_slot,
+        first_path_index=FIRST_PATH_SLOT,
         rx_time=tx_time + detected_delay,
         anchor_id=anchor.id,
     )
-
-
-def timestamp_error(raw: RawCir, tag, anchor: Anchor, tx_time: float = 0.0) -> float:
-    """Seconds of first-path timestamp bias relative to the true delay."""
-    true_delay = euclidean_distance(tag, anchor.position) / SPEED_OF_LIGHT
-    return (raw.rx_time - tx_time) - true_delay
 
 
 def generate_dataset(

@@ -1,7 +1,56 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uwbcorr import Anchor, Box, ChannelConfig, Environment, generate_dataset
+from uwbcorr.encodings import DELTA_T_MAX_S, OMEGA_HI, OMEGA_LO
+
+
+def permute_rows(tensor, order):
+    """The input tensor with its rows, and each row's anchor position and
+    reception time, in ``order``."""
+    return replace(
+        tensor,
+        values=tensor.values[order],
+        anchor_positions=tensor.anchor_positions[order],
+        rx_times=tensor.rx_times[order],
+    )
+
+
+def reference_bands(d_model):
+    """F = max(1, d_model // 6) angular frequencies at a constant ratio from
+    OMEGA_LO to OMEGA_HI, so that six values per band fit in d_model."""
+    f = max(1, d_model // 6)
+    if f == 1:
+        return np.array([OMEGA_LO])
+    return OMEGA_LO * (OMEGA_HI / OMEGA_LO) ** (np.arange(f) / (f - 1))
+
+
+def reference_encoding(values, d_model):
+    """The sinusoidal encoding of Vaswani et al. (2017), written from the
+    formula rather than taken from ``uwbcorr.encodings``: for each value in
+    turn and each band w, sin(value * w) then cos(value * w), band after
+    band; zeros pad the row to d_model."""
+    bands = reference_bands(d_model)
+    out = np.zeros(d_model)
+    for i, v in enumerate(values):
+        start = 2 * len(bands) * i
+        for b, w in enumerate(bands):
+            out[start + 2 * b] = np.sin(v * w)
+            out[start + 2 * b + 1] = np.cos(v * w)
+    return out
+
+
+def reference_spatial_pe(position, extent, d_model):
+    """An anchor's spatial encoding: its coordinates divided by the extent."""
+    return reference_encoding(np.asarray(position, dtype=float) / np.asarray(extent, dtype=float), d_model)
+
+
+def reference_time_pe(delta_t, d_model):
+    """A reception delay's encoding: the delay clamped to [0, DELTA_T_MAX_S]
+    and divided by DELTA_T_MAX_S."""
+    return reference_encoding([min(max(delta_t, 0.0), DELTA_T_MAX_S) / DELTA_T_MAX_S], d_model)
 
 
 @pytest.fixture(scope="session")

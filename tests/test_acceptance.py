@@ -27,12 +27,11 @@ from uwbcorr import (
     pareto_front,
     random_trajectory,
     solve_tdoa,
-    spatial_pe,
 )
 from uwbcorr.cir import WINDOW_LENGTH, build_input_tensor
 from uwbcorr.complexity import SweepResult
 from uwbcorr.config import MULTI_CIR_L_PATCH, PER_CIR_L_PATCH
-from uwbcorr.encodings import max_bands
+from uwbcorr.encodings import constant_encoding_rows, max_bands
 from uwbcorr.metrics import CEP_QUANTILES, cep
 from uwbcorr.model import prepare_from_tensor
 from uwbcorr.patching import patch_multi_cir, patch_per_cir
@@ -46,6 +45,8 @@ from uwbcorr.training import (
     train,
 )
 
+from conftest import permute_rows, reference_spatial_pe
+from test_encodings import anchor_tensor
 from test_patching import dummy_tensor
 
 
@@ -149,11 +150,13 @@ def test_criterion_3_shape_and_count_suite():
             assert np.array_equal(
                 ps.values.reshape(n_rows, WINDOW_LENGTH), m.values
             ), "per-CIR partition must be lossless"
+    anchor = anchor_tensor([(12.0, 3.0, 2.0)])
     for d_model in (32, 64, 128, 256):
         f = max_bands(d_model)
         assert 6 * f <= d_model < 6 * (f + 1)
-        pe = spatial_pe((12.0, 3.0, 2.0), (30.0, 10.0, 3.0), d_model)
+        pe = constant_encoding_rows(anchor, 1, "spatial", d_model, (30.0, 10.0, 3.0))[0]
         assert pe.shape == (d_model,)
+        assert np.array_equal(pe, reference_spatial_pe((12.0, 3.0, 2.0), (30.0, 10.0, 3.0), d_model))
         assert np.array_equal(pe[6 * f :], np.zeros(d_model - 6 * f))
         assert np.any(pe[: 6 * f] != 0)
     report(
@@ -179,7 +182,7 @@ def test_criterion_4_permutation_invariance(small_env):
         base = model.predict_prepared([prepare_from_tensor(tensor, cfg, p_tdoa)])[0]
         deltas = []
         for perm in perms:
-            ex = prepare_from_tensor(tensor.permuted(perm), cfg, p_tdoa)
+            ex = prepare_from_tensor(permute_rows(tensor, perm), cfg, p_tdoa)
             deltas.append(np.abs(model.predict_prepared([ex])[0] - base).max())
         return max(deltas)
 

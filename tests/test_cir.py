@@ -89,6 +89,12 @@ def make_sample(entries, n=160):
     return Sample(true_position=np.array([2.0, 2.0, 1.0]), raw_cirs=tuple(cirs))
 
 
+def row_ids(tensor, env):
+    """The id of each row's anchor, found by its position."""
+    ids = {tuple(a.position): a.id for a in env.anchors}
+    return [ids[tuple(p)] for p in tensor.anchor_positions]
+
+
 class TestBuildInputTensor:
     def test_fixed_with_single_detection(self, small_env):
         sample = make_sample([(3, 1e-8)])
@@ -98,25 +104,25 @@ class TestBuildInputTensor:
         assert np.any(m.values[2] != 0)
         assert np.array_equal(m.values[[0, 1, 3]], np.zeros((3, 150)))
         # absent rows still carry the anchor position
-        assert np.allclose(m.anchor_positions[0], small_env.anchor_by_id(1).position)
+        assert np.allclose(m.anchor_positions[0], small_env.anchors[0].position)  # id 1
         assert np.isnan(m.rx_times[0])
 
     def test_time_based_sorts_by_rx(self, small_env):
         sample = make_sample([(3, 2e-9), (1, 1e-9)])
         m = build_input_tensor(sample, small_env, "time_based")
-        assert m.anchor_ids.tolist() == [1, 3]
+        assert row_ids(m, small_env) == [1, 3]
         assert m.n_rows == 2 and not m.padded
 
     def test_time_tie_broken_by_id(self, small_env):
         sample = make_sample([(4, 5e-9), (2, 5e-9)])
         m = build_input_tensor(sample, small_env, "time_based")
-        assert m.anchor_ids.tolist() == [2, 4]
+        assert row_ids(m, small_env) == [2, 4]
 
     def test_time_based_padded(self, small_env):
         sample = make_sample([(3, 2e-9), (1, 1e-9)])
         m = build_input_tensor(sample, small_env, "time_based", pad_missing=True)
         assert m.n_rows == 4 and m.padded
-        assert m.anchor_ids.tolist() == [1, 3, 2, 4]
+        assert row_ids(m, small_env) == [1, 3, 2, 4]
         assert np.isnan(m.rx_times).tolist() == [False, False, True, True]
 
     @pytest.mark.parametrize(
@@ -131,9 +137,10 @@ class TestBuildInputTensor:
         sample = make_sample([(1, 4e-9), (3, 2e-9)])
         raw = {c.anchor_id: c for c in sample.raw_cirs}
         m = build_input_tensor(sample, small_env, ordering, pad_missing=pad_missing)
-        assert m.anchor_ids.tolist() == ids
+        assert row_ids(m, small_env) == ids
+        by_id = {a.id: a for a in small_env.anchors}
         for row, anchor_id in enumerate(ids):
-            assert np.array_equal(m.anchor_positions[row], small_env.anchor_by_id(anchor_id).position)
+            assert np.array_equal(m.anchor_positions[row], by_id[anchor_id].position)
             if anchor_id in raw:
                 c = raw[anchor_id]
                 want = normalize_minmax(trim_window(iq_to_amplitude(c), c.first_path_index))

@@ -16,8 +16,6 @@ from uwbcorr import (
     patch_multi_cir,
     patch_per_cir,
     save_checkpoint,
-    spatial_pe,
-    time_diff_pe,
 )
 from uwbcorr import autodiff as ad
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError
@@ -28,6 +26,8 @@ from uwbcorr.model import (
     prepare_example,
     prepare_from_tensor,
 )
+
+from conftest import permute_rows, reference_spatial_pe, reference_time_pe
 
 
 def naive_attention(q, k, v):
@@ -101,7 +101,9 @@ def reference_block(x, prm, pre, n_heads):
 
 def staged_reference(model, sample, env, p_tdoa):
     """Full-sequence numpy forward, one stage at a time: embedding and CLS,
-    positional rows, every row of every encoder block, then the head."""
+    positional rows, every row of every encoder block, then the head.
+    Token t >= 1 of a per-CIR model comes from tensor row (t - 1) // K and
+    is block (t - 1) % K of it."""
     cfg, prm = model.config, model.parameter_arrays()
     multi = cfg.patching == "multi_cir"
     tensor = build_input_tensor(sample, env, cfg.ordering, pad_missing=multi)
@@ -111,14 +113,16 @@ def staged_reference(model, sample, env, p_tdoa):
         x += prm["pe.seq"][: len(x)]
     else:
         x[0] += prm["pe.cls"]
-        t0 = np.nanmin(ps.rx_times)
+        k = cfg.k_per_cir
+        t0 = np.nanmin(tensor.rx_times)
         for t in range(1, len(x)):
-            x[t] += spatial_pe(ps.anchor_positions[t - 1], env.extent, cfg.d_model)
+            row = (t - 1) // k
+            x[t] += reference_spatial_pe(tensor.anchor_positions[row], env.extent, cfg.d_model)
             if cfg.encoding == "spatial_time":
-                delay = np.nan_to_num(ps.rx_times[t - 1] - t0, nan=np.inf)  # absent: clamp
-                x[t] += time_diff_pe(delay, cfg.d_model)
+                delay = np.nan_to_num(tensor.rx_times[row] - t0, nan=np.inf)  # absent: clamp
+                x[t] += reference_time_pe(delay, cfg.d_model)
             if "pe.within" in prm:
-                x[t] += prm["pe.within"][ps.patch_j[t - 1]]
+                x[t] += prm["pe.within"][(t - 1) % k]
     for i in range(cfg.n_layers):
         x = reference_block(x, prm, f"enc{i}.", cfg.n_heads)
     h = np.concatenate([x[0], p_tdoa / np.asarray(cfg.extent)])
@@ -126,6 +130,11 @@ def staged_reference(model, sample, env, p_tdoa):
         h = h @ prm[f"head{j}.w"] + prm[f"head{j}.b"]
         h = np.maximum(h, 0) if j < len(cfg.head_widths) - 1 else h
     return p_tdoa + h if cfg.residual_output else h
+
+
+def predict(model, sample, env, p_tdoa):
+    """One sample's prediction through ``prepare_example`` and the graph."""
+    return model.predict_prepared([prepare_example(sample, env, model.config, p_tdoa)])[0]
 
 
 def tiny_model(env, l_patch=75, d_model=8, kind="spatial", **kw):
@@ -218,6 +227,16 @@ class TestEncoderForward:
         a = model.predict_prepared([example])
         b = model.predict_prepared([example])
         assert np.array_equal(a, b)
+
+    def test_training_without_an_rng_is_refused(self, small_env):
+        """Dropout draws from the caller's rng only, so a seeded run repeats."""
+        model = tiny_model(small_env)
+        example = prepare_example(one_sample(small_env), small_env, model.config, np.array([5.0, 5.0, 1.0]))
+        with pytest.raises(ValueError, match="needs an rng"):
+            model.forward_prepared([example], train=True)
+        a = model.forward_prepared([example], train=True, rng=np.random.default_rng(1)).data
+        b = model.forward_prepared([example], train=True, rng=np.random.default_rng(1)).data
+        assert np.array_equal(a, b) and not np.array_equal(a, model.predict_prepared([example]))
 
     def test_predict_builds_no_tape_and_matches_the_taped_forward(self, small_env, monkeypatch):
         model = tiny_model(small_env)
@@ -352,7 +371,7 @@ class TestForward:
         opts = SolverOptions(fix_z=1.0)
         for sample in small_dataset[:4]:
             p_tdoa = baseline_position(sample, small_env.anchors, options=opts).position
-            out = model.predict(sample, small_env, p_tdoa)
+            out = predict(model, sample, small_env, p_tdoa)
             assert np.array_equal(out, p_tdoa)
 
     @pytest.mark.parametrize(
@@ -375,7 +394,7 @@ class TestForward:
         sample = one_sample(small_env, seed=2, drop=0.3)
         p_tdoa = np.array([4.0, 5.0, 1.0])
 
-        got = model.predict(sample, small_env, p_tdoa)
+        got = predict(model, sample, small_env, p_tdoa)
         want = staged_reference(model, sample, small_env, p_tdoa)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         assert np.abs(got - p_tdoa).max() > 1e-3  # the encoder output reaches the result
@@ -393,7 +412,7 @@ class TestPermutationBehaviour:
         deltas = []
         for _ in range(n_perm):
             perm = rng.permutation(tensor.n_rows)
-            ex = prepare_from_tensor(tensor.permuted(perm), cfg, p_tdoa)
+            ex = prepare_from_tensor(permute_rows(tensor, perm), cfg, p_tdoa)
             deltas.append(np.abs(model.predict_prepared([ex])[0] - base).max())
         return deltas
 
@@ -419,7 +438,7 @@ class TestCheckpoint:
         sample = one_sample(small_env, seed=8)
         p = np.array([2.0, 7.0, 1.0])
         assert np.array_equal(
-            model.predict(sample, small_env, p), loaded.predict(sample, small_env, p)
+            predict(model, sample, small_env, p), predict(loaded, sample, small_env, p)
         )
 
     def _broken_checkpoint(self, small_env, tmp_path, edit):

@@ -9,11 +9,12 @@ from uwbcorr import (
     make_model_config,
     patch_multi_cir,
     patch_per_cir,
-    spatial_pe,
 )
 from uwbcorr.cir import InputTensor, build_input_tensor
 from uwbcorr.errors import ConfigError, IncompatibleOrderingError
 from uwbcorr.model import CorrectionModel, prepare_example, prepare_from_tensor
+
+from conftest import reference_spatial_pe
 
 DIVISORS = sorted({1, 3, 5, 6, 10, 15, 30, 50, 75, 150})
 
@@ -22,7 +23,6 @@ def dummy_tensor(n_rows, padded=True, seed=0):
     rng = np.random.default_rng(seed)
     return InputTensor(
         values=rng.uniform(size=(n_rows, 150)),
-        anchor_ids=np.arange(1, n_rows + 1),
         anchor_positions=rng.uniform([0, 0, 0], [10, 10, 3], size=(n_rows, 3)),
         rx_times=rng.uniform(0, 1e-7, size=n_rows),
         padded=padded,
@@ -89,10 +89,11 @@ class TestPatchPerCir:
 
     def test_index_arithmetic(self):
         m = dummy_tensor(5)
-        ps = patch_per_cir(m, 75)  # K = 2: patch 7 is row 7 // 2 = 3, block 1
-        assert ps.patch_j[7] == 1
+        ps = patch_per_cir(m, 75)  # K = 2: patch 7 is row 7 // 2 = 3, block 7 % 2 = 1
         assert np.array_equal(ps.values[7], m.values[3, 75:])
-        assert np.array_equal(ps.anchor_positions[7], m.anchor_positions[3])
+        cfg = make_model_config("per_cir", "fixed", "spatial", 75, 16, n_total=5, extent=(10, 10, 3))
+        ex = prepare_from_tensor(m, cfg, np.array([5.0, 5.0, 1.0]))
+        assert np.array_equal(ex.pe_const[7], reference_spatial_pe(m.anchor_positions[3], (10, 10, 3), 16))
 
     def test_non_divisor(self):
         with pytest.raises(ConfigError):
@@ -102,7 +103,7 @@ class TestPatchPerCir:
         m = dummy_tensor(4)
         ps = patch_per_cir(m, 50)
         for k in range(ps.n_patches):
-            i, j = k // 3, ps.patch_j[k]  # row-major: K = 150 / 50 = 3
+            i, j = k // 3, k % 3  # row-major: K = 150 / 50 = 3
             assert np.array_equal(ps.values[k], m.values[i, j * 50 : (j + 1) * 50])
 
     @pytest.mark.parametrize("l_patch", DIVISORS)
@@ -126,7 +127,7 @@ def dense_patches(ex):
 
 class TestEmbedPatches:
     """What reaches the model's patch embedding: the prepared example's
-    patches, token count and per-patch provenance."""
+    patches, token count and per-token encoding rows."""
 
     def test_zero_patch_zero_bias(self, small_env):
         """An absent anchor's zero-padded row reaches the embedding as zero
@@ -142,7 +143,7 @@ class TestEmbedPatches:
         for i in absent:
             assert not patches[2 * i : 2 * i + 2].any()
             assert not np.isin([2 * i, 2 * i + 1], ex.patch_rows).any()  # not stored
-            want = spatial_pe(small_env.anchors[i].position, small_env.extent, cfg.d_model)
+            want = reference_spatial_pe(small_env.anchors[i].position, small_env.extent, cfg.d_model)
             assert np.array_equal(ex.pe_const[2 * i], want)
         assert all(patches[2 * i].any() for i in range(small_env.n_anchors) if i not in absent)
 
@@ -172,7 +173,8 @@ class TestEmbedPatches:
         cfg = make_model_config("per_cir", "fixed", "spatial", 75, 16, n_total=3, extent=(10, 10, 3))
         ex = prepare_from_tensor(m, cfg, np.array([5.0, 5.0, 1.0]))
         assert ex.n_tokens == 7
-        assert np.array_equal(patch_per_cir(m, 75).patch_j, [0, 1, 0, 1, 0, 1])
+        # token k is block k % 2 of row k // 2: the within index is k % 2
+        assert np.array_equal(patch_per_cir(m, 75).values, m.values.reshape(6, 75))
         for k in range(6):
-            want = spatial_pe(m.anchor_positions[k // 2], (10, 10, 3), cfg.d_model)
+            want = reference_spatial_pe(m.anchor_positions[k // 2], (10, 10, 3), cfg.d_model)
             assert np.array_equal(ex.pe_const[k], want)

@@ -1,21 +1,44 @@
-"""The README's ``--set section.key=value`` examples must still load.
+"""The README's ``--set section.key=value`` examples must still load, and
+the API names it writes must still exist.
 
 Each example whose value is concrete goes through
 ``config.load_experiment_config``; placeholders such as ``N`` or ``value``
 are skipped. An example that names a removed or misspelt key, or a value a
 section rejects, then fails here instead of misleading a reader.
+
+An API name is code the README writes as a call (`` `name(` ``) or as
+`` `module.name` `` for a ``uwbcorr`` module or public class; file names such
+as ``metrics.json`` are not API names.
 """
 
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import uwbcorr
 from uwbcorr.config import load_experiment_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SET_EXAMPLE = re.compile(r"--set[ =]([\w.]+=[^\s`]+)")
 PLACEHOLDERS = {"N", "value", "VALUE"}
+CALL = re.compile(r"`([A-Za-z_][\w.]*)\(")
+DOTTED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`")
+FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "npz", "py", "toml", "txt"}
+MODULES = {
+    info.name: importlib.import_module(f"uwbcorr.{info.name}")
+    for info in pkgutil.iter_modules(uwbcorr.__path__)
+}
+MODULES["uwbcorr"] = uwbcorr
+CLASSES = [
+    obj
+    for module in MODULES.values()
+    for obj in vars(module).values()
+    if inspect.isclass(obj) and obj.__module__.startswith("uwbcorr")
+]
 
 
 def set_examples() -> list[str]:
@@ -30,3 +53,42 @@ def test_the_readme_has_concrete_examples():
 @pytest.mark.parametrize("item", set_examples())
 def test_readme_set_example_loads(item):
     load_experiment_config(None, [item])
+
+
+def api_names() -> list[str]:
+    text = README.read_text()
+    dotted = {
+        f"{head}.{rest}"
+        for head, rest in DOTTED.findall(text)
+        if (head in MODULES or inspect.isclass(getattr(uwbcorr, head, None)))
+        and rest.rsplit(".", 1)[-1] not in FILE_SUFFIXES
+    }
+    return sorted(set(CALL.findall(text)) | dotted)
+
+
+def has_path(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_the_readme_names_api():
+    names = api_names()
+    assert "make_model_config" in names and "tdoa.solve_baselines" in names
+
+
+@pytest.mark.parametrize("name", api_names())
+def test_readme_api_name_resolves(name):
+    """A dotted name resolves from its module or class; a bare call, or a
+    method called on a value such as ``cfg.with_environment(``, resolves
+    when some uwbcorr module or class has that name."""
+    head, _, rest = name.partition(".")
+    if rest and head in MODULES:
+        assert has_path(MODULES[head], rest), name
+    elif rest and inspect.isclass(getattr(uwbcorr, head, None)):
+        assert has_path(getattr(uwbcorr, head), rest), name
+    else:
+        last = name.rsplit(".", 1)[-1]
+        assert any(hasattr(owner, last) for owner in [*MODULES.values(), *CLASSES]), name
