@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Small end-to-end demo: simulate -> baseline -> train -> evaluate.
+"""Small end-to-end demo: simulate -> baseline -> train, where train also
+evaluates the model on the held-out set.
 
 Uses reduced dataset sizes and epochs so the whole run finishes in about a
 minute; pass --full for paper-scale sizes (3000/1000 samples, 90 epochs).

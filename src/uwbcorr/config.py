@@ -79,8 +79,8 @@ class SolverSpec:
     bound_margin: Optional[float] = 2.0  # search box beyond the extent; None = unbounded
 
     def __post_init__(self):
-        if self.bound_margin is not None and not is_number(self.bound_margin):
-            raise ConfigError(f"bound_margin must be a number or null, got {self.bound_margin!r}")
+        if self.bound_margin is not None:
+            _check_number("bound_margin", self.bound_margin)
         SolverOptions(self.pair_policy)  # checks the policy now, before any data is read
 
     def options(self, env: Environment, tag_height: float) -> SolverOptions:

@@ -4,9 +4,9 @@ Pipeline per sample: raw CIRs -> ordered input tensor -> patches -> linear
 token embedding (+ CLS) -> positional encodings -> post-norm encoder blocks
 (multi-head self-attention and a position-wise feed-forward, each with
 residual + layer norm) -> the CLS output concatenated with the normalized
-baseline estimate feeds an MLP head (256, 128, 64, 3). With
-``residual_output`` the head predicts a correction added to the baseline, so
-a zero-initialized final layer reproduces the baseline exactly.
+baseline estimate feeds an MLP head (256, 128, 64, 3). The head predicts a
+correction that is added to the baseline, so a zero-initialized final layer
+reproduces the baseline exactly.
 
 Everything runs in float64 on a small tape-based autodiff engine. One
 batched graph, ``CorrectionModel.forward_prepared``, serves training,
@@ -30,7 +30,7 @@ from .errors import ConfigError, IncompatibleEncodingError, check_int, check_int
 from .patching import PATCH_STRATEGIES, check_l_patch, patch_multi_cir, patch_per_cir
 from .simulate import Environment, Sample
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 SWEEP_KEYS = ("patching", "ordering", "encoding", "l_patch", "d_model")
 
 
@@ -50,7 +50,6 @@ class ModelConfig:
     d_ff: int = 256
     dropout_p: float = 0.15
     head_widths: tuple[int, ...] = (256, 128, 64, 3)
-    residual_output: bool = True
     n_total: int = 15
     extent: tuple[float, float, float] = (30.0, 10.0, 3.0)
 
@@ -90,8 +89,6 @@ class ModelConfig:
             )
         if not (is_number(self.dropout_p) and 0.0 <= self.dropout_p < 1.0):
             raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
-        if not isinstance(self.residual_output, bool):
-            raise ConfigError(f"residual_output must be a bool, got {self.residual_output!r}")
 
     def with_environment(self, env: Environment) -> "ModelConfig":
         """This config with the anchor count and extent of ``env``."""
@@ -128,8 +125,9 @@ def init_parameters(
     """Fresh parameter arrays: fan-in normal for linear maps, N(0, 0.02^2)
     for embeddings/encoding tables, identity layer norms.
 
-    The final head layer starts at zero by default so a residual-output model
-    reproduces the baseline estimate before any training.
+    The final head layer starts at zero by default, so the predicted
+    correction is zero and the model reproduces the baseline estimate
+    before any training.
     """
     rng = np.random.default_rng(seed)
     d = cfg.d_model
@@ -348,9 +346,7 @@ class CorrectionModel:
             h = ad.matmul(h, prm[f"head{j}.w"], prm[f"head{j}.b"])
             if j < len(cfg.head_widths) - 1:
                 h = ad.relu(h)
-        if cfg.residual_output:
-            h = ad.add(h, ad.Tensor(p_tdoa))
-        return h
+        return ad.add(h, ad.Tensor(p_tdoa))
 
     def predict_prepared(self, examples: Sequence[PreparedExample]) -> np.ndarray:
         with ad.no_grad():

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfBoundsError
+from .errors import OutOfBoundsError, is_number
 from .tdoa import SPEED_OF_LIGHT, Anchor, euclidean_distance
 
 SAMPLE_PERIOD_S = 1e-9  # CIR tap spacing
@@ -92,6 +92,8 @@ class RawCir:
             raise ValueError("CIR needs at least 150 samples")
         if not 0 <= self.first_path_index < len(iq):
             raise ValueError("first_path_index outside the CIR buffer")
+        if not (is_number(self.rx_time) and np.isfinite(self.rx_time)):
+            raise ValueError(f"rx_time must be a finite number, got {self.rx_time!r}")
         object.__setattr__(self, "iq", iq)
 
 
@@ -102,10 +104,16 @@ class Sample:
 
     def __post_init__(self):
         pos = np.asarray(self.true_position, dtype=float)
+        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
+            raise ValueError(f"true_position must be 3 finite numbers, got {pos.tolist()!r}")
         object.__setattr__(self, "true_position", pos)
         object.__setattr__(self, "raw_cirs", tuple(self.raw_cirs))
         if len(self.raw_cirs) < 1:
             raise ValueError("a sample needs at least one receiving anchor")
+        ids = [c.anchor_id for c in self.raw_cirs]
+        if len(set(ids)) < len(ids):
+            repeated = next(i for i in ids if ids.count(i) > 1)
+            raise ValueError(f"anchor id {repeated!r} appears twice")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Trainer: Adam + warmup/decay schedule, MSE loss, early stopping.
 
-The learning rate rises linearly from 0 to the peak over the first 5% of the
-total step budget, then decays linearly to 0. Validation is split off with a
-seeded shuffle; the returned model carries the parameters of the best
-validation epoch. Everything is seeded, so a given (dataset, config, seed)
-reproduces the same final parameters bit for bit.
+The learning rate rises linearly from 0 to ``LR_PEAK`` over the first
+``WARMUP_FRACTION`` of the total step budget, then decays linearly to 0. A
+``VALIDATION_FRACTION`` of the examples is split off with a seeded shuffle;
+the returned model carries the parameters of the best validation epoch.
+Everything is seeded, so a given (dataset, config, seed) reproduces the same
+final parameters bit for bit.
 """
 
 from __future__ import annotations
@@ -17,39 +18,28 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InsufficientDataError, check_int, is_number
+from .errors import InsufficientDataError, check_int
 from .metrics import MetricsReport, metrics_report
 from .model import CorrectionModel, ModelConfig, PreparedExample, prepare_example
 from .simulate import Environment, Sample
 from .tdoa import PositionEstimate, SolverOptions, solve_baselines
 
+LR_PEAK = 1e-3
+WARMUP_FRACTION = 0.05
+BETA1 = 0.9  # Adam's decay rates of the first and second moments
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+VALIDATION_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 64
-    lr_peak: float = 1e-3
-    warmup_fraction: float = 0.05
     max_epochs: int = 350
     early_stop_patience: int = 25
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    validation_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr_peak", "adam_eps"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 < value < math.inf):
-                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-        for name in ("warmup_fraction", "validation_fraction"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 < value < 1.0):
-                raise ConfigError(f"{name} must be a number in (0, 1), got {value!r}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 <= value < 1.0):
-                raise ConfigError(f"{name} must be a number in [0, 1), got {value!r}")
         for name in ("batch_size", "max_epochs", "early_stop_patience"):
             check_int(name, getattr(self, name))
         check_int("seed", self.seed, minimum=0)
@@ -73,35 +63,33 @@ class TrainingHistory:
     n_skipped_samples: int = 0
 
 
-def learning_rate(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Piecewise-linear schedule: 0 -> peak over the warmup, then -> 0."""
-    warmup = max(1, int(round(cfg.warmup_fraction * total_steps)))
+def learning_rate(step: int, total_steps: int) -> float:
+    """Piecewise-linear schedule: 0 -> LR_PEAK over the warmup, then -> 0."""
+    warmup = max(1, int(round(WARMUP_FRACTION * total_steps)))
     if step <= warmup:
-        return cfg.lr_peak * step / warmup
+        return LR_PEAK * step / warmup
     if total_steps <= warmup:
-        return cfg.lr_peak
-    return cfg.lr_peak * max(0.0, (total_steps - step) / (total_steps - warmup))
+        return LR_PEAK
+    return LR_PEAK * max(0.0, (total_steps - step) / (total_steps - warmup))
 
 
 class Adam:
-    def __init__(self, params: dict[str, ad.Tensor], cfg: TrainConfig):
+    def __init__(self, params: dict[str, ad.Tensor]):
         self.params = params
-        self.cfg = cfg
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float):
         self.t += 1
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
-        c1 = 1.0 - b1**self.t
-        c2 = 1.0 - b2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         for name, tensor in self.params.items():
             g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
             tensor.data -= lr * (self.m[name] / c1) / (
-                np.sqrt(self.v[name] / c2) + self.cfg.adam_eps
+                np.sqrt(self.v[name] / c2) + ADAM_EPS
             )
 
 
@@ -216,14 +204,14 @@ def train(
     dropout_rng = np.random.default_rng(dropout_seed)
 
     order = shuffle_rng.permutation(len(examples))
-    n_val = max(1, int(round(train_cfg.validation_fraction * len(examples))))
+    n_val = max(1, int(round(VALIDATION_FRACTION * len(examples))))
     n_val = min(n_val, len(examples) - 1)
     val_set = [examples[i] for i in order[:n_val]]
     train_set = [examples[i] for i in order[n_val:]]
 
     total_steps = len(_token_batches(train_set, train_cfg.batch_size)) * train_cfg.max_epochs
 
-    adam = Adam(model.params, train_cfg)
+    adam = Adam(model.params)
     history = TrainingHistory(n_skipped_samples=skipped)
     best_val = math.inf
     best_arrays = model.parameter_arrays()
@@ -238,7 +226,7 @@ def train(
         norm_sum = 0.0
         for bi in batch_order:
             chunk = [train_set[i] for i in batches[bi]]
-            lr = learning_rate(step, total_steps, train_cfg)
+            lr = learning_rate(step, total_steps)
             t0 = time.perf_counter()
             loss, grads = compute_gradients(model, chunk, train=True, rng=dropout_rng)
             adam.step(grads, lr)

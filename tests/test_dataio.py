@@ -90,6 +90,37 @@ def test_missing_field_names_file_line_and_field(tmp_path, small_dataset):
         dataio.read_samples_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (
+            lambda r: r["measurements"][0].update(rx_time_s=float("nan")),
+            "rx_time must be a finite number, got nan",
+        ),
+        (
+            lambda r: r.update(true_position=[1.0, 2.0]),
+            r"true_position must be 3 finite numbers, got \[1\.0, 2\.0\]",
+        ),
+        (
+            lambda r: r["measurements"].append(r["measurements"][0]),
+            r"anchor id \d+ appears twice",
+        ),
+    ],
+    ids=["nan_rx_time", "short_true_position", "repeated_anchor"],
+)
+def test_bad_value_names_file_line_and_problem(tmp_path, small_dataset, edit, problem):
+    """A value the pipeline cannot use fails as its line is read, not mid-solve."""
+    path = tmp_path / "ds.jsonl"
+    dataio.write_samples_jsonl(path, small_dataset[:3])
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match=rf"ds\.jsonl:2: malformed record: {problem}$"):
+        dataio.read_samples_jsonl(path)
+
+
 def test_environment_without_extent_names_file_and_key(tmp_path):
     path = tmp_path / "env.json"
     dataio.write_environment(path, default_environment())

@@ -129,7 +129,7 @@ def staged_reference(model, sample, env, p_tdoa):
     for j in range(len(cfg.head_widths)):
         h = h @ prm[f"head{j}.w"] + prm[f"head{j}.b"]
         h = np.maximum(h, 0) if j < len(cfg.head_widths) - 1 else h
-    return p_tdoa + h if cfg.residual_output else h
+    return p_tdoa + h
 
 
 def predict(model, sample, env, p_tdoa):
@@ -194,8 +194,8 @@ class TestModelConfig:
             ("dropout_p", "x", "dropout_p must be a number in [0, 1)"),
             ("dropout_p", True, "dropout_p must be a number in [0, 1)"),
             ("dropout_p", 1.0, "dropout_p must be a number in [0, 1)"),
-            ("residual_output", "no", "residual_output must be a bool"),
-            ("residual_output", 1, "residual_output must be a bool"),
+            ("dropout_p", -0.1, "dropout_p must be a number in [0, 1)"),
+            ("dropout_p", float("nan"), "dropout_p must be a number in [0, 1)"),
             ("extent", (30.0, 10.0), "extent must be 3 finite positive numbers"),
             ("extent", (30.0, 10.0, 0.0), "extent must be 3 finite positive numbers"),
             ("extent", (30.0, float("inf"), 3.0), "extent must be 3 finite positive numbers"),
@@ -325,9 +325,9 @@ def test_multi_cir_time_ordering_pads_missing_anchors(small_env):
     assert model.predict_prepared([example]).shape == (1, 3)
 
 
-def head_only_prediction(small_env, edit, **overrides):
+def head_only_prediction(small_env, edit):
     """predict_prepared of a trained-looking model after edit(params)."""
-    cfg = make_model_config("per_cir", "fixed", "spatial", 150, 32, env=small_env, **overrides)
+    cfg = make_model_config("per_cir", "fixed", "spatial", 150, 32, env=small_env)
     model = CorrectionModel.initialize(cfg, seed=0, zero_final_layer=False)
     for name, tensor in model.params.items():
         edit(name, tensor.data)
@@ -346,14 +346,16 @@ class TestRegressionHead:
         assert np.array_equal(out, p_tdoa)
 
     def test_zero_weights_direct_returns_bias(self, small_env):
+        """With zero weights the head's output is its last bias, added to the baseline."""
+
         def bias_only(name, data):
             if name.startswith("head") and name.endswith(".w"):
                 data[:] = 0.0
             if name == "head3.b":
                 data[:] = [1.0, 2.0, 3.0]
 
-        out, _ = head_only_prediction(small_env, bias_only, residual_output=False)
-        assert np.allclose(out, [1.0, 2.0, 3.0])
+        out, p_tdoa = head_only_prediction(small_env, bias_only)
+        assert np.allclose(out, p_tdoa + [1.0, 2.0, 3.0])
 
     def test_layer_widths(self, small_env):
         cfg = make_model_config("per_cir", "fixed", "spatial", 150, 64, env=small_env)
@@ -479,12 +481,16 @@ class TestCheckpoint:
         return self._broken_checkpoint(small_env, tmp_path, edit)
 
     def test_schema_1_is_refused(self, small_env, tmp_path):
-        """The nested schema-1 config has no loader any more."""
-        path = self._rewritten_meta(
-            small_env, tmp_path, lambda m: json.dumps({**m, "schema_version": 1})
-        )
-        with pytest.raises(ConfigError, match=r"broken\.npz: checkpoint schema 1 not supported"):
-            load_checkpoint(path)
+        """Neither the nested schema-1 config nor the schema-2 config, which
+        still held ``residual_output``, has a loader any more."""
+        for version in (1, 2):
+            path = self._rewritten_meta(
+                small_env, tmp_path, lambda m, v=version: json.dumps({**m, "schema_version": v})
+            )
+            with pytest.raises(
+                ConfigError, match=rf"broken\.npz: checkpoint schema {version} not supported"
+            ):
+                load_checkpoint(path)
 
     def test_missing_config_key_is_named(self, small_env, tmp_path):
         def drop_n_total(meta):
@@ -548,7 +554,6 @@ CHECKPOINT_CONFIGS = {
             "d_ff": 256,
             "dropout_p": 0.15,
             "head_widths": [256, 128, 64, 3],
-            "residual_output": True,
             "n_total": 15,
             "extent": [30.0, 10.0, 3.0],
         },
@@ -567,7 +572,6 @@ CHECKPOINT_CONFIGS = {
             "d_ff": 256,
             "dropout_p": 0.0,
             "head_widths": [32, 3],
-            "residual_output": True,
             "n_total": 15,
             "extent": [30.0, 10.0, 3.0],
         },
@@ -585,6 +589,6 @@ def test_checkpoint_config_json_is_pinned_and_round_trips(name, tmp_path):
     save_checkpoint(CorrectionModel.initialize(cfg, seed=3), path)
     with np.load(path) as data:
         meta = str(data["__meta__"])
-    # the exact JSON text, key order included, of a schema-2 checkpoint
-    assert meta == json.dumps({"schema_version": 2, "config": expected})
+    # the exact JSON text, key order included, of a schema-3 checkpoint
+    assert meta == json.dumps({"schema_version": 3, "config": expected})
     assert load_checkpoint(path).config == cfg
