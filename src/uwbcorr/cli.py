@@ -5,12 +5,13 @@ pareto. Every run is reproducible from the config file plus the seed; any
 config field can be overridden with ``--set section.key=value``, the
 training epochs with ``--set train.max_epochs=N``. ``train`` evaluates on
 the evaluation set when there is one and, like ``evaluate``, writes
-metrics.json and estimates.csv. Every command reads all its inputs before
-it makes the output directory, so a bad or missing input leaves no directory
-behind. An error from ``uwbcorr.errors`` (bad config, dataset, environment
-or checkpoint) or a missing input file prints one line,
-``error: <Type>: <message>``, to stderr and exits with status 2; any other
-exception keeps its traceback.
+metrics.json and estimates.csv. A command solves baselines on the plane
+z = ``environment.tag_height``, in the extent grown by ``tdoa.BOUND_MARGIN``.
+Every command reads all its inputs before it makes the output directory, so a
+bad or missing input leaves no directory behind. An error from
+``uwbcorr.errors`` (bad config, dataset, environment or checkpoint) or a
+missing input file prints one line, ``error: <Type>: <message>``, to stderr
+and exits with status 2; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .simulate import (
     grid_trajectory,
     random_trajectory,
 )
-from .tdoa import STOP_REASONS
+from .tdoa import STOP_REASONS, SolverOptions
 from .training import evaluate_model, solve_solvable, train
 
 
@@ -57,7 +58,7 @@ def _setup_solving(args):
     dataset is read."""
     cfg, out = _setup(args)
     env = dataio.read_environment(args.env or out / "environment.json")
-    return cfg, out, env, cfg.solver.options(env, cfg.environment.tag_height)
+    return cfg, out, env, SolverOptions.for_environment(env, cfg.environment.tag_height)
 
 
 def cmd_simulate(args) -> int:
@@ -239,12 +240,12 @@ def _write_pareto(rows: list[dict], pareto_path) -> list[dict]:
 
 def cmd_complexity(args) -> int:
     cfg, out = _setup(args)
-    out.mkdir(parents=True, exist_ok=True)
     ops_columns = [f.name for f in fields(OperationCount)]
-    rows = []
+    rows = []  # built first: a bad --n-av or --n-total fails before the directory is made
     for combo in enumerate_sweep(cfg.sweep):
         ops = op_count(make_model_config(n_total=args.n_total, **combo), args.n_av)
         rows.append({**combo, **{c: f"{getattr(ops, c):.0f}" for c in ops_columns}})
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "complexity.csv"
     dataio.write_table(path, rows, [*SWEEP_KEYS, *ops_columns])
     pairs = args.n_av * (args.n_av - 1) / 2

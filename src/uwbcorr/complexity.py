@@ -35,11 +35,9 @@ def head_ops(cfg: ModelConfig) -> int:
 
 def op_count(cfg: ModelConfig, n_av: float) -> OperationCount:
     """Multiply-accumulate counts for one forward pass of a configuration."""
-    n_total = cfg.n_total
-    if n_av > n_total:
-        raise ConfigError(f"n_av={n_av} cannot exceed n_total={n_total}")
-    if n_av < 0 or n_total < 1:
-        raise ConfigError("anchor counts must be positive")
+    n_total = cfg.n_total  # at least 1, as ModelConfig checks
+    if not 0 <= n_av <= n_total:  # a NaN fails both comparisons
+        raise ConfigError(f"n_av must be a number in [0, n_total={n_total}], got {n_av!r}")
     k = cfg.k_per_cir
     if cfg.patching == "multi_cir":
         rows = n_total

@@ -1,10 +1,12 @@
 """Experiment configuration: one JSON file, every field flag-overridable.
 
-Sections: environment, dataset, solver, model, train, sweep. The model
+Sections: environment, dataset, model, train, sweep. The model
 section is a ``model.ModelConfig``: a file sets all of it but
 ``head_widths`` and the environment's ``n_total`` and ``extent``, which a
 command fills with ``ModelConfig.with_environment``. The train section is a
-``training.TrainConfig``. Values omitted from the file keep their defaults.
+``training.TrainConfig``. The solver has no section: every command solves
+on the plane z = ``environment.tag_height`` in the environment's extent grown
+by ``tdoa.BOUND_MARGIN``. Values omitted from the file keep their defaults.
 Each section checks its values when it is built, so a bad value fails with a
 ConfigError as the config loads.
 ``apply_overrides`` implements the ``--set section.key=value`` CLI mechanism.
@@ -23,8 +25,6 @@ from .cir import ORDERINGS
 from .encodings import ENCODING_KINDS
 from .errors import ConfigError, check_int, check_ints, is_number
 from .model import SWEEP_KEYS, ModelConfig
-from .simulate import Environment
-from .tdoa import SolverOptions
 from .training import TrainConfig
 
 MULTI_CIR_L_PATCH = (1, 3, 5, 6, 10, 15, 30, 50, 75)
@@ -74,21 +74,6 @@ class DatasetSpec:
 
 
 @dataclass
-class SolverSpec:
-    pair_policy: str = "reference_anchor"
-    bound_margin: Optional[float] = 2.0  # search box beyond the extent; None = unbounded
-
-    def __post_init__(self):
-        if self.bound_margin is not None:
-            _check_number("bound_margin", self.bound_margin)
-        SolverOptions(self.pair_policy)  # checks the policy now, before any data is read
-
-    def options(self, env: Environment, tag_height: float) -> SolverOptions:
-        """Solve on the plane z = ``tag_height``, the height simulated tags move at."""
-        return SolverOptions.for_environment(env, self.pair_policy, tag_height, self.bound_margin)
-
-
-@dataclass
 class SweepSpec:
     multi_l_patch: tuple = MULTI_CIR_L_PATCH
     multi_d_model: tuple = MULTI_CIR_D_MODEL
@@ -113,7 +98,6 @@ class ExperimentConfig:
     output_dir: str = "runs/default"
     environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    solver: SolverSpec = field(default_factory=SolverSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)

@@ -1,21 +1,20 @@
 """Hyperbolic (TDoA) positioning: distance differences and least-squares solving.
 
-A tag transmits once; anchors record reception timestamps. Pairwise timestamp
-differences scaled by the speed of light give distance differences (DDoAs),
-each constraining the tag to a hyperboloid. The solver minimizes the squared
-hyperboloid residuals with a damped Gauss-Newton (Levenberg-Marquardt) loop
-using the analytic Jacobian. A coordinate on a wall of the search box stays
-there while its gradient points outward. Every start of every sample in a
-batch advances in lockstep as one row of stacked arrays, with each sample's
-pairs padded to the batch's widest set by pairs of zero residual and zero
-Jacobian.
+A tag transmits once; anchors record reception timestamps. Each timestamp
+minus the earliest one, scaled by the speed of light, gives a distance
+difference (DDoA) constraining the tag to a hyperboloid. The solver minimizes
+the squared hyperboloid residuals with a damped Gauss-Newton
+(Levenberg-Marquardt) loop using the analytic Jacobian, from several starts.
+A coordinate on a wall of the search box stays there while its gradient
+points outward. Every start of every sample in a batch advances in lockstep
+as one row of stacked arrays, with each sample's pairs padded to the batch's
+widest set by pairs of zero residual and zero Jacobian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -30,18 +29,18 @@ from .errors import (
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-PAIR_POLICIES = ("all_pairs", "reference_anchor")
-
 # Levenberg-Marquardt settings shared by every solve: the iteration cap, the
 # step norm (m), projected gradient and relative cost decrease at which a run
 # has converged, the starting damping, and the anchor-biased restarts tried
-# after the centroid when no init is given.
+# after the centroid.
 MAX_ITERATIONS = 100
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-9  # m: the largest entry of the projected J^T r at a minimum
 COST_RTOL = 1e-10  # an accepted step that lowers r . r by no more than this share
 DAMPING = 1e-3
 EXTRA_STARTS = 4
+
+BOUND_MARGIN = 2.0  # m: SolverOptions.for_environment's box reaches this far past the extent
 
 # Samples per lockstep LM run in solve_baselines: bounds the stacked state
 # (rows x pairs x 3 floats per array) and keeps it cache-sized.
@@ -110,7 +109,7 @@ class PositionEstimate:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """How baseline positions are computed from a set of timestamps.
+    """The settings of a solve, and the only way to pass them.
 
     A number ``fix_z`` pins each solve to the plane z = ``fix_z``, inside the
     z range of ``bounds`` if given; None solves in 3-D. ``bounds`` clips the
@@ -118,15 +117,10 @@ class SolverOptions:
     intersection would otherwise run off to the far field.
     """
 
-    pair_policy: str = "reference_anchor"
     fix_z: Optional[float] = None
     bounds: Optional[tuple[tuple[float, float, float], tuple[float, float, float]]] = None
 
     def __post_init__(self):
-        if self.pair_policy not in PAIR_POLICIES:
-            raise ConfigError(
-                f"unknown pair policy {self.pair_policy!r}; use one of {PAIR_POLICIES}"
-            )
         if self.fix_z is not None and not (is_number(self.fix_z) and math.isfinite(self.fix_z)):
             raise ConfigError(f"fix_z must be a finite number or null, got {self.fix_z!r}")
         if self.bounds is not None:
@@ -141,14 +135,11 @@ class SolverOptions:
                 raise ConfigError(f"fix_z must lie in the box's z range [{z0}, {z1}], got {self.fix_z!r}")
 
     @classmethod
-    def for_environment(cls, env, pair_policy="reference_anchor", fix_z=None, margin=2.0):
-        """The search box is the extent grown by ``margin`` on x and y; no box
-        when ``margin`` is None."""
-        if margin is None:
-            return cls(pair_policy=pair_policy, fix_z=fix_z)
-        lo = (-margin, -margin, 0.0)
-        hi = (env.extent[0] + margin, env.extent[1] + margin, env.extent[2])
-        return cls(pair_policy=pair_policy, fix_z=fix_z, bounds=(lo, hi))
+    def for_environment(cls, env, fix_z=None):
+        """The search box is the extent grown by ``BOUND_MARGIN`` on x and y."""
+        lo = (-BOUND_MARGIN, -BOUND_MARGIN, 0.0)
+        hi = (env.extent[0] + BOUND_MARGIN, env.extent[1] + BOUND_MARGIN, env.extent[2])
+        return cls(fix_z=fix_z, bounds=(lo, hi))
 
 
 def euclidean_distance(p, a) -> float:
@@ -160,34 +151,24 @@ def euclidean_distance(p, a) -> float:
     return float(np.linalg.norm(p - a))
 
 
-def measured_ddoa_set(
-    timestamps: Mapping[int, float], pair_policy: str = "reference_anchor"
-) -> DdoaSet:
+def measured_ddoa_set(timestamps: Mapping[int, float]) -> DdoaSet:
     """Convert reception timestamps (seconds, per anchor id) into DDoAs.
 
-    ``all_pairs`` emits every unordered pair once, oriented (i, j) with i < j
-    and ddoa = c * (t_i - t_j). ``reference_anchor`` pairs every other anchor
-    against the earliest receiver (ties broken by smallest id).
+    Every other anchor i, in id order, is paired against the earliest
+    receiver ref (ties broken by smallest id) as (i, ref) with
+    ddoa = c * (t_i - t_ref).
     """
-    if pair_policy not in PAIR_POLICIES:
-        raise ConfigError(f"unknown pair policy {pair_policy!r}; use one of {PAIR_POLICIES}")
     if len(timestamps) < 2:
         raise InsufficientDataError(
             f"need at least 2 timestamps to form a DDoA, got {len(timestamps)}"
         )
     ids = tuple(sorted(timestamps))
-    if pair_policy == "all_pairs":
-        pairs = tuple(
-            (i, j, SPEED_OF_LIGHT * (timestamps[i] - timestamps[j]))
-            for i, j in combinations(ids, 2)
-        )
-    else:
-        ref = min(ids, key=lambda a: (timestamps[a], a))
-        pairs = tuple(
-            (i, ref, SPEED_OF_LIGHT * (timestamps[i] - timestamps[ref]))
-            for i in ids
-            if i != ref
-        )
+    ref = min(ids, key=lambda a: (timestamps[a], a))
+    pairs = tuple(
+        (i, ref, SPEED_OF_LIGHT * (timestamps[i] - timestamps[ref]))
+        for i in ids
+        if i != ref
+    )
     return DdoaSet(pairs=pairs)
 
 
@@ -221,9 +202,9 @@ def _require_three_anchors(ddoas: DdoaSet) -> set[int]:
     return referenced
 
 
-def _sample_ddoas(sample, pair_policy: str) -> DdoaSet:
+def _sample_ddoas(sample) -> DdoaSet:
     timestamps = {c.anchor_id: c.rx_time for c in sample.raw_cirs}
-    return measured_ddoa_set(timestamps, pair_policy)
+    return measured_ddoa_set(timestamps)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -279,7 +260,7 @@ def _solve_each(normal: np.ndarray, rhs: np.ndarray):
     return step, ok
 
 
-def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
+def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     """Levenberg-Marquardt from every row's start, all rows in lockstep.
 
     Row r minimizes its own hyperboloid residuals (pair ends ``ends[:, r]``,
@@ -312,6 +293,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
     reasons (R,) as indices into ``STOP_REASONS``, and on-bound flags (R,):
     a free coordinate of the result lies on a box wall.
     """
+    fix_z, bounds = options.fix_z, options.bounds
     k = 2 if fix_z is not None else 3  # the free coordinates: x, y and, off the plane, z
     eye = np.eye(k)
     diag = np.arange(k)
@@ -390,12 +372,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, *, fix_z, bounds):
 
 
 def _solve_group(
-    ddoa_sets: Sequence[DdoaSet],
-    anchors: Sequence[Anchor],
-    init=None,
-    *,
-    fix_z: Optional[float],
-    bounds,
+    ddoa_sets: Sequence[DdoaSet], anchors: Sequence[Anchor], options: SolverOptions
 ) -> list[PositionEstimate]:
     """Multi-start solves of DDoA sets of any pair counts, in one LM run.
 
@@ -412,12 +389,9 @@ def _solve_group(
         referenced = _require_three_anchors(ddoas)
         ends, dd = _pair_geometry(ddoas, pos, width)  # raises MissingAnchorError
         participating = np.array([pos[i] for i in sorted(referenced)])
-        if init is not None:
-            mine = [np.asarray(init, dtype=float)]
-        else:
-            centroid = participating.mean(axis=0)
-            picks = np.linspace(0, len(participating) - 1, min(EXTRA_STARTS, len(participating)))
-            mine = [centroid] + [0.8 * participating[int(i)] + 0.2 * centroid for i in picks]
+        centroid = participating.mean(axis=0)
+        picks = np.linspace(0, len(participating) - 1, min(EXTRA_STARTS, len(participating)))
+        mine = [centroid] + [0.8 * participating[int(i)] + 0.2 * centroid for i in picks]
         sets.append((mine, ends, dd))
     owner, starts, first = [], [], {}
     for n in sorted(range(len(sets)), key=lambda n: len(ddoa_sets[n].pairs)):
@@ -428,7 +402,7 @@ def _solve_group(
     dd = np.stack([d for _, _, d in sets])[owner]
     counts = np.array([len(ddoa_sets[n].pairs) for n in owner])
     position, residual, iterations, reasons, on_bound = _levenberg_marquardt(
-        starts, ends, dd, counts, fix_z=fix_z, bounds=bounds
+        starts, ends, dd, counts, options
     )
     results = []
     for n, (mine, _, _) in enumerate(sets):
@@ -452,44 +426,34 @@ def _solve_group(
 
 
 def solve_tdoa(
-    ddoas: DdoaSet,
-    anchors: Sequence[Anchor],
-    init=None,
-    *,
-    fix_z: Optional[float] = None,
-    bounds=None,
+    ddoas: DdoaSet, anchors: Sequence[Anchor], options: SolverOptions = SolverOptions()
 ) -> PositionEstimate:
     """Least-squares tag position from a DDoA set.
 
     Levenberg-Marquardt on the hyperboloid residuals: the damping factor is
     multiplied by 10 on a rejected step and divided by 10 on an accepted one,
-    and a coordinate that a wall of ``bounds`` holds is left out of the step.
-    A run converges on a small projected gradient, step or relative cost
-    decrease (``GRAD_TOL``, ``STEP_TOL``, ``COST_RTOL``), and otherwise stops
-    at the damping limit or after ``MAX_ITERATIONS``; the estimate's
+    and a coordinate that a wall of ``options.bounds`` holds is left out of
+    the step. A run converges on a small projected gradient, step or relative
+    cost decrease (``GRAD_TOL``, ``STEP_TOL``, ``COST_RTOL``), and otherwise
+    stops at the damping limit or after ``MAX_ITERATIONS``; the estimate's
     ``stop_reason`` says which. Non-convergence returns the best iterate with
     ``converged`` False rather than raising.
 
-    The squared-residual surface has mirror basins, so unless ``init`` is
-    given the solver restarts from a few anchor-biased points and keeps the
+    The squared-residual surface has mirror basins, so the solver starts from
+    the anchors' centroid and a few anchor-biased points and keeps the
     lowest-cost result (the first start at exact-level residual wins).
 
-    ``fix_z`` constrains the solution to a horizontal plane, which avoids the
-    ill-conditioned vertical axis of near-planar anchor layouts.
+    ``options.fix_z`` constrains the solution to a horizontal plane, which
+    avoids the ill-conditioned vertical axis of near-planar anchor layouts.
     """
-    return _solve_group([ddoas], anchors, init, fix_z=fix_z, bounds=bounds)[0]
+    return _solve_group([ddoas], anchors, options)[0]
 
 
 def baseline_position(
-    sample,
-    anchors: Sequence[Anchor],
-    *,
-    options: SolverOptions = SolverOptions(),
-    init=None,
+    sample, anchors: Sequence[Anchor], *, options: SolverOptions = SolverOptions()
 ) -> PositionEstimate:
     """Uncorrected TDoA estimate from a sample's reception timestamps."""
-    ddoas = _sample_ddoas(sample, options.pair_policy)
-    return solve_tdoa(ddoas, anchors, init, fix_z=options.fix_z, bounds=options.bounds)
+    return solve_tdoa(_sample_ddoas(sample), anchors, options)
 
 
 def solve_baselines(
@@ -507,7 +471,7 @@ def solve_baselines(
     solvable: list[tuple[int, DdoaSet]] = []
     for k, sample in enumerate(samples):
         try:
-            ddoas = _sample_ddoas(sample, options.pair_policy)
+            ddoas = _sample_ddoas(sample)
             _require_three_anchors(ddoas)
         except InsufficientDataError:
             continue
@@ -515,9 +479,7 @@ def solve_baselines(
     solvable.sort(key=lambda item: len(item[1].pairs))
     for lo in range(0, len(solvable), BATCH_SAMPLES):
         batch = solvable[lo : lo + BATCH_SAMPLES]
-        solved = _solve_group(
-            [d for _, d in batch], anchors, fix_z=options.fix_z, bounds=options.bounds
-        )
+        solved = _solve_group([d for _, d in batch], anchors, options)
         for (k, _), estimate in zip(batch, solved):
             results[k] = estimate
     return results

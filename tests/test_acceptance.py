@@ -64,7 +64,7 @@ def test_criterion_1_solver_round_trip():
         timestamps = {
             a.id: euclidean_distance(truth, a.position) / SPEED_OF_LIGHT for a in anchors
         }
-        ddoas = measured_ddoa_set(timestamps, "reference_anchor")
+        ddoas = measured_ddoa_set(timestamps)
         estimate = solve_tdoa(ddoas, anchors)
         hits += np.linalg.norm(estimate.position - truth) < 1e-6
     elapsed = time.monotonic() - started

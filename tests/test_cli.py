@@ -107,9 +107,9 @@ class TestSweepEnumeration:
 
 class TestConfig:
     def test_overrides(self):
-        payload = apply_overrides({}, ["model.d_model=128", "solver.bound_margin=null", "output_dir=x"])
+        payload = apply_overrides({}, ["model.d_model=128", "dataset.snr_db=null", "output_dir=x"])
         assert payload["model"]["d_model"] == 128
-        assert payload["solver"]["bound_margin"] is None
+        assert payload["dataset"]["snr_db"] is None
         assert payload["output_dir"] == "x"
         with pytest.raises(ConfigError, match="override 'model.d_model=4': 'model' is not a section"):
             apply_overrides({"model": 3}, ["model.d_model=4"])
@@ -210,7 +210,7 @@ class TestBaseline:
         # the rows are the solvable samples' estimates, in dataset order
         env = dataio.read_environment(env_path)
         cfg = load_experiment_config(None, [])
-        options = cfg.solver.options(env, cfg.environment.tag_height)
+        options = SolverOptions.for_environment(env, cfg.environment.tag_height)
         estimates = [e for e in solve_baselines(dataio.read_samples_jsonl(dataset), env.anchors, options) if e]
         assert [(r["stop_reason"], r["on_bound"]) for r in rows] == [
             (e.stop_reason, str(int(e.on_bound))) for e in estimates
@@ -491,10 +491,6 @@ class TestErrorExit:
             ("model.d_model=abc", "d_model must be an integer >= 1, got 'abc'"),
             ("model.n_layers=0", "n_layers must be an integer >= 1, got 0"),
             ("model.dropout_p=x", "dropout_p must be a number in [0, 1), got 'x'"),
-            (
-                "solver.pair_policy=bogus",
-                "unknown pair policy 'bogus'; use one of ('all_pairs', 'reference_anchor')",
-            ),
         ],
     )
     def test_train_with_a_bad_model_size(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
@@ -553,23 +549,10 @@ class TestErrorExit:
     @pytest.mark.parametrize(
         "override, shown",
         [
-            # the default hall is 10 m deep: -5 m on each side leaves no y range
-            (
-                "solver.bound_margin=-5",
-                "solver box must have lo < hi on x and y and lo <= hi on z, "
-                "got lo (5, 5, 0.0), hi (25.0, 5.0, 3.0)",
-            ),
-            (
-                "solver.bound_margin=-6",
-                "solver box must have lo < hi on x and y and lo <= hi on z, "
-                "got lo (6, 6, 0.0), hi (24.0, 4.0, 3.0)",
-            ),
             # the solve plane is the tag height: a plane above the 3 m ceiling is rejected
             ("environment.tag_height=5", "fix_z must lie in the box's z range [0.0, 3.0], got 5"),
-            ("solver.fix_z=abc", "unknown keys in section 'solver': ['fix_z']"),
-            ("solver.bound_margin=abc", "bound_margin must be a finite number, got 'abc'"),
-            ("solver.bound_margin=NaN", "bound_margin must be a finite number, got nan"),
-            ("solver.bound_margin=Infinity", "bound_margin must be a finite number, got inf"),
+            # the solver settings are tdoa constants: a file that still has the section is refused
+            ("solver.bound_margin=1", "unknown config key 'solver'"),
         ],
     )
     def test_baseline_with_a_bad_solver_value(self, tiny_run, tmp_path, capsys, monkeypatch, override, shown):
@@ -804,6 +787,14 @@ class TestParser:
 
 
 class TestComplexityCommand:
+    @pytest.mark.parametrize("n_av", ["nan", "-1", "20"])
+    def test_a_bad_n_av_fails_before_the_directory_is_made(self, tmp_path, capsys, n_av):
+        out = tmp_path / "out"
+        assert main(["complexity", "--output-dir", str(out), f"--n-av={n_av}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ConfigError: n_av must be a number in [0, n_total=15], got {float(n_av)!r}\n"
+        assert not out.exists()
+
     def test_writes_full_grid(self, tmp_path):
         rc = main(["complexity", "--output-dir", str(tmp_path), "--n-total", "15", "--n-av", "6"])
         assert rc == 0

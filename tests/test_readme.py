@@ -5,17 +5,21 @@ still exist.
 Each example whose value is concrete goes through
 ``config.load_experiment_config``. Every example, placeholders such as
 ``N`` or ``value`` included, and every backticked `` `section.key` `` of
-the six config sections, such as `` `train.seed` ``, must name a key the
+the five config sections, such as `` `train.seed` ``, must name a key the
 config file takes. An example or a name with a removed or misspelt key, or
 a value a section rejects, then fails here instead of misleading a reader.
+Conversely, the README's config table must list every key a config file
+takes, with its default, so no setting lands undocumented.
 
 An API name is code the README writes as a call (`` `name(` ``) or as
 `` `module.name` `` for a ``uwbcorr`` module or public class; file names such
-as ``metrics.json`` are not API names.
+as ``metrics.json`` and config keys such as ``model.d_model`` are not API
+names.
 """
 
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from dataclasses import fields
@@ -31,6 +35,7 @@ SET_EXAMPLE = re.compile(r"--set[ =]([\w.]+=[^\s`]+)")
 PLACEHOLDERS = {"N", "value", "VALUE"}
 PLACEHOLDER_KEYS = {"section.key"}
 SECTION_KEY = re.compile(rf"`({'|'.join(_SECTION_KEYS)})\.(\w+)(?:=[^\s`]*)?`")
+CONFIG_ROW = re.compile(r"^\| `([\w.]+)` \| `([^`]*)` \|", re.MULTILINE)
 CALL = re.compile(r"`([A-Za-z_][\w.]*)\(")
 DOTTED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`")
 FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "npz", "py", "toml", "txt"}
@@ -89,6 +94,27 @@ def test_readme_config_key_exists(dotted):
         assert key in {f.name for f in fields(ExperimentConfig)} - set(_SECTION_KEYS), dotted
 
 
+def config_defaults() -> dict:
+    """Every key a config file takes, top-level ones included, with its
+    default as JSON gives it back."""
+    default = ExperimentConfig()
+    keys = [f.name for f in fields(ExperimentConfig) if f.name not in _SECTION_KEYS]
+    keys += [f"{section}.{key}" for section, names in _SECTION_KEYS.items() for key in names]
+    values = {}
+    for dotted in keys:
+        value = default
+        for part in dotted.split("."):
+            value = getattr(value, part)
+        values[dotted] = value
+    return json.loads(json.dumps(values))
+
+
+def test_the_readme_table_lists_every_config_key_with_its_default():
+    rows = CONFIG_ROW.findall(README.read_text())
+    assert len(rows) == len(dict(rows)), "a key has two rows"
+    assert {key: json.loads(value) for key, value in rows} == config_defaults()
+
+
 def api_names() -> list[str]:
     text = README.read_text()
     dotted = {
@@ -96,6 +122,7 @@ def api_names() -> list[str]:
         for head, rest in DOTTED.findall(text)
         if (head in MODULES or inspect.isclass(getattr(uwbcorr, head, None)))
         and rest.rsplit(".", 1)[-1] not in FILE_SUFFIXES
+        and rest not in _SECTION_KEYS.get(head, ())  # a config key such as `model.d_model`
     }
     return sorted(set(CALL.findall(text)) | dotted)
 

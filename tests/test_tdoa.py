@@ -10,6 +10,7 @@ from uwbcorr import (
     SPEED_OF_LIGHT,
     Anchor,
     DdoaSet,
+    Environment,
     SolverOptions,
     baseline_position,
     default_environment,
@@ -28,7 +29,7 @@ from uwbcorr.errors import (
     MissingAnchorError,
 )
 
-from test_solver_golden import assert_matches, golden_cases, record
+from test_solver_golden import golden_cases
 
 finite_coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 point = st.tuples(finite_coord, finite_coord, finite_coord).map(np.array)
@@ -107,20 +108,17 @@ class TestTrueDdoa:
 
 class TestMeasuredDdoaSet:
     def test_equal_timestamps(self):
-        ddoas = measured_ddoa_set({1: 5e-6, 2: 5e-6}, "all_pairs")
-        assert ddoas.pairs == ((1, 2, 0.0),)
+        # a tie for the earliest reception goes to the smallest id
+        ddoas = measured_ddoa_set({1: 5e-6, 2: 5e-6})
+        assert ddoas.pairs == ((2, 1, 0.0),)
 
     def test_one_nanosecond(self):
-        ddoas = measured_ddoa_set({1: 0.0, 2: 1e-9}, "all_pairs")
+        ddoas = measured_ddoa_set({1: 0.0, 2: 1e-9})
         assert len(ddoas.pairs) == 1
-        assert ddoas.pairs[0][2] == pytest.approx(-0.299792458, abs=1e-12)
-
-    def test_all_pairs_count(self):
-        ddoas = measured_ddoa_set({i: i * 1e-9 for i in range(4)}, "all_pairs")
-        assert len(ddoas.pairs) == 6
+        assert ddoas.pairs[0][2] == pytest.approx(0.299792458, abs=1e-12)
 
     def test_reference_anchor_uses_earliest(self):
-        ddoas = measured_ddoa_set({1: 3e-9, 2: 1e-9, 3: 2e-9}, "reference_anchor")
+        ddoas = measured_ddoa_set({1: 3e-9, 2: 1e-9, 3: 2e-9})
         assert len(ddoas.pairs) == 2
         assert all(j == 2 for _, j, _ in ddoas.pairs)
         assert all(d > 0 for _, _, d in ddoas.pairs)
@@ -128,10 +126,6 @@ class TestMeasuredDdoaSet:
     def test_requires_two_timestamps(self):
         with pytest.raises(InsufficientDataError):
             measured_ddoa_set({1: 0.0})
-
-    def test_unknown_policy(self):
-        with pytest.raises(ConfigError):
-            measured_ddoa_set({1: 0.0, 2: 0.0}, "nearest")
 
 
 class TestDdoaSetInvariants:
@@ -144,11 +138,11 @@ class TestDdoaSetInvariants:
             DdoaSet(pairs=((1, 2, 0.0), (2, 1, 0.5)))
 
 
-def ddoas_from_truth(p, anchors, policy="reference_anchor"):
+def ddoas_from_truth(p, anchors):
     timestamps = {
         a.id: euclidean_distance(p, a.position) / SPEED_OF_LIGHT for a in anchors
     }
-    return measured_ddoa_set(timestamps, policy)
+    return measured_ddoa_set(timestamps)
 
 
 class TestSolveTdoa:
@@ -156,17 +150,16 @@ class TestSolveTdoa:
         anchors = make_anchors([(5, 5, 1.5), (-5, 5, 1.5), (-5, -5, 1.5), (5, -5, 1.5)])
         truth = np.array([0.0, 0.0, 1.5])
         ddoas = ddoas_from_truth(truth, anchors)
-        est = solve_tdoa(ddoas, anchors, fix_z=1.5)
+        est = solve_tdoa(ddoas, anchors, SolverOptions(fix_z=1.5))
         assert np.allclose(est.position, truth, atol=1e-8)
         assert est.residual_norm <= 1e-9
 
-    @pytest.mark.parametrize("policy", ["all_pairs", "reference_anchor"])
-    def test_noise_free_round_trip(self, policy):
+    def test_noise_free_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             anchors = make_anchors(rng.uniform([0, 0, 0], [20, 20, 8], size=(8, 3)))
             truth = rng.uniform([2, 2, 1], [18, 18, 7])
-            est = solve_tdoa(ddoas_from_truth(truth, anchors, policy), anchors)
+            est = solve_tdoa(ddoas_from_truth(truth, anchors), anchors)
             assert np.linalg.norm(est.position - truth) < 1e-6
             assert est.residual_norm <= 1e-9
             assert est.converged and est.iterations <= 100
@@ -265,25 +258,24 @@ def hall():
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("margin", [-5.0, -6.0])
-    def test_an_empty_or_inverted_box_is_rejected(self, margin):
-        # 10 m deep: -5 m on each side leaves no y range, -6 m inverts it
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ((5.0, 5.0, 0.0), (25.0, 5.0, 3.0)),  # no y range
+            ((6.0, 6.0, 0.0), (24.0, 4.0, 3.0)),  # y inverted
+            ((5.0, 5.0, 5.0), (0.0, 0.0, 0.0)),  # every axis inverted
+        ],
+        ids=["empty", "inverted", "all_inverted"],
+    )
+    def test_an_empty_or_inverted_box_is_rejected(self, bounds):
         with pytest.raises(ConfigError, match="solver box must have lo < hi on x and y"):
-            SolverOptions.for_environment(default_environment(), margin=margin)
+            SolverOptions(bounds=bounds)
 
     def test_a_flat_z_range_is_a_plane(self):
         box = ((0.0, 0.0, 1.0), (5.0, 5.0, 1.0))
         assert SolverOptions(bounds=box).bounds == box
         with pytest.raises(ConfigError, match="lo <= hi on z"):
             SolverOptions(bounds=((0.0, 0.0, 2.0), (5.0, 5.0, 1.0)))
-
-    def test_no_margin_means_no_box(self):
-        options = SolverOptions.for_environment(default_environment(), fix_z=1.0, margin=None)
-        assert options == SolverOptions(fix_z=1.0)
-
-    def test_an_unknown_pair_policy_is_rejected(self):
-        with pytest.raises(ConfigError, match="^unknown pair policy 'bogus'; use one of"):
-            SolverOptions(pair_policy="bogus")
 
     @pytest.mark.parametrize("fix_z", ["abc", True, float("nan")])
     def test_fix_z_must_be_a_number_or_none(self, fix_z):
@@ -298,15 +290,13 @@ class TestSolverOptions:
             SolverOptions.for_environment(env, fix_z=fix_z)
         for z in (0.0, 3.0):  # the floor and ceiling planes are in the box
             assert SolverOptions.for_environment(env, fix_z=z).fix_z == z
-        assert SolverOptions.for_environment(env, fix_z=fix_z, margin=None).fix_z == fix_z  # no box
 
 
 class TestSolveBaselines:
-    @pytest.mark.parametrize("policy", ["all_pairs", "reference_anchor"])
     @pytest.mark.parametrize("fix_z", [1.0, None])
-    def test_equals_baseline_position(self, hall, policy, fix_z):
+    def test_equals_baseline_position(self, hall, fix_z):
         env, samples = hall
-        options = SolverOptions.for_environment(env, pair_policy=policy, fix_z=fix_z)
+        options = SolverOptions.for_environment(env, fix_z=fix_z)
         batched = solve_baselines(samples, env.anchors, options)
         assert len(batched) == len(samples)
         for sample, got in zip(samples, batched):
@@ -351,13 +341,14 @@ class TestSolveBaselines:
             for ids in ([3, 4, 5], [0, 1, 2], [6, 7, 8])
         ]
         monkeypatch.setattr(tdoa, "DAMPING", 0.0)
-        alone = [solve_tdoa(d, anchors, fix_z=0.0) for d in sets]
+        plane = SolverOptions(fix_z=0.0)
+        alone = [solve_tdoa(d, anchors, plane) for d in sets]
         assert alone[1].iterations == 100 and not alone[1].converged
         assert alone[1].stop_reason == "cap"
         fallbacks = []
         solve_each = tdoa._solve_each
         monkeypatch.setattr(tdoa, "_solve_each", lambda *a: fallbacks.append(1) or solve_each(*a))
-        together = tdoa._solve_group(sets, anchors, fix_z=0.0, bounds=None)
+        together = tdoa._solve_group(sets, anchors, plane)
         assert fallbacks
         for got, want in zip(together, alone):
             assert_same_estimate(got, want)
@@ -368,18 +359,26 @@ class TestPaddedSolve:
     """One LM run holds sets of every pair count, padded to the widest."""
 
     @pytest.mark.parametrize("fix_z", [1.0, None])
-    def test_all_pairs_widths_around_16_match_one_at_a_time(self, hall, fix_z):
-        # 5, 6, 7 and 8 anchors give 10, 15, 21 and 28 pairs: BLAS sums
-        # change their order from a length of 16, so these straddle it
-        env, samples = hall
-        wide = [s for s in samples if len(s.raw_cirs) >= 8]
-        batch = [keep_anchors(s, n) for s, n in zip(wide, [8, 5, 7, 6, 5, 8, 6, 7])]
-        assert sorted({len(s.raw_cirs) for s in batch}) == [5, 6, 7, 8]
-        options = SolverOptions.for_environment(env, pair_policy="all_pairs", fix_z=fix_z)
+    def test_widths_around_16_match_one_at_a_time(self, fix_z):
+        # n receiving anchors give n - 1 reference pairs, which the default
+        # hall's 15 anchors keep below 16. On a 24-anchor hall, 11 to 22
+        # anchors give 10 to 21 pairs: BLAS sums change their order from a
+        # length of 16, so these straddle it
+        hall = default_environment()
+        anchors = [
+            Anchor(8 * row + col + 1, np.array([x, y, 2.8]))
+            for row, y in enumerate((0.5, 5.0, 9.5))
+            for col, x in enumerate(np.linspace(1.0, 29.0, 8))
+        ]
+        env = Environment(anchors=anchors, obstacles=hall.obstacles, extent=hall.extent)
+        points = random_trajectory(env, 30, z=1.0, seed=46, step=2.0)
+        wide = [s for s in generate_dataset(env, points, 0.1, 47) if len(s.raw_cirs) >= 22]
+        batch = [keep_anchors(s, n) for s, n in zip(wide, range(11, 23))]
+        assert sorted(len(s.raw_cirs) - 1 for s in batch) == list(range(10, 22))
+        options = SolverOptions.for_environment(env, fix_z=fix_z)
         got = solve_baselines(batch, env.anchors, options)
-        for k, (sample, estimate) in enumerate(zip(batch, got)):
-            want = baseline_position(sample, env.anchors, options=options)
-            assert_matches(record(estimate), record(want), "all_pairs", f"sample {k}")
+        for sample, estimate in zip(batch, got):
+            assert_same_estimate(estimate, baseline_position(sample, env.anchors, options=options))
 
     def test_more_samples_than_one_run_keep_input_order(self):
         env = default_environment()
@@ -433,7 +432,7 @@ def cost_and_gradient(position, sample, anchors, options):
     coordinates a box wall holds: on the wall, with the descent direction
     -J^T r pointing out of the box."""
     timestamps = {c.anchor_id: c.rx_time for c in sample.raw_cirs}
-    ddoas = measured_ddoa_set(timestamps, options.pair_policy)
+    ddoas = measured_ddoa_set(timestamps)
     pos = {a.id: a.position for a in anchors}
     r = residuals(position, ddoas, anchors)
     unit = {a: (position - pos[a]) / math.dist(position, pos[a]) for a in pos}
@@ -449,26 +448,16 @@ class TestFirstOrder:
     """Converged solves of the golden cases end at a minimum of the cost on
     the box, as far as their stop rule can tell."""
 
-    @pytest.fixture(scope="class")
-    def solved(self):
-        env, samples, _ = golden_cases()
-        out = {}
-        for policy in ("reference_anchor", "all_pairs"):
-            for fix_z in (1.0, None):
-                options = SolverOptions.for_environment(env, pair_policy=policy, fix_z=fix_z)
-                estimates = solve_baselines(samples, env.anchors, options)
-                out[policy, fix_z] = [(s, e) for s, e in zip(samples, estimates) if e is not None]
-        return env, out
-
-    @pytest.mark.parametrize("policy", ["reference_anchor", "all_pairs"])
     @pytest.mark.parametrize("fix_z", [1.0, None])
-    def test_converged_results_meet_the_first_order_conditions(self, solved, policy, fix_z):
-        env, results = solved
-        options = SolverOptions.for_environment(env, pair_policy=policy, fix_z=fix_z)
+    def test_converged_results_meet_the_first_order_conditions(self, fix_z):
+        env, samples = golden_cases()
+        options = SolverOptions.for_environment(env, fix_z=fix_z)
+        estimates = solve_baselines(samples, env.anchors, options)
+        results = [(s, e) for s, e in zip(samples, estimates) if e is not None]
         k = 2 if fix_z is not None else 3
         lo, hi = np.array(options.bounds[0][:k]), np.array(options.bounds[1][:k])
-        converged = [(s, e) for s, e in results[policy, fix_z] if e.converged]
-        assert len(converged) >= 0.8 * len(results[policy, fix_z])
+        converged = [(s, e) for s, e in results if e.converged]
+        assert len(converged) >= 0.8 * len(results)
         for sample, estimate in converged:
             p = estimate.position
             if min(math.dist(p, a.position) for a in env.anchors) <= 1e-6:
