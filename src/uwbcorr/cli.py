@@ -127,8 +127,10 @@ def cmd_baseline(args) -> int:
 
 
 def _evaluate_and_write(model, dataset, env, solver, out: Path) -> None:
-    """Corrected and baseline metrics to metrics.json, positions to estimates.csv."""
+    """Corrected and baseline metrics to metrics.json, positions to estimates.csv.
+    The output directory is made once the evaluation has succeeded."""
     result = evaluate_model(model, dataset, env, solver=solver)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_metrics_json(
         out / "metrics.json",
         result.report,
@@ -177,7 +179,6 @@ def cmd_evaluate(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     model = load_checkpoint(args.checkpoint)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    out.mkdir(parents=True, exist_ok=True)
     _evaluate_and_write(model, dataset, env, solver, out)
     return 0
 
@@ -190,10 +191,13 @@ def cmd_sweep(args) -> int:
     if args.limit is not None:  # checked before anything is read or written
         check_int("--limit", args.limit)
     cfg, out, env, solver = _setup_solving(args)
-    train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
-    eval_set = dataio.read_samples_jsonl(args.eval_dataset or out / cfg.dataset.eval_path)
-    train_set = train_set[: cfg.sweep.n_train_cap]  # a None cap keeps every sample
-    eval_set = eval_set[: cfg.sweep.n_eval_cap]
+    train_path = args.dataset or out / cfg.dataset.train_path
+    eval_path = args.eval_dataset or out / cfg.dataset.eval_path
+    train_set = dataio.read_samples_jsonl(train_path)[: cfg.sweep.n_train_cap]  # None keeps all
+    eval_set = dataio.read_samples_jsonl(eval_path)[: cfg.sweep.n_eval_cap]
+    for path, samples in ((train_path, train_set), (eval_path, eval_set)):
+        if not samples:  # refused before any training time is spent
+            raise InsufficientDataError(f"{path}: no samples")
     out.mkdir(parents=True, exist_ok=True)
     n_av = float(np.mean([len(s.raw_cirs) for s in eval_set]))
 

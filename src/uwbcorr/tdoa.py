@@ -4,7 +4,8 @@ A tag transmits once; anchors record reception timestamps. Each timestamp
 minus the earliest one, scaled by the speed of light, gives a distance
 difference (DDoA) constraining the tag to a hyperboloid. The solver minimizes
 the squared hyperboloid residuals with a damped Gauss-Newton
-(Levenberg-Marquardt) loop using the analytic Jacobian, from several starts.
+(Levenberg-Marquardt) loop using the analytic Jacobian, from several starts,
+and adds the analytic second-order term once Gauss-Newton progress slows.
 A coordinate on a wall of the search box stays there while its gradient
 points outward. Every start of every sample in a batch advances in lockstep
 as one row of stacked arrays, with each sample's pairs padded to the batch's
@@ -39,6 +40,8 @@ GRAD_TOL = 1e-9  # m: the largest entry of the projected J^T r at a minimum
 COST_RTOL = 1e-10  # an accepted step that lowers r . r by no more than this share
 DAMPING = 1e-3
 EXTRA_STARTS = 4
+SECOND_ORDER_RTOL = 0.1  # accepted steps lowering r . r by less turn a row to full-Hessian steps
+TIP_DIST = 1e-6  # m: a solve that ends this close to one of its anchors stops as "tip"
 
 BOUND_MARGIN = 2.0  # m: SolverOptions.for_environment's box reaches this far past the extent
 
@@ -86,9 +89,10 @@ class DdoaSet:
                 raise ValueError(f"pair ({i},{j}) has non-finite ddoa")
 
 
-# Why a solve stopped: the first three are convergence.
-STOP_REASONS = ("step", "cost", "gradient", "cap", "damping")
-_STEP, _COST, _GRADIENT, _CAP, _DAMPING = range(len(STOP_REASONS))
+# Why a solve stopped: the first three are convergence. "tip" is an end on
+# one of the set's anchors, a cone tip of the cost with no gradient there.
+STOP_REASONS = ("step", "cost", "gradient", "cap", "damping", "tip")
+_STEP, _COST, _GRADIENT, _CAP, _DAMPING, _TIP = range(len(STOP_REASONS))
 
 
 @dataclass(frozen=True)
@@ -219,8 +223,8 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 def _spans(counts: np.ndarray) -> list[tuple[int, int, int]]:
     """(first row, end row, pair count) of each run of rows with one pair
     count in the sorted ``counts``."""
-    cuts = np.flatnonzero(np.diff(counts, prepend=-1, append=-1)).tolist()
-    return [(lo, hi, int(counts[lo])) for lo, hi in zip(cuts, cuts[1:])]
+    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
+    return [(lo, hi, int(counts[lo])) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
 
 def _span_costs(r: np.ndarray, spans) -> np.ndarray:
@@ -232,20 +236,36 @@ def _span_costs(r: np.ndarray, spans) -> np.ndarray:
     return cost
 
 
-def _residuals_and_jacobian(p, ends, dd, k):
-    """Residuals (n, m) and Jacobian (n, m, k) of n rows at points p (n, 3).
+def _residuals_and_jacobian(p, ends, dd, k, spans):
+    """Residuals (n, m), Jacobian (n, m, k) and second-order term (n, k, k)
+    of n rows at points p (n, 3).
 
     ``ends`` (3, n, 2m) holds the coordinate planes of the anchors at the i
     ends of the m pairs, then at the j ends. The Jacobian is a (n, m, k) view
     of a (k, n, m) array, so its pair axis is contiguous: with a C-ordered
     Jacobian, J^T J takes another BLAS path than the one-row solver's
     recorded results and rounds differently.
+
+    The Hessian of |p - a| over the free coordinates is (I - g g^T) / d, with
+    g the unit vector from a, so that of r . r / 2 is J^T J plus the term
+    sum_m r_m (H_i - H_j). Like J^T r, the term is summed once per span of
+    ``spans`` on the unpadded columns; a pad pair's r of 0 gives it weight 0.
     """
     m = dd.shape[1]
     u = p.T[:, :, None] - ends
     d = np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])  # np.linalg.norm over x, y, z
-    g = u[:k] / np.maximum(d, 1e-12)
-    return (d[:, :m] - d[:, m:]) - dd, (g[:, :, :m] - g[:, :, m:]).transpose(1, 2, 0)
+    r = (d[:, :m] - d[:, m:]) - dd
+    d = np.maximum(d, 1e-12)
+    g = u[:k] / d
+    term = np.empty((len(p), k, k))
+    for lo, hi, c in spans:
+        gi, gj = g[:, lo:hi, :c], g[:, lo:hi, m : m + c]
+        wi, wj = r[lo:hi, :c] / d[lo:hi, :c], r[lo:hi, :c] / d[lo:hi, m : m + c]
+        term[lo:hi] = (gj * wj).transpose(1, 0, 2) @ gj.transpose(1, 2, 0)
+        term[lo:hi] -= (gi * wi).transpose(1, 0, 2) @ gi.transpose(1, 2, 0)
+        diagonal = term[lo:hi].reshape(hi - lo, k * k)[:, :: k + 1]
+        diagonal += (wi - wj).sum(axis=1)[:, None]
+    return r, (g[:, :, :m] - g[:, :, m:]).transpose(1, 2, 0), term
 
 
 def _solve_each(normal: np.ndarray, rhs: np.ndarray):
@@ -267,7 +287,11 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     DDoAs ``dd[r]``) from ``starts[r]`` and keeps its own point, residuals,
     Jacobian, damping, cost and stopping state. The damping is multiplied by
     10 on a rejected step (or a singular normal matrix) and divided by 10 on
-    an accepted one.
+    an accepted one. A row's normal matrix is J^T J until its first accepted
+    step that lowers the cost by less than ``SECOND_ORDER_RTOL`` of it, and
+    adds the second-order term from then on: damped exact-Hessian steps
+    converge fast where the residuals at the minimum are large (Madsen,
+    Nielsen & Tingleff 2004, 3.4; Dennis, Gay & Welsch 1981).
 
     Inside a box, a free coordinate on a wall whose gradient g = J^T r would
     carry it out of the box is held there (the active set of Moré 1978): its
@@ -278,16 +302,18 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     below ``STEP_TOL``; an accepted step lowers the cost r . r by no more
     than ``COST_RTOL`` of it; a rejected step pushes the damping above 1e14;
     ``MAX_ITERATIONS``. The first three are convergence (Madsen, Nielsen &
-    Tingleff 2004). Stopped rows leave the stack and the others carry on.
+    Tingleff 2004). Stopped rows leave the stack and the others carry on. A
+    row that ends within ``TIP_DIST`` of one of its anchors stops as "tip"
+    instead, whatever rule stopped it.
 
     The rows are sorted by their pair count ``counts`` and padded to the
     widest with pairs of zero residual and zero Jacobian. The elementwise
     work, the normal matrices J^T J and the batched solve give the same bits
     with or without the zero pairs, so they run once over the whole stack.
-    J^T r and the cost r . r are BLAS sums whose order changes with their
-    length, so they run once per span of rows with one pair count, on the
-    unpadded columns. Each row's arithmetic is then that of a solve of its
-    set alone.
+    J^T r, the second-order term and the cost r . r are BLAS sums whose order
+    changes with their length, so they run once per span of rows with one
+    pair count, on the unpadded columns. Each row's arithmetic is then that
+    of a solve of its set alone.
 
     Returns positions (R, 3), residual norms (R,), iterations (R,), stop
     reasons (R,) as indices into ``STOP_REASONS``, and on-bound flags (R,):
@@ -310,9 +336,11 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
 
     p = place(np.array(starts, dtype=float))
     spans = _spans(counts)  # rebuilt only when rows leave
-    r, jac = _residuals_and_jacobian(p, ends, dd, k)
+    r, jac, term = _residuals_and_jacobian(p, ends, dd, k, spans)
     cost = _span_costs(r, spans)
     lam = np.full(len(p), DAMPING)
+    second = np.zeros(len(p), dtype=bool)  # the rows that have switched to full-Hessian steps
+    all_ends = ends
     rows = np.arange(len(p))  # the output row of each row still running
     out_p, out_cost = np.empty_like(p), np.empty_like(cost)
     iterations = np.full(len(p), MAX_ITERATIONS)
@@ -322,6 +350,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
             break
         jac_t = jac.swapaxes(1, 2)  # jac_t @ jac on one buffer runs as syrk, like jac.T @ jac
         normal = jac_t @ jac + lam[:, None, None] * eye
+        normal += term * second[:, None, None]
         grad = np.empty((len(p), k, 1))  # J^T r, half the gradient of the cost
         for lo, hi, m in spans:
             grad[lo:hi] = jac_t[lo:hi, :, :m] @ r[lo:hi, :m, None]
@@ -341,14 +370,16 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         p_new = p.copy()
         p_new[:, :k] += step
         p_new = place(p_new)
-        r_new, jac_new = _residuals_and_jacobian(p_new, ends, dd, k)
+        r_new, jac_new, term_new = _residuals_and_jacobian(p_new, ends, dd, k, spans)
         cost_new = _span_costs(r_new, spans)
         small = solved & (np.sqrt(_sq_norms(step)) < STEP_TOL)
         accept = solved & (cost_new < cost) & ~flat  # a NaN cost is never lower
         level = accept & (cost - cost_new <= COST_RTOL * cost)
+        second |= accept & (cost - cost_new < SECOND_ORDER_RTOL * cost)
         np.copyto(p, p_new, where=accept[:, None])
         np.copyto(r, r_new, where=accept[:, None])
         np.copyto(jac, jac_new, where=accept[:, None, None])
+        np.copyto(term, term_new, where=accept[:, None, None])
         cost = np.where(accept, cost_new, cost)
         lam = np.where(accept, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
         damped = solved & ~accept & (lam > 1e14)
@@ -359,12 +390,14 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
             out_p[done], out_cost[done] = p[stop], cost[stop]
             iterations[done], reasons[done] = it, why[stop]
             keep = ~stop
-            rows, p, r, jac, cost, lam, dd, counts = (
-                x[keep] for x in (rows, p, r, jac, cost, lam, dd, counts)
+            rows, p, r, jac, term, cost, lam, second, dd, counts = (
+                x[keep] for x in (rows, p, r, jac, term, cost, lam, second, dd, counts)
             )
             ends = ends[:, keep]
             spans = _spans(counts)
     out_p[rows], out_cost[rows] = p, cost
+    u = out_p.T[:, :, None] - all_ends
+    reasons[np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2]).min(axis=1) <= TIP_DIST] = _TIP
     on_bound = np.zeros(len(out_p), dtype=bool)
     if box is not None:
         on_bound = ((out_p[:, :k] <= box[0][:k]) | (out_p[:, :k] >= box[1][:k])).any(axis=1)
@@ -432,12 +465,14 @@ def solve_tdoa(
 
     Levenberg-Marquardt on the hyperboloid residuals: the damping factor is
     multiplied by 10 on a rejected step and divided by 10 on an accepted one,
-    and a coordinate that a wall of ``options.bounds`` holds is left out of
-    the step. A run converges on a small projected gradient, step or relative
+    the steps use the exact Hessian once Gauss-Newton progress slows, and a
+    coordinate that a wall of ``options.bounds`` holds is left out of the
+    step. A run converges on a small projected gradient, step or relative
     cost decrease (``GRAD_TOL``, ``STEP_TOL``, ``COST_RTOL``), and otherwise
-    stops at the damping limit or after ``MAX_ITERATIONS``; the estimate's
-    ``stop_reason`` says which. Non-convergence returns the best iterate with
-    ``converged`` False rather than raising.
+    stops at the damping limit or after ``MAX_ITERATIONS``, or ends on one of
+    its anchors (``TIP_DIST``); the estimate's ``stop_reason`` says which.
+    Non-convergence returns the best iterate with ``converged`` False rather
+    than raising.
 
     The squared-residual surface has mirror basins, so the solver starts from
     the anchors' centroid and a few anchor-biased points and keeps the

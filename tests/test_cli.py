@@ -308,6 +308,17 @@ class TestTrainEvaluate:
         assert not (tmp_path / "metrics.json").exists()
 
 
+def two_anchor_dataset(tiny_run, tmp_path):
+    """The tiny run's evaluation set as received by two anchors: no sample
+    can be solved."""
+    records = [json.loads(line) for line in (tiny_run / "eval.jsonl").read_text().splitlines()]
+    for record in records:
+        record["measurements"] = record["measurements"][:2]
+    path = tmp_path / "two_anchors.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
 class TestErrorExit:
     """A uwbcorr error ends the run with one stderr line and status 2."""
 
@@ -367,6 +378,13 @@ class TestErrorExit:
             f"error: ConfigError: {path}: l_patch must divide 150, got 7\n"
         )
 
+    def test_evaluate_without_a_solvable_sample(self, tiny_run, tmp_path, capsys):
+        checkpoint, _ = self._checkpoint_arrays(tiny_run, tmp_path)
+        path = two_anchor_dataset(tiny_run, tmp_path)
+        assert self._evaluate(tiny_run, tmp_path, checkpoint, path) == 2
+        assert capsys.readouterr().err == "error: InsufficientDataError: no solvable samples to evaluate\n"
+        assert not (tmp_path / "out").exists()  # solved before the directory is made
+
     def _checkpoint_arrays(self, tiny_run, tmp_path):
         """A saved checkpoint's path and its arrays, to edit and save back."""
         env = dataio.read_environment(tiny_run / "environment.json")
@@ -378,7 +396,7 @@ class TestErrorExit:
         with np.load(path) as data:
             return path, {k: data[k] for k in data.files}
 
-    def _evaluate(self, tiny_run, tmp_path, checkpoint):
+    def _evaluate(self, tiny_run, tmp_path, checkpoint, dataset=None):
         return main(
             [
                 "evaluate",
@@ -387,7 +405,7 @@ class TestErrorExit:
                 "--checkpoint",
                 str(checkpoint),
                 "--dataset",
-                str(tiny_run / "eval.jsonl"),
+                str(dataset or tiny_run / "eval.jsonl"),
                 "--env",
                 str(tiny_run / "environment.json"),
             ]
@@ -442,11 +460,7 @@ class TestErrorExit:
         assert not (tmp_path / "out").exists()
 
     def test_baseline_without_a_solvable_sample(self, tiny_run, tmp_path, capsys):
-        records = [json.loads(line) for line in (tiny_run / "eval.jsonl").read_text().splitlines()]
-        for record in records:
-            record["measurements"] = record["measurements"][:2]  # two anchors: no fix
-        path = tmp_path / "two_anchors.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        path = two_anchor_dataset(tiny_run, tmp_path)
         assert self._baseline(tiny_run, tmp_path, path) == 2
         err = capsys.readouterr().err
         assert err == f"error: InsufficientDataError: {path}: no solvable samples\n"
@@ -710,6 +724,18 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err == f"error: ConfigError: --limit must be an integer >= 1, got {limit}\n"
         assert not (tmp_path / "out").exists()  # no sweep_results.csv, nothing written
+
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--eval-dataset"])
+    def test_an_empty_dataset_is_refused_before_training(self, tiny_run, tmp_path, capsys, flag):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        files = {"--dataset": tiny_run / "train.jsonl", "--eval-dataset": tiny_run / "eval.jsonl", flag: empty}
+        argv = ["sweep", "--output-dir", str(tmp_path / "out"), "--env", str(tiny_run / "environment.json")]
+        # pytest turns warnings into errors here, so numpy's mean of an empty slice would fail it
+        assert main([*argv, *(str(a) for kv in files.items() for a in kv), "--limit", "1"]) == 2
+        assert capsys.readouterr().err == f"error: InsufficientDataError: {empty}: no samples\n"
+        assert not (tmp_path / "out").exists()  # nothing trained, nothing written
 
 
 class TestSweepFailureHandling:

@@ -345,7 +345,7 @@ class TestRegressionHead:
         out, p_tdoa = head_only_prediction(small_env, zero_head)
         assert np.array_equal(out, p_tdoa)
 
-    def test_zero_weights_direct_returns_bias(self, small_env):
+    def test_zero_weights_add_the_bias_to_the_baseline(self, small_env):
         """With zero weights the head's output is its last bias, added to the baseline."""
 
         def bias_only(name, data):

@@ -11,11 +11,16 @@ rewrites. It was re-recorded (``PYTHONPATH=src python
 tests/test_solver_golden.py --rewrite``) in the commit after 8b07e4f, which
 holds coordinates on the box wall out of the step and added the gradient
 and cost stops (``tdoa.GRAD_TOL``, ``tdoa.COST_RTOL``), so iterations, stop
-reasons and positions changed by design. JSON stores the floats exactly.
-Re-record it only for a change meant to move the solver's results, and say
-why; a rewrite that keeps the results must reproduce it. The script refuses
-to overwrite the file unless it is given ``--rewrite``, and then prints the
-converged share and the count of each stop reason.
+reasons and positions changed by design. It was re-recorded again when a
+row's steps gained the second-order term after Gauss-Newton progress slows
+(``tdoa.SECOND_ORDER_RTOL``) and a solve that ends on one of its anchors got
+the ``tip`` stop reason. JSON stores the floats exactly. Re-record it only
+for a change meant to move the solver's results, and say why; a rewrite that
+keeps the results must reproduce it. The script refuses to overwrite the
+file unless it is given ``--rewrite``. It then prints the converged share,
+the count of each stop reason, the mean and largest iteration counts of the
+file it replaced and of the new one, and every sample whose residual norm
+rose by more than 1e-9 m.
 
 Each case's ``combo`` reads (pair policy, ``fix_z``, init point given), the
 settings it was recorded under. The file once held all eight combinations
@@ -111,6 +116,12 @@ def test_solve_baselines_matches_golden(golden, cases, combo):
             assert record(estimate) == want, f"sample {k}"
 
 
+def test_no_planar_solve_stops_at_the_cap(golden):
+    planar = next(c["results"] for c in golden["cases"] if c["combo"][1] == 1.0)
+    solved = [r for r in planar if "error" not in r]
+    assert len(solved) > N_SAMPLES // 2 and not any(r["stop_reason"] == "cap" for r in solved)
+
+
 def test_running_the_module_keeps_the_fixture():
     before = FIXTURE.read_bytes()
     proc = subprocess.run([sys.executable, __file__], capture_output=True, text=True, timeout=60)
@@ -118,11 +129,18 @@ def test_running_the_module_keeps_the_fixture():
     assert FIXTURE.read_bytes() == before
 
 
+def iteration_summary(results):
+    """Mean and largest iteration count of a case's solved samples."""
+    iterations = [r["iterations"] for r in results if "error" not in r]
+    return f"mean {sum(iterations) / len(iterations):.2f}, max {max(iterations)}"
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=f"Record {FIXTURE.name} from the current solver code.")
     parser.add_argument("--rewrite", action="store_true", help="overwrite an existing fixture")
     if not parser.parse_args().rewrite and FIXTURE.exists():
         parser.error(f"{FIXTURE} is the reference; pass --rewrite to overwrite it")
+    previous = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {"cases": []}
     env, samples = golden_cases()
     payload = {
         "cases": [
@@ -137,3 +155,10 @@ if __name__ == "__main__":
         f"wrote {FIXTURE}: {sum(r['converged'] for r in solved)}/{len(solved)} solves converged; "
         f"stop reasons {reasons}"
     )
+    for before in previous["cases"]:
+        after = next(c for c in payload["cases"] if c["combo"] == before["combo"])
+        print(f"{before['combo']}: iterations {iteration_summary(before['results'])} -> "
+              f"{iteration_summary(after['results'])}")
+        for k, (old, new) in enumerate(zip(before["results"], after["results"])):
+            if "error" not in old and new["residual_norm"] > old["residual_norm"] + 1e-9:
+                print(f"  sample {k}: residual norm {old['residual_norm']:.9f} -> {new['residual_norm']:.9f} m")

@@ -21,7 +21,9 @@ stores only the non-zero patch rows of an example. It was re-recorded
 (``PYTHONPATH=src python tests/test_training_golden.py --rewrite``) in the
 next commit, whose active-set solver moved the baseline positions
 ``p_tdoa`` the examples are built from; the model code was the one that had
-reproduced the 209e218 arrays. ``.npz`` stores the float64 arrays exactly.
+reproduced the 209e218 arrays. It was re-recorded the same way, with the
+model code unchanged, when the solver's steps gained the second-order term,
+which moved ``p_tdoa`` by up to 5 cm. ``.npz`` stores the float64 arrays exactly.
 Do not regenerate it for a change to the model: it is the reference a
 rewrite of the forward or backward pass must reproduce. The script refuses
 to overwrite the file unless it is given ``--rewrite``, and then prints the
