@@ -126,10 +126,14 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _evaluate_and_write(model, dataset, env, solver, out: Path) -> None:
+def _evaluate_and_write(model, dataset, env, solver, out: Path, path) -> None:
     """Corrected and baseline metrics to metrics.json, positions to estimates.csv.
-    The output directory is made once the evaluation has succeeded."""
-    result = evaluate_model(model, dataset, env, solver=solver)
+    The output directory is made once the evaluation has succeeded; a dataset
+    it cannot evaluate is named by ``path``, the file it was read from."""
+    try:
+        result = evaluate_model(model, dataset, env, solver=solver)
+    except InsufficientDataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_metrics_json(
         out / "metrics.json",
@@ -171,7 +175,7 @@ def cmd_train(args) -> int:
         f"checkpoint at {out / 'checkpoint.npz'}"
     )
     if eval_set is not None:
-        _evaluate_and_write(model, eval_set, env, solver, out)
+        _evaluate_and_write(model, eval_set, env, solver, out, eval_path)
     return 0
 
 
@@ -179,7 +183,7 @@ def cmd_evaluate(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     model = load_checkpoint(args.checkpoint)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    _evaluate_and_write(model, dataset, env, solver, out)
+    _evaluate_and_write(model, dataset, env, solver, out, args.dataset)
     return 0
 
 

@@ -28,8 +28,18 @@ from .tdoa import Anchor
 from .training import TrainingHistory
 
 
-def _round_list(values, digits=6):
-    return [round(float(v), digits) for v in values]
+def _round6(values: np.ndarray) -> np.ndarray:
+    """``round(float(v), 6)`` of each value, mostly without the loop: an
+    integer below 2**53 over 1e6 is the correctly rounded decimal, so only a
+    value within round-off of a half at the 7th decimal, or too large for
+    that, goes through ``round``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite: see below
+        scaled = values * 1e6
+        out = np.rint(scaled) / 1e6
+        slack = np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(scaled) * 2.0**-50
+    for i in np.flatnonzero(slack | ~(np.abs(scaled) < 2.0**52)):
+        out[i] = round(float(values[i]), 6)
+    return out
 
 
 def write_samples_jsonl(path, samples: Sequence[Sample]):
@@ -37,6 +47,10 @@ def write_samples_jsonl(path, samples: Sequence[Sample]):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         for idx, sample in enumerate(samples):
+            cirs = sample.raw_cirs
+            # One rounding pass over the sample's IQ, as float pairs, split per CIR.
+            flat = np.concatenate([c.iq for c in cirs]).view(float)
+            iqs = np.split(_round6(flat).view(complex), np.cumsum([len(c.iq) for c in cirs[:-1]]))
             record = {
                 "sample_id": idx,
                 "true_position": [float(v) for v in sample.true_position],
@@ -46,10 +60,10 @@ def write_samples_jsonl(path, samples: Sequence[Sample]):
                         "anchor_id": int(c.anchor_id),
                         "rx_time_s": float(c.rx_time),
                         "first_path_index": int(c.first_path_index),
-                        "cir_real": _round_list(c.iq.real),
-                        "cir_imag": _round_list(c.iq.imag),
+                        "cir_real": iq.real.tolist(),
+                        "cir_imag": iq.imag.tolist(),
                     }
-                    for c in sample.raw_cirs
+                    for c, iq in zip(cirs, iqs)
                 ],
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")

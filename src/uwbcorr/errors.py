@@ -46,6 +46,11 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not an integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _is_int(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import OutOfBoundsError, is_number
+from .errors import OutOfBoundsError, is_integer, is_number
 from .tdoa import SPEED_OF_LIGHT, Anchor, euclidean_distance
 
 SAMPLE_PERIOD_S = 1e-9  # CIR tap spacing
@@ -74,7 +74,7 @@ class Environment:
 
     def contains(self, p) -> bool:
         p = np.asarray(p, dtype=float)
-        return bool(np.all(p >= 0) and np.all(p <= np.array(self.extent)))
+        return bool(((p >= 0) & (p <= self.extent)).all())
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,9 @@ class RawCir:
         iq = np.asarray(self.iq, dtype=np.complex128)
         if iq.ndim != 1 or len(iq) < 150:
             raise ValueError("CIR needs at least 150 samples")
+        for name in ("first_path_index", "anchor_id"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.first_path_index < len(iq):
             raise ValueError("first_path_index outside the CIR buffer")
         if not (is_number(self.rx_time) and np.isfinite(self.rx_time)):
@@ -128,15 +131,14 @@ class ChannelConfig:
 def _segment_hits_box(p0: np.ndarray, p1: np.ndarray, box: Box) -> bool:
     # Slab test; only a positive-length overlap of the open segment counts,
     # so grazing contact at a face or endpoint does not block.
-    d = p1 - p0
     t0, t1 = 0.0, 1.0
-    for ax in range(3):
-        if abs(d[ax]) < 1e-15:
-            if not (box.lo[ax] <= p0[ax] <= box.hi[ax]):
+    for p, d, lo, hi in zip(p0.tolist(), (p1 - p0).tolist(), box.lo.tolist(), box.hi.tolist()):
+        if abs(d) < 1e-15:
+            if not (lo <= p <= hi):
                 return False
         else:
-            ta = (box.lo[ax] - p0[ax]) / d[ax]
-            tb = (box.hi[ax] - p0[ax]) / d[ax]
+            ta = (lo - p) / d
+            tb = (hi - p) / d
             if ta > tb:
                 ta, tb = tb, ta
             t0 = max(t0, ta)
@@ -191,38 +193,38 @@ def synth_cir(
     tau_direct = dist / SPEED_OF_LIGHT
     los = los_status(tag, anchor, env.obstacles)
 
-    taps: list[tuple[float, complex]] = []  # (delay_s, complex amplitude)
+    # uniform(lo, hi) draws lo + (hi - lo) * random(), so each block of
+    # random() draws below replays the stream of the scalar draws, in order
+    # (0.6 - 0.2 stays as written: it is not the double nearest 0.4).
     if los:
         detected_delay = tau_direct
-        taps.append((tau_direct, np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        delays, gains = [tau_direct], [1.0]
     else:
-        direct_gain = rng.uniform(*NLOS_DIRECT_GAIN)
-        excess_m = rng.uniform(*cfg.nlos_excess_m)
-        reflected_gain = rng.uniform(*NLOS_REFLECTED_GAIN)
+        ranges = (NLOS_DIRECT_GAIN, cfg.nlos_excess_m, NLOS_REFLECTED_GAIN)
+        draws = zip(ranges, rng.random(3).tolist())
+        direct_gain, excess_m, reflected_gain = (lo + (hi - lo) * u for (lo, hi), u in draws)
         detected_delay = tau_direct + excess_m / SPEED_OF_LIGHT
-        taps.append((tau_direct, direct_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
-        taps.append((detected_delay, reflected_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        delays, gains = [tau_direct, detected_delay], [direct_gain, reflected_gain]
+    delays = np.array(delays)
+    amps = np.array(gains) * np.exp(1j * (2 * np.pi * rng.random(len(gains))))
 
     if cfg.multipath:
         n_extra = int(rng.integers(EXTRA_TAPS[0], EXTRA_TAPS[1] + 1))
-        for _ in range(n_extra):
-            excess = rng.uniform(0.5, EXTRA_TAP_MAX_EXCESS_M)
-            gain = np.exp(-excess / EXTRA_TAP_DECAY_M) * rng.uniform(0.2, 0.6)
-            taps.append(
-                (
-                    detected_delay + excess / SPEED_OF_LIGHT,
-                    gain * np.exp(1j * rng.uniform(0, 2 * np.pi)),
-                )
-            )
+        u = rng.random((n_extra, 3))  # excess, gain and phase of each tap
+        excess = 0.5 + (EXTRA_TAP_MAX_EXCESS_M - 0.5) * u[:, 0]
+        gain = np.exp(-excess / EXTRA_TAP_DECAY_M) * (0.2 + (0.6 - 0.2) * u[:, 1])
+        delays = np.concatenate([delays, detected_delay + excess / SPEED_OF_LIGHT])
+        amps = np.concatenate([amps, gain * np.exp(1j * (2 * np.pi * u[:, 2]))])
 
-    grid = np.arange(CIR_LENGTH, dtype=float)
+    pos = FIRST_PATH_SLOT + (delays - detected_delay) / SAMPLE_PERIOD_S
+    offsets = np.arange(CIR_LENGTH, dtype=float) - pos[:, None]
+    pulses = amps[:, None] * _pulse(offsets, PULSE_HALFWIDTH_SAMPLES)
     iq = np.zeros(CIR_LENGTH, dtype=np.complex128)
-    for delay, amp in taps:
-        pos = FIRST_PATH_SLOT + (delay - detected_delay) / SAMPLE_PERIOD_S
-        iq += amp * _pulse(grid - pos, PULSE_HALFWIDTH_SAMPLES)
+    for row in pulses:  # tap by tap onto +0.0, so zeros keep their sign
+        iq += row
 
     if cfg.snr_db is not None:
-        peak = max(abs(a) for _, a in taps)
+        peak = np.hypot(amps.real, amps.imag).max()  # abs() of each amp, bit for bit
         sigma = peak * 10.0 ** (-cfg.snr_db / 20.0)
         noise = rng.normal(0.0, sigma / np.sqrt(2.0), size=(2, CIR_LENGTH))
         iq += noise[0] + 1j * noise[1]

@@ -1,10 +1,12 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uwbcorr import Anchor, Box, ChannelConfig, Environment, generate_dataset
+from uwbcorr import Anchor, Box, ChannelConfig, Environment, generate_dataset, simulate
 from uwbcorr.encodings import DELTA_T_MAX_S, OMEGA_HI, OMEGA_LO
+from uwbcorr.tdoa import SPEED_OF_LIGHT, euclidean_distance
 
 
 def permute_rows(tensor, order):
@@ -51,6 +53,87 @@ def reference_time_pe(delta_t, d_model):
     """A reception delay's encoding: the delay clamped to [0, DELTA_T_MAX_S]
     and divided by DELTA_T_MAX_S."""
     return reference_encoding([min(max(delta_t, 0.0), DELTA_T_MAX_S) / DELTA_T_MAX_S], d_model)
+
+
+def reference_round_list(values):
+    """The dataset writer's CIR rounding, one ``round`` per value."""
+    return [round(float(v), 6) for v in values]
+
+
+def reference_write_samples_jsonl(path, samples):
+    """The JSONL dataset writer with one ``round`` per CIR value."""
+    with open(path, "w") as fh:
+        for idx, sample in enumerate(samples):
+            record = {
+                "sample_id": idx,
+                "true_position": [float(v) for v in sample.true_position],
+                "tx_time_s": 0.0,
+                "measurements": [
+                    {
+                        "anchor_id": int(c.anchor_id),
+                        "rx_time_s": float(c.rx_time),
+                        "first_path_index": int(c.first_path_index),
+                        "cir_real": reference_round_list(c.iq.real),
+                        "cir_imag": reference_round_list(c.iq.imag),
+                    }
+                    for c in sample.raw_cirs
+                ],
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _reference_pulse(offsets, halfwidth):
+    out = np.zeros_like(offsets)
+    inside = np.abs(offsets) <= halfwidth
+    out[inside] = np.cos(np.pi * offsets[inside] / (2.0 * halfwidth)) ** 2
+    return out
+
+
+def _reference_cir(tag, anchor, env, rng, cfg):
+    """One CIR as (anchor id, rx_time, iq), drawn tap by tap with scalar
+    ``rng.uniform`` calls and summed one pulse at a time."""
+    s = simulate
+    detected_delay = tau_direct = euclidean_distance(tag, anchor.position) / SPEED_OF_LIGHT
+    taps = []  # (delay_s, complex amplitude)
+    if s.los_status(tag, anchor, env.obstacles):
+        taps.append((tau_direct, np.exp(1j * rng.uniform(0, 2 * np.pi))))
+    else:
+        direct_gain = rng.uniform(*s.NLOS_DIRECT_GAIN)
+        excess_m = rng.uniform(*cfg.nlos_excess_m)
+        reflected_gain = rng.uniform(*s.NLOS_REFLECTED_GAIN)
+        detected_delay = tau_direct + excess_m / SPEED_OF_LIGHT
+        taps.append((tau_direct, direct_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        taps.append((detected_delay, reflected_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+    if cfg.multipath:
+        for _ in range(int(rng.integers(s.EXTRA_TAPS[0], s.EXTRA_TAPS[1] + 1))):
+            excess = rng.uniform(0.5, s.EXTRA_TAP_MAX_EXCESS_M)
+            gain = np.exp(-excess / s.EXTRA_TAP_DECAY_M) * rng.uniform(0.2, 0.6)
+            amp = gain * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            taps.append((detected_delay + excess / SPEED_OF_LIGHT, amp))
+    grid = np.arange(s.CIR_LENGTH, dtype=float)
+    iq = np.zeros(s.CIR_LENGTH, dtype=np.complex128)
+    for delay, amp in taps:
+        pos = s.FIRST_PATH_SLOT + (delay - detected_delay) / s.SAMPLE_PERIOD_S
+        iq += amp * _reference_pulse(grid - pos, s.PULSE_HALFWIDTH_SAMPLES)
+    if cfg.snr_db is not None:
+        sigma = max(abs(a) for _, a in taps) * 10.0 ** (-cfg.snr_db / 20.0)
+        noise = rng.normal(0.0, sigma / np.sqrt(2.0), size=(2, s.CIR_LENGTH))
+        iq += noise[0] + 1j * noise[1]
+    return anchor.id, detected_delay, iq
+
+
+def reference_dataset(env, trajectory, drop_probability, rng_seed, cfg):
+    """``generate_dataset`` with the per-tap channel loop: for each point,
+    the (anchor id, rx_time, iq) of every CIR kept."""
+    anchors = sorted(env.anchors, key=lambda a: a.id)
+    children = np.random.SeedSequence(rng_seed).spawn(len(trajectory))
+    out = []
+    for point, child in zip(trajectory, children):
+        rng = np.random.default_rng(child)
+        while not (keep := rng.random(len(anchors)) >= drop_probability).any():
+            pass
+        out.append([_reference_cir(point, a, env, rng, cfg) for a, k in zip(anchors, keep) if k])
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -382,7 +382,9 @@ class TestErrorExit:
         checkpoint, _ = self._checkpoint_arrays(tiny_run, tmp_path)
         path = two_anchor_dataset(tiny_run, tmp_path)
         assert self._evaluate(tiny_run, tmp_path, checkpoint, path) == 2
-        assert capsys.readouterr().err == "error: InsufficientDataError: no solvable samples to evaluate\n"
+        assert capsys.readouterr().err == (
+            f"error: InsufficientDataError: {path}: no solvable samples to evaluate\n"
+        )
         assert not (tmp_path / "out").exists()  # solved before the directory is made
 
     def _checkpoint_arrays(self, tiny_run, tmp_path):

@@ -3,9 +3,36 @@ import json
 import numpy as np
 import pytest
 
+from conftest import reference_write_samples_jsonl
 from uwbcorr import dataio
 from uwbcorr.errors import DatasetFormatError
-from uwbcorr.simulate import ChannelConfig, default_environment, generate_dataset
+from uwbcorr.simulate import ChannelConfig, RawCir, Sample, default_environment, generate_dataset
+
+
+def test_write_matches_the_round_per_value_writer(tmp_path, small_dataset):
+    """Byte for byte, on values that test 6-decimal rounding: ties at the 7th
+    decimal and their neighbouring doubles, values below 1e-4 that repr
+    writes with an exponent, small negatives that round to -0.0, and
+    magnitudes too large for an exact integer count of millionths; in CIRs
+    of different lengths within one sample."""
+    rng = np.random.default_rng(3)
+    halves = (rng.integers(-(10**7), 10**7, 400) + 0.5) / 1e6
+    hand = [0.0000005, 1.2345665, -1.2345665, 0.0078125, -0.0078125, 2.5e-06, 123.4567895]
+    hand += [5e-05, 9.9999995e-05, 1.5e-07, 5e-324, -4e-07, -1e-12, -0.0, 0.0]
+    hand += [4503599627.3705, 1e17, 1e305, -3e300, float("inf"), float("nan")]
+    values = np.concatenate(
+        [hand, halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)]
+        + [rng.uniform(1e10, 1e12, 200), rng.normal(0, 0.1, 199)]
+    )
+    iq = values.view(complex)  # a float view keeps every bit of each value
+    cirs = [
+        RawCir(iq=iq[start:stop], first_path_index=64, rx_time=1e-8, anchor_id=i)
+        for i, (start, stop) in enumerate([(0, 192), (192, 342), (342, 534), (534, 810)])
+    ]
+    samples = [*small_dataset, Sample(true_position=[1.0, 2.0, 1.0], raw_cirs=cirs)]
+    dataio.write_samples_jsonl(tmp_path / "fast.jsonl", samples)
+    reference_write_samples_jsonl(tmp_path / "reference.jsonl", samples)
+    assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
 
 def test_samples_jsonl_round_trip(tmp_path, small_env, small_dataset):
@@ -105,8 +132,27 @@ def test_missing_field_names_file_line_and_field(tmp_path, small_dataset):
             lambda r: r["measurements"].append(r["measurements"][0]),
             r"anchor id \d+ appears twice",
         ),
+        (
+            lambda r: r["measurements"][0].update(first_path_index=64.5),
+            r"first_path_index must be an integer, got 64\.5",
+        ),
+        (
+            lambda r: r["measurements"][0].update(first_path_index=True),
+            "first_path_index must be an integer, got True",
+        ),
+        (
+            lambda r: r["measurements"][0].update(anchor_id="3"),
+            "anchor_id must be an integer, got '3'",
+        ),
     ],
-    ids=["nan_rx_time", "short_true_position", "repeated_anchor"],
+    ids=[
+        "nan_rx_time",
+        "short_true_position",
+        "repeated_anchor",
+        "fractional_first_path_index",
+        "bool_first_path_index",
+        "string_anchor_id",
+    ],
 )
 def test_bad_value_names_file_line_and_problem(tmp_path, small_dataset, edit, problem):
     """A value the pipeline cannot use fails as its line is read, not mid-solve."""

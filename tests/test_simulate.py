@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from conftest import reference_dataset
 from uwbcorr import (
     SPEED_OF_LIGHT,
     Anchor,
     Box,
     ChannelConfig,
+    RawCir,
     SolverOptions,
     baseline_position,
+    default_environment,
     euclidean_distance,
     generate_dataset,
     los_status,
     mae,
+    random_trajectory,
     synth_cir,
 )
 from uwbcorr.cir import iq_to_amplitude
@@ -145,6 +149,32 @@ class TestGenerateDataset:
     def test_at_least_one_anchor_kept(self, small_env):
         ds = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])] * 50, 0.85, 3)
         assert all(len(s.raw_cirs) >= 1 for s in ds)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ChannelConfig(),
+            ChannelConfig(snr_db=None),
+            ChannelConfig(multipath=False),
+            ChannelConfig(snr_db=None, multipath=False),
+        ],
+        ids=["default", "noise_free", "single_path", "noise_free_single_path"],
+    )
+    def test_matches_the_per_tap_reference_bit_for_bit(self, cfg):
+        """Same draws, same pulse sums in tap order, same signed zeros."""
+        env = default_environment()
+        points = random_trajectory(env, n_points=60, seed=4, step=2.0)
+        got = generate_dataset(env, points, 0.3, 17, cfg)
+        want = reference_dataset(env, points, 0.3, 17, cfg)
+        assert len(got) == len(want)
+        for sample, cirs in zip(got, want):
+            assert [(c.anchor_id, c.rx_time) for c in sample.raw_cirs] == [c[:2] for c in cirs]
+            assert [c.iq.tobytes() for c in sample.raw_cirs] == [c[2].tobytes() for c in cirs]
+
+
+def test_raw_cir_takes_numpy_integers():
+    raw = RawCir(iq=np.zeros(160), first_path_index=np.int64(64), rx_time=0.0, anchor_id=np.int32(3))
+    assert raw.first_path_index == 64 and raw.anchor_id == 3
 
 
 def test_end_to_end_error_ordering(open_env, small_env, clean_dataset):
