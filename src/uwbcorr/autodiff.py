@@ -193,8 +193,9 @@ def layer_norm(
 ) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then multiply by
     ``gain`` and add ``bias`` when given."""
-    y = a.data - a.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((y * y).mean(axis=-1, keepdims=True) + eps)
+    n = a.data.shape[-1]  # the means are ndarray.mean's sum and divide, without its wrapper
+    y = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + eps)
     y *= inv
     out = y
     if gain is not None or bias is not None:
@@ -210,8 +211,8 @@ def layer_norm(
             _accum(bias, _unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             gy = g * gain.data if gain is not None else g.copy()
-            gym = gy.mean(axis=-1, keepdims=True)
-            gyy = (gy * y).mean(axis=-1, keepdims=True)
+            gym = np.add.reduce(gy, axis=-1, keepdims=True) / n
+            gyy = np.add.reduce(gy * y, axis=-1, keepdims=True) / n
             gy -= gym
             gy -= y * gyy
             gy *= inv
@@ -228,11 +229,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    inverse = np.argsort(axes)
-
     def bw(g):
         # a C-ordered copy, so later products read contiguous memory
-        _accum(a, g.transpose(inverse).copy())
+        _accum(a, g.transpose(np.argsort(axes)).copy())
 
     return _node(a.data.transpose(axes), (a,), bw)
 

@@ -156,7 +156,7 @@ def write_metrics_json(path, report: MetricsReport, extra: dict | None = None):
 
 
 def write_history_csv(path, history: TrainingHistory):
-    columns = ["train_loss", "val_loss", "lr", "step_ms", "samples_per_s", "grad_norm"]
+    columns = ["train_loss", "val_loss", "lr", "step_ms", "samples_per_s", "grad_norm", "minor_faults"]
     rows = [
         {"epoch": r.epoch, **{c: f"{getattr(r, c):.8g}" for c in columns}}
         for r in history.records

@@ -32,6 +32,7 @@ from .simulate import Environment, Sample
 
 CHECKPOINT_SCHEMA_VERSION = 3
 SWEEP_KEYS = ("patching", "ordering", "encoding", "l_patch", "d_model")
+CHUNK_ROWS = 512  # token rows (samples x tokens) a chunk of ``chunks`` holds, unless one sample has more
 
 
 @dataclass(frozen=True)
@@ -232,11 +233,13 @@ def prepare_example(
 def _dropout(x: ad.Tensor, p: float, train: bool, rng, n_tokens: int) -> ad.Tensor:
     """Inverted dropout on (B, rows, d). The mask is drawn for all n_tokens
     rows and its leading rows are kept, so a block that computes only the
-    CLS row takes the same draws from rng as one that computes every row."""
+    CLS row takes the same draws from rng as one that computes every row.
+    A list ``rng`` holds a chunk's pre-drawn uniforms, taken in order."""
     if not train or p <= 0.0:
         return x
     b, rows, d = x.data.shape
-    mask = (rng.random((b, n_tokens, d)) >= p) / (1.0 - p)
+    u = rng.pop(0) if isinstance(rng, list) else rng.random((b, n_tokens, d))
+    mask = (u >= p) / (1.0 - p)
     return ad.mul(x, ad.Tensor(mask[:, :rows]))
 
 
@@ -348,9 +351,27 @@ class CorrectionModel:
                 h = ad.relu(h)
         return ad.add(h, ad.Tensor(p_tdoa))
 
+    def chunks(self, examples: Sequence[PreparedExample], train: bool = False, rng=None):
+        """(chunk, rng) pairs of at most max(1, CHUNK_ROWS // n_tokens) consecutive
+        examples. With several, the batch's dropout uniforms are drawn from ``rng``
+        first, as one forward draws them, and each chunk's rng lists its rows of
+        them. A batch ``forward_prepared`` refuses stays whole and is refused there."""
+        n_tokens = examples[0].n_tokens if examples else 1
+        size = max(1, CHUNK_ROWS // n_tokens)
+        mixed = any(e.n_tokens != n_tokens for e in examples)
+        if len(examples) <= size or mixed or (train and rng is None):
+            return [(examples, rng)]
+        cfg, shape = self.config, (len(examples), n_tokens, self.config.d_model)
+        dropout = train and cfg.dropout_p > 0.0  # then _encoder_stack draws twice per block
+        draws = [rng.random(shape) for _ in range(2 * cfg.n_layers)] if dropout else []
+        return [
+            (examples[lo : lo + size], [u[lo : lo + size] for u in draws])
+            for lo in range(0, len(examples), size)
+        ]
+
     def predict_prepared(self, examples: Sequence[PreparedExample]) -> np.ndarray:
         with ad.no_grad():
-            return self.forward_prepared(examples, train=False).data
+            return np.concatenate([self.forward_prepared(c).data for c, _ in self.chunks(examples)])
 
 
 def save_checkpoint(model: CorrectionModel, path):

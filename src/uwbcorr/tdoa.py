@@ -236,20 +236,15 @@ def _span_costs(r: np.ndarray, spans) -> np.ndarray:
     return cost
 
 
-def _residuals_and_jacobian(p, ends, dd, k, spans):
-    """Residuals (n, m), Jacobian (n, m, k) and second-order term (n, k, k)
-    of n rows at points p (n, 3).
+def _residuals_and_jacobian(p, ends, dd, k):
+    """Residuals (n, m), Jacobian (n, m, k) and, for ``_second_order_term``,
+    unit vectors g (k, n, 2m) and distances d (n, 2m) of n rows at points p.
 
     ``ends`` (3, n, 2m) holds the coordinate planes of the anchors at the i
     ends of the m pairs, then at the j ends. The Jacobian is a (n, m, k) view
     of a (k, n, m) array, so its pair axis is contiguous: with a C-ordered
     Jacobian, J^T J takes another BLAS path than the one-row solver's
     recorded results and rounds differently.
-
-    The Hessian of |p - a| over the free coordinates is (I - g g^T) / d, with
-    g the unit vector from a, so that of r . r / 2 is J^T J plus the term
-    sum_m r_m (H_i - H_j). Like J^T r, the term is summed once per span of
-    ``spans`` on the unpadded columns; a pad pair's r of 0 gives it weight 0.
     """
     m = dd.shape[1]
     u = p.T[:, :, None] - ends
@@ -257,7 +252,16 @@ def _residuals_and_jacobian(p, ends, dd, k, spans):
     r = (d[:, :m] - d[:, m:]) - dd
     d = np.maximum(d, 1e-12)
     g = u[:k] / d
-    term = np.empty((len(p), k, k))
+    return r, (g[:, :, :m] - g[:, :, m:]).transpose(1, 2, 0), (g, d)
+
+
+def _second_order_term(g, d, r, spans):
+    """Second-order term (n, k, k) at residuals r (n, m), g and d: the Hessian of
+    |p - a| is (I - g g^T) / d, so that of r . r / 2 is J^T J plus the term
+    sum_m r_m (H_i - H_j). Like J^T r, it is summed once per span of ``spans``
+    on the unpadded columns; a pad pair's r of 0 gives it weight 0."""
+    k, m = len(g), r.shape[1]
+    term = np.empty((len(r), k, k))
     for lo, hi, c in spans:
         gi, gj = g[:, lo:hi, :c], g[:, lo:hi, m : m + c]
         wi, wj = r[lo:hi, :c] / d[lo:hi, :c], r[lo:hi, :c] / d[lo:hi, m : m + c]
@@ -265,7 +269,7 @@ def _residuals_and_jacobian(p, ends, dd, k, spans):
         term[lo:hi] -= (gi * wi).transpose(1, 0, 2) @ gi.transpose(1, 2, 0)
         diagonal = term[lo:hi].reshape(hi - lo, k * k)[:, :: k + 1]
         diagonal += (wi - wj).sum(axis=1)[:, None]
-    return r, (g[:, :, :m] - g[:, :, m:]).transpose(1, 2, 0), term
+    return term
 
 
 def _solve_each(normal: np.ndarray, rhs: np.ndarray):
@@ -336,10 +340,11 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
 
     p = place(np.array(starts, dtype=float))
     spans = _spans(counts)  # rebuilt only when rows leave
-    r, jac, term = _residuals_and_jacobian(p, ends, dd, k, spans)
+    r, jac, _ = _residuals_and_jacobian(p, ends, dd, k)
     cost = _span_costs(r, spans)
     lam = np.full(len(p), DAMPING)
     second = np.zeros(len(p), dtype=bool)  # the rows that have switched to full-Hessian steps
+    term = np.zeros((len(p), k, k))  # the second-order term at p, kept for those rows only
     all_ends = ends
     rows = np.arange(len(p))  # the output row of each row still running
     out_p, out_cost = np.empty_like(p), np.empty_like(cost)
@@ -370,7 +375,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         p_new = p.copy()
         p_new[:, :k] += step
         p_new = place(p_new)
-        r_new, jac_new, term_new = _residuals_and_jacobian(p_new, ends, dd, k, spans)
+        r_new, jac_new, geometry = _residuals_and_jacobian(p_new, ends, dd, k)
         cost_new = _span_costs(r_new, spans)
         small = solved & (np.sqrt(_sq_norms(step)) < STEP_TOL)
         accept = solved & (cost_new < cost) & ~flat  # a NaN cost is never lower
@@ -379,7 +384,8 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         np.copyto(p, p_new, where=accept[:, None])
         np.copyto(r, r_new, where=accept[:, None])
         np.copyto(jac, jac_new, where=accept[:, None, None])
-        np.copyto(term, term_new, where=accept[:, None, None])
+        if (moved := accept & second).any():  # only these rows read the term at their new point
+            np.copyto(term, _second_order_term(*geometry, r_new, spans), where=moved[:, None, None])
         cost = np.where(accept, cost_new, cost)
         lam = np.where(accept, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
         damped = solved & ~accept & (lam > 1e14)

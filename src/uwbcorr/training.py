@@ -11,6 +11,7 @@ final parameters bit for bit.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -54,6 +55,7 @@ class EpochRecord:
     step_ms: float = 0.0  # mean wall time of a step: gradients plus Adam update
     samples_per_s: float = 0.0  # training samples over the summed step time
     grad_norm: float = 0.0  # global L2 gradient norm, mean over the steps
+    minor_faults: int = 0  # the process's minor page faults over the steps
 
 
 @dataclass
@@ -111,25 +113,31 @@ def compute_gradients(
     train: bool = False,
     rng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-squared-error loss and its gradient for every parameter.
+    """Mean-squared-error loss and its gradient for every parameter. Each of
+    several chunks of ``model.chunks`` runs forward and backward with its loss
+    scaled by its share of the batch, so the gradients add up to the batch's.
 
     The gradients are the parameters' own ``.grad`` arrays, not copies; the
     next call sets every ``.grad`` to None before its backward sweep and
     never writes into these arrays.
     """
-    if not examples:
-        raise ValueError("empty batch")
+    chunks = model.chunks(examples, train, rng)  # an empty batch fails in its forward
     for t in model.params.values():
         t.grad = None
-    loss = batch_loss(model, examples, train=train, rng=rng)
-    if not np.isfinite(loss.data):
-        raise FloatingPointError("non-finite training loss")
-    ad.backward(loss)
+    total = 0.0
+    for chunk, chunk_rng in chunks:
+        loss = batch_loss(model, chunk, train=train, rng=chunk_rng)
+        if len(chunks) > 1:
+            loss = ad.scale(loss, len(chunk) / len(examples))
+        if not np.isfinite(loss.data):
+            raise FloatingPointError("non-finite training loss")
+        ad.backward(loss)
+        total += float(loss.data)
     grads = {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in model.params.items()
     }
-    return float(loss.data), grads
+    return total, grads
 
 
 def _token_batches(examples, size: int, rng=None) -> list[list[int]]:
@@ -152,7 +160,8 @@ def _eval_loss(model, examples, batch_size: int) -> float:
     total = 0.0
     with ad.no_grad():
         for idx in _token_batches(examples, batch_size):
-            total += float(batch_loss(model, [examples[i] for i in idx]).data) * len(idx)
+            for chunk, _ in model.chunks([examples[i] for i in idx]):
+                total += float(batch_loss(model, chunk).data) * len(chunk)
     return total / len(examples)
 
 
@@ -224,17 +233,19 @@ def train(
         seen = 0
         step_s = 0.0
         norm_sum = 0.0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for bi in batch_order:
-            chunk = [train_set[i] for i in batches[bi]]
+            batch = [train_set[i] for i in batches[bi]]
             lr = learning_rate(step, total_steps)
             t0 = time.perf_counter()
-            loss, grads = compute_gradients(model, chunk, train=True, rng=dropout_rng)
+            loss, grads = compute_gradients(model, batch, train=True, rng=dropout_rng)
             adam.step(grads, lr)
             step_s += time.perf_counter() - t0
             norm_sum += math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             step += 1
-            epoch_loss += loss * len(chunk)
-            seen += len(chunk)
+            epoch_loss += loss * len(batch)
+            seen += len(batch)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         val_loss = _eval_loss(model, val_set, train_cfg.batch_size)
         history.records.append(
             EpochRecord(
@@ -245,6 +256,7 @@ def train(
                 step_ms=1e3 * step_s / len(batches),
                 samples_per_s=seen / step_s,
                 grad_norm=norm_sum / len(batches),
+                minor_faults=faults,
             )
         )
         if val_loss < best_val:

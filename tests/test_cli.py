@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import resource
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -285,6 +286,30 @@ class TestTrainEvaluate:
         # train and evaluate share one evaluate-and-write path
         for name in ("metrics.json", "estimates.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / "eval_out" / name).read_bytes()
+
+    def test_history_counts_each_epochs_minor_page_faults(self, tiny_run, tmp_path):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        rc = main(
+            [
+                "train",
+                "--output-dir",
+                str(tmp_path),
+                "--env",
+                str(tiny_run / "environment.json"),
+                "--dataset",
+                str(tiny_run / "train.jsonl"),
+                *TINY_MODEL,
+            ]
+        )
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert rc == 0
+        with open(tmp_path / "history.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and list(rows[0])[-1] == "minor_faults"
+        counts = [int(row["minor_faults"]) for row in rows]
+        # the epochs' counts are parts of the run's own: none negative, and
+        # together no more than the process faulted while the command ran
+        assert min(counts) >= 0 and sum(counts) <= faults
 
     def test_only_the_default_eval_dataset_may_be_absent(self, tiny_run, tmp_path, capsys):
         args = [

@@ -200,9 +200,11 @@ def test_anchor_record_without_z_names_file_and_key(tmp_path):
 def test_history_csv_appends_step_columns_after_lr(tmp_path):
     from uwbcorr.training import EpochRecord, TrainingHistory
 
-    record = EpochRecord(0, 1.5, 2.5, 1e-4, step_ms=12.5, samples_per_s=5120.0, grad_norm=0.75)
+    record = EpochRecord(
+        0, 1.5, 2.5, 1e-4, step_ms=12.5, samples_per_s=5120.0, grad_norm=0.75, minor_faults=10240
+    )
     path = tmp_path / "history.csv"
     dataio.write_history_csv(path, TrainingHistory(records=[record]))
     header, row = path.read_text().splitlines()
-    assert header == "epoch,train_loss,val_loss,lr,step_ms,samples_per_s,grad_norm"
-    assert row == "0,1.5,2.5,0.0001,12.5,5120,0.75"
+    assert header == "epoch,train_loss,val_loss,lr,step_ms,samples_per_s,grad_norm,minor_faults"
+    assert row == "0,1.5,2.5,0.0001,12.5,5120,0.75,10240"

@@ -417,7 +417,8 @@ class TestPaddedSolve:
             ends, dd = tdoa._pair_geometry(ddoas, pos, width)
             stacked = np.ascontiguousarray(np.repeat(ends[None], len(points), 0).transpose(2, 0, 1))
             dd = np.repeat(dd[None], len(points), 0)
-            return tdoa._residuals_and_jacobian(points, stacked, dd, k, [(0, len(points), summed)])
+            r, jac, geometry = tdoa._residuals_and_jacobian(points, stacked, dd, k)
+            return r, jac, tdoa._second_order_term(*geometry, r, [(0, len(points), summed)])
 
         r, jac, term = evaluate(3, 3)
         r_pad, jac_pad, term_pad = evaluate(7, 3)
@@ -448,10 +449,11 @@ class TestSecondOrderTerm:
         spans = [(0, len(points), 4)]
 
         def grad(at):
-            r, jac, _ = tdoa._residuals_and_jacobian(at, ends, dd, k, spans)
+            r, jac, _ = tdoa._residuals_and_jacobian(at, ends, dd, k)
             return (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
-        _, jac, term = tdoa._residuals_and_jacobian(points, ends, dd, k, spans)
+        r, jac, geometry = tdoa._residuals_and_jacobian(points, ends, dd, k)
+        term = tdoa._second_order_term(*geometry, r, spans)
         h = 1e-5
         diff = np.empty_like(term)
         for c in range(k):

@@ -11,11 +11,13 @@ from uwbcorr import (
     make_model_config,
     train,
 )
+from uwbcorr import model as model_module
 from uwbcorr.errors import ConfigError
 from uwbcorr.training import (
     LR_PEAK,
     WARMUP_FRACTION,
     TrainConfig,
+    _eval_loss,
     _token_batches,
     batch_loss,
     learning_rate,
@@ -134,6 +136,68 @@ class TestComputeGradients:
             table.data[idx] = old
             fd = (up - down) / 2e-5
             assert got[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
+
+
+class TestChunks:
+    """A batch of more than ``CHUNK_ROWS`` token rows runs as several
+    forwards. With the cap lowered to 3 samples, the 8 examples run as chunks
+    of 3, 3 and 2; with it raised past the batch, as one."""
+
+    @staticmethod
+    def set_cap(examples, monkeypatch, split: bool):
+        """A cap of 3 samples' token rows, or one past any batch."""
+        rows = 3 * examples[0].n_tokens if split else 10**9
+        monkeypatch.setattr(model_module, "CHUNK_ROWS", rows)
+
+    def test_the_cap_counts_token_rows(self, tiny_setup, monkeypatch):
+        model, examples = tiny_setup
+        assert len(examples) == 8 and {e.n_tokens for e in examples} == {9}
+        self.set_cap(examples, monkeypatch, True)
+        assert [len(chunk) for chunk, _ in model.chunks(examples)] == [3, 3, 2]
+        monkeypatch.setattr(model_module, "CHUNK_ROWS", 8)  # under one sample: one per chunk
+        assert [len(chunk) for chunk, _ in model.chunks(examples)] == [1] * 8
+        # a batch one forward refuses stays whole, so the refusal still comes
+        odd = type(examples[0])(**{**examples[0].__dict__, "n_tokens": 10})
+        assert len(model.chunks(examples + [odd])) == 1
+        with pytest.raises(ValueError, match="equal token counts"):
+            model.predict_prepared(examples + [odd])
+        self.set_cap(examples, monkeypatch, False)
+        ((chunk, rng),) = model.chunks(examples, True, "caller's rng")
+        assert chunk is examples and rng == "caller's rng"
+
+    def test_a_chunked_training_step_matches_one_pass(self, tiny_setup, monkeypatch):
+        model, examples = tiny_setup
+        assert model.config.dropout_p > 0  # the chunks must replay the one-pass masks
+        runs = []
+        for split in (True, False):
+            self.set_cap(examples, monkeypatch, split)
+            rng = np.random.default_rng(5)
+            loss, grads = compute_gradients(model, examples, train=True, rng=rng)
+            runs.append((loss, grads, rng.random()))
+        (loss, grads, after), (want_loss, want_grads, want_after) = runs
+        assert after == want_after  # the same draws were taken from the rng
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
+        # each array agrees to 1e-12 of its largest entry; one that is zero in
+        # exact arithmetic (the key biases) holds only round-off, and stays
+        # below 1e-12 of the largest entry of any array, as in the golden test
+        floor = 1e-12 * max(np.abs(g).max() for g in want_grads.values())
+        for name, want in want_grads.items():
+            scale = np.abs(want).max()
+            if scale < floor:
+                assert np.abs(grads[name]).max() < floor, name
+            else:
+                assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
+
+    def test_chunked_prediction_and_validation_loss_match_one_pass(self, tiny_setup, monkeypatch):
+        model, examples = tiny_setup
+        runs = []
+        for split in (True, False):
+            self.set_cap(examples, monkeypatch, split)
+            runs.append((model.predict_prepared(examples), _eval_loss(model, examples, 64)))
+        (pred, val), (want_pred, want_val) = runs
+        assert pred.shape == (8, 3)
+        assert np.abs(pred - want_pred).max() <= 1e-12 * np.abs(want_pred).max()
+        assert abs(val - want_val) <= 1e-12 * want_val
 
 
 class TestTokenBatches:

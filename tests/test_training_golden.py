@@ -159,11 +159,10 @@ def test_predictions_match_golden(golden, entry):
         assert np.max(np.abs(got[key] - golden[key])) <= POSITION_TOL_M, key
 
 
-@pytest.mark.parametrize("name, size", [("train_default", 64), ("train_ragged", 17)])
-def test_a_training_step_peaks_near_the_tape_a_forward_keeps(name, size):
-    """The backward sweep frees each activation and inner gradient once it has
-    passed, so a step's peak stays near the bytes its forward tape holds; a
-    sweep that kept them all to the end peaked near twice that."""
+def tape_and_step_peak(name, size):
+    """Bytes the tape of one forward of a ``size``-sample batch holds, and
+    the peak bytes of a training step on that batch, by tracemalloc; with
+    the model, so the caller can see how the step splits the batch."""
     env = default_environment()
     cfg = golden_config(name, env)
     examples = [
@@ -187,7 +186,24 @@ def test_a_training_step_peaks_near_the_tape_a_forward_keeps(name, size):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    return tape, peak, model, batch
+
+
+@pytest.mark.parametrize("name, size", [("train_default", 64), ("train_ragged", 17)])
+def test_a_training_step_peaks_near_the_tape_a_forward_keeps(name, size):
+    """The backward sweep frees each activation and inner gradient once it has
+    passed, so a step's peak stays near the bytes its forward tape holds; a
+    sweep that kept them all to the end peaked near twice that."""
+    tape, peak, _, _ = tape_and_step_peak(name, size)
     assert peak <= 1.25 * tape, (peak, tape)
+
+
+def test_a_two_chunk_step_peaks_below_the_full_batch_tape():
+    """A step over two chunks holds one chunk's tape at a time, so it peaks
+    well below the tape of one forward over the whole batch."""
+    tape, peak, model, batch = tape_and_step_peak("train_default", 64)
+    assert [len(chunk) for chunk, _ in model.chunks(batch)] == [32, 32]
+    assert peak <= 0.75 * tape, (peak, tape)
 
 
 def test_running_the_module_keeps_the_fixture():
