@@ -4,12 +4,14 @@ A tag transmits once; anchors record reception timestamps. Each timestamp
 minus the earliest one, scaled by the speed of light, gives a distance
 difference (DDoA) constraining the tag to a hyperboloid. The solver minimizes
 the squared hyperboloid residuals with a damped Gauss-Newton
-(Levenberg-Marquardt) loop using the analytic Jacobian, from several starts,
-and adds the analytic second-order term once Gauss-Newton progress slows.
-A coordinate on a wall of the search box stays there while its gradient
-points outward. Every start of every sample in a batch advances in lockstep
-as one row of stacked arrays, with each sample's pairs padded to the batch's
-widest set by pairs of zero residual and zero Jacobian.
+(Levenberg-Marquardt) loop using the analytic Jacobian, and adds the analytic
+second-order term once Gauss-Newton progress slows. It starts from the
+closed-form least-squares point and the centroid where the pairs allow it,
+else from the centroid and a few anchor-biased points. A coordinate on a
+wall of the search box stays there while its gradient points outward. Every
+start of every sample in a batch advances in lockstep as one row of stacked
+arrays, with each sample's pairs padded to the batch's widest set by pairs
+of zero residual and zero Jacobian.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Levenberg-Marquardt settings shared by every solve: the iteration cap, the
 # step norm (m), projected gradient and relative cost decrease at which a run
 # has converged, the starting damping, and the anchor-biased restarts tried
-# after the centroid.
+# after the centroid by a set the closed-form start cannot serve.
 MAX_ITERATIONS = 100
 STEP_TOL = 1e-10
 GRAD_TOL = 1e-9  # m: the largest entry of the projected J^T r at a minimum
@@ -410,6 +412,35 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     return out_p, np.sqrt(out_cost), iterations, reasons, on_bound
 
 
+def _starts(ddoas: DdoaSet, pos: Mapping[int, np.ndarray], referenced, fix_z) -> list[np.ndarray]:
+    """A set's LM start points, in the order its solves are scanned.
+
+    A set whose pairs (i, ref, d) all end on one anchor ref, with at least
+    k + 1 pairs for k free coordinates, starts from the linear least-squares
+    point and then the anchors' centroid: with q = p - a_ref, b_i = a_i - a_ref
+    and r_0 = |q|, |q - b_i|^2 = (r_0 + d_i)^2 gives 2 b_i . q + 2 d_i r_0 =
+    |b_i|^2 - d_i^2, linear in q (q_z is known on the plane) and r_0 (Smith &
+    Abel 1987; Chan & Ho 1994). Any other set starts from the centroid and up
+    to ``EXTRA_STARTS`` points 80% of the way from it to an anchor.
+    """
+    participating = np.array([pos[i] for i in sorted(referenced)])
+    centroid = participating.mean(axis=0)
+    k = 2 if fix_z is not None else 3
+    if len({j for _, j, _ in ddoas.pairs}) == 1 and len(ddoas.pairs) > k:
+        ref = pos[ddoas.pairs[0][1]]
+        b = np.array([pos[i] for i, _, _ in ddoas.pairs]) - ref
+        d = np.array([dd for _, _, dd in ddoas.pairs])
+        rhs = (b * b).sum(axis=1) - d * d
+        point = ref.copy()
+        if fix_z is not None:
+            rhs -= 2.0 * b[:, 2] * (fix_z - ref[2])
+            point[2] = fix_z
+        point[:k] += np.linalg.lstsq(2.0 * np.column_stack([b[:, :k], d]), rhs, rcond=None)[0][:k]
+        return [point, centroid]
+    picks = np.linspace(0, len(participating) - 1, min(EXTRA_STARTS, len(participating)))
+    return [centroid] + [0.8 * participating[int(i)] + 0.2 * centroid for i in picks]
+
+
 def _solve_group(
     ddoa_sets: Sequence[DdoaSet], anchors: Sequence[Anchor], options: SolverOptions
 ) -> list[PositionEstimate]:
@@ -427,11 +458,7 @@ def _solve_group(
     for ddoas in ddoa_sets:
         referenced = _require_three_anchors(ddoas)
         ends, dd = _pair_geometry(ddoas, pos, width)  # raises MissingAnchorError
-        participating = np.array([pos[i] for i in sorted(referenced)])
-        centroid = participating.mean(axis=0)
-        picks = np.linspace(0, len(participating) - 1, min(EXTRA_STARTS, len(participating)))
-        mine = [centroid] + [0.8 * participating[int(i)] + 0.2 * centroid for i in picks]
-        sets.append((mine, ends, dd))
+        sets.append((_starts(ddoas, pos, referenced, options.fix_z), ends, dd))
     owner, starts, first = [], [], {}
     for n in sorted(range(len(sets)), key=lambda n: len(ddoa_sets[n].pairs)):
         first[n] = len(starts)
@@ -480,9 +507,10 @@ def solve_tdoa(
     Non-convergence returns the best iterate with ``converged`` False rather
     than raising.
 
-    The squared-residual surface has mirror basins, so the solver starts from
-    the anchors' centroid and a few anchor-biased points and keeps the
-    lowest-cost result (the first start at exact-level residual wins).
+    The squared-residual surface has mirror basins, so the solver runs from
+    two or more starts (``_starts``): the closed-form least-squares point and
+    the centroid where it can, else the centroid and anchor-biased points. It
+    keeps the lowest-cost result (the first start at exact-level residual wins).
 
     ``options.fix_z`` constrains the solution to a horizontal plane, which
     avoids the ill-conditioned vertical axis of near-planar anchor layouts.

@@ -183,7 +183,7 @@ def prepare_training_examples(
     samples: Sequence[Sample],
     env: Environment,
     model_cfg: ModelConfig,
-    solver: SolverOptions = SolverOptions(),
+    solver: SolverOptions,
 ) -> tuple[list[PreparedExample], int]:
     """Baseline-solve and featurize samples; unsolvable ones are skipped."""
     examples = _solve_and_prepare(samples, env, model_cfg, solver)
@@ -194,8 +194,8 @@ def train(
     samples: Sequence[Sample],
     env: Environment,
     model_cfg: ModelConfig,
-    train_cfg: TrainConfig = TrainConfig(),
-    solver: SolverOptions = SolverOptions(),
+    train_cfg: TrainConfig,
+    solver: SolverOptions,
 ) -> CorrectionModel:
     """Fit a correction model; returns it at the best validation loss."""
     if not samples:
@@ -284,7 +284,7 @@ def evaluate_model(
     model: CorrectionModel,
     samples: Sequence[Sample],
     env: Environment,
-    solver: SolverOptions = SolverOptions(),
+    solver: SolverOptions,
 ) -> EvaluationResult:
     """Corrected vs. uncorrected metrics over a dataset.
 

@@ -14,13 +14,20 @@ and cost stops (``tdoa.GRAD_TOL``, ``tdoa.COST_RTOL``), so iterations, stop
 reasons and positions changed by design. It was re-recorded again when a
 row's steps gained the second-order term after Gauss-Newton progress slows
 (``tdoa.SECOND_ORDER_RTOL``) and a solve that ends on one of its anchors got
-the ``tip`` stop reason. JSON stores the floats exactly. Re-record it only
+the ``tip`` stop reason. It was re-recorded once more when a set whose
+pairs share one reference anchor, with at least 3 pairs on the plane or 4 in
+3-D, started from the closed-form linear least-squares point and the
+centroid instead of five multi-start points (``tdoa._starts``). Iterations
+changed, no position moved by more than 1e-6 m, one 3-D residual rose by
+2e-9 m (sample 14), and every case that keeps the old starts kept its
+record bit for bit. JSON stores the floats exactly. Re-record it only
 for a change meant to move the solver's results, and say why; a rewrite that
 keeps the results must reproduce it. The script refuses to overwrite the
 file unless it is given ``--rewrite``. It then prints the converged share,
 the count of each stop reason, the mean and largest iteration counts of the
-file it replaced and of the new one, and every sample whose residual norm
-rose by more than 1e-9 m.
+file it replaced and of the new one, every sample whose residual norm rose
+by more than 1e-9 m and every sample whose position moved by more than
+1e-6 m.
 
 Each case's ``combo`` reads (pair policy, ``fix_z``, init point given), the
 settings it was recorded under. The file once held all eight combinations
@@ -33,6 +40,7 @@ and through ``solve_baselines``.
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -160,5 +168,10 @@ if __name__ == "__main__":
         print(f"{before['combo']}: iterations {iteration_summary(before['results'])} -> "
               f"{iteration_summary(after['results'])}")
         for k, (old, new) in enumerate(zip(before["results"], after["results"])):
-            if "error" not in old and new["residual_norm"] > old["residual_norm"] + 1e-9:
+            if "error" in old:
+                continue
+            if new["residual_norm"] > old["residual_norm"] + 1e-9:
                 print(f"  sample {k}: residual norm {old['residual_norm']:.9f} -> {new['residual_norm']:.9f} m")
+            moved = math.dist(old["position"], new["position"])
+            if moved > 1e-6:
+                print(f"  sample {k}: position moved {moved:.3g} m")

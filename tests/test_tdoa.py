@@ -516,3 +516,53 @@ class TestFirstOrder:
                 # coordinate lowers the cost (slope 2 J^T r) by at most
                 # COST_RTOL of it
                 assert 2 * free * 1e-7 <= tdoa.COST_RTOL * cost, sample.true_position
+
+
+class TestStarts:
+    """A set with one reference anchor and enough pairs starts from the
+    closed-form least-squares point, then the centroid; any other set keeps
+    the centroid and the anchor-biased points."""
+
+    @staticmethod
+    def starts(ddoas, anchors, fix_z):
+        pos = {a.id: a.position for a in anchors}
+        return tdoa._starts(ddoas, pos, tdoa._require_three_anchors(ddoas), fix_z)
+
+    @staticmethod
+    def multi_start(ddoas, anchors):
+        ids = sorted({i for i, _, _ in ddoas.pairs} | {j for _, j, _ in ddoas.pairs})
+        pts = np.array([a.position for a in anchors if a.id in ids])
+        centroid = pts.mean(axis=0)
+        picks = np.linspace(0, len(pts) - 1, min(tdoa.EXTRA_STARTS, len(pts)))
+        return [centroid] + [0.8 * pts[int(i)] + 0.2 * centroid for i in picks]
+
+    @pytest.mark.parametrize("fix_z, n_pairs", [(1.2, 3), (1.2, 7), (None, 4), (None, 9)])
+    def test_the_closed_form_point_is_the_truth_on_noise_free_ddoas(self, fix_z, n_pairs):
+        rng = np.random.default_rng(60 + n_pairs)
+        for _ in range(10):
+            anchors = make_anchors(rng.uniform([0, 0, 0], [20, 20, 8], size=(n_pairs + 1, 3)))
+            truth = rng.uniform([2, 2, 1], [18, 18, 7])
+            if fix_z is not None:
+                truth[2] = fix_z
+            ddoas = ddoas_from_truth(truth, anchors)
+            assert len(ddoas.pairs) == n_pairs
+            point, centroid = self.starts(ddoas, anchors, fix_z)
+            assert np.linalg.norm(point - truth) <= 1e-9
+            assert np.array_equal(centroid, self.multi_start(ddoas, anchors)[0])
+
+    @pytest.mark.parametrize(
+        "fix_z, pairs",
+        [
+            (1.0, ((2, 1, 1.5), (3, 1, -2.0))),  # 2 pairs on the plane
+            (None, ((2, 1, 1.5), (3, 1, -2.0), (4, 1, 0.5))),  # 3 pairs in 3-D
+            (1.0, ((2, 1, 1.5), (3, 1, -2.0), (4, 2, 0.5), (5, 1, 3.0))),  # two references
+        ],
+        ids=["plane-2-pairs", "3d-3-pairs", "mixed-references"],
+    )
+    def test_other_sets_keep_the_centroid_and_anchor_biased_starts(self, fix_z, pairs):
+        anchors = make_anchors([(0, 0, 3), (10, 0, 2.5), (10, 10, 3), (0, 10, 2.8), (5, 5, 2.6)])
+        ddoas = DdoaSet(pairs=pairs)
+        got, want = self.starts(ddoas, anchors, fix_z), self.multi_start(ddoas, anchors)
+        assert len(got) == len(want) > 2
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)

@@ -273,7 +273,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self, small_env):
         cfg = make_model_config("per_cir", "fixed", "spatial", 150, 8, env=small_env, n_heads=2)
         with pytest.raises(ValueError):
-            train([], small_env, cfg, TrainConfig(max_epochs=1))
+            train([], small_env, cfg, TrainConfig(max_epochs=1), OPTS)
 
     def test_history_schema(self, small_env, small_dataset):
         cfg = make_model_config(

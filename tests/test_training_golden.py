@@ -23,7 +23,10 @@ next commit, whose active-set solver moved the baseline positions
 ``p_tdoa`` the examples are built from; the model code was the one that had
 reproduced the 209e218 arrays. It was re-recorded the same way, with the
 model code unchanged, when the solver's steps gained the second-order term,
-which moved ``p_tdoa`` by up to 5 cm. ``.npz`` stores the float64 arrays exactly.
+which moved ``p_tdoa`` by up to 5 cm, and again, with the model code
+unchanged, when sets sharing one reference anchor started from the
+closed-form least-squares point and the centroid, which moved ``p_tdoa`` by
+up to 1.5e-7 m. ``.npz`` stores the float64 arrays exactly.
 Do not regenerate it for a change to the model: it is the reference a
 rewrite of the forward or backward pass must reproduce. The script refuses
 to overwrite the file unless it is given ``--rewrite``, and then prints the
