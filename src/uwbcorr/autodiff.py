@@ -3,12 +3,13 @@
 Just enough ops for an encoder-only transformer: broadcast arithmetic,
 batched matmul, relu, fused softmax/layer-norm over the last axis, shape
 moves, row gathers for trainable tables, and a full mean for the loss.
-Three ops take optional operands that fold a following step into the same
-node: ``matmul(a, b, bias)`` adds a bias over the last axis to the product,
-``layer_norm(a, gain, bias)`` applies the affine, and ``softmax(a, scale)``
-scales its input first. A 2-D right operand shared across the batch
-dimensions of ``a`` runs as one flattened GEMM in the forward and both
-backward products.
+Three ops take optional operands that fold a neighbouring step into the
+same node: ``matmul(a, b, bias, relu)`` adds a bias over the last axis to the
+product and clamps it at zero, ``layer_norm(a, gain, bias, h=, keep=,
+scale=)`` first adds a residual operand ``h``, masked by inverted dropout,
+and then applies the affine, and ``softmax(a, scale)`` scales its input
+first. A 2-D right operand shared across the batch dimensions of ``a`` runs
+as one flattened GEMM in the forward and both backward products.
 
 Gradients accumulate into ``Tensor.grad`` out of place: a later
 contribution makes a new array and never writes into the one kept, so a
@@ -124,8 +125,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b, plus ``bias`` broadcast over the product when given.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
+    """a @ b, plus ``bias`` broadcast over the product when given, clamped at
+    zero in place when ``relu``; the backward then reads ``out > 0``, so the
+    tape keeps no pre-activation.
 
     Operands must be >= 2-D; batch dimensions broadcast like elementwise ops.
     """
@@ -141,8 +144,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out += bias.data
         parents = (a, b, bias)
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def bw(g):
+        if relu:
+            g = g * (out > 0)
         if a.requires_grad:
             if flat:
                 ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
@@ -189,12 +196,22 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
 
 
 def layer_norm(
-    a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, eps: float = 1e-5
+    a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, eps: float = 1e-5,
+    h: Tensor | None = None, keep: np.ndarray | None = None, scale: float = 1.0,
 ) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then multiply by
-    ``gain`` and add ``bias`` when given."""
+    ``gain`` and add ``bias`` when given. With a residual ``h`` of ``a``'s
+    shape the input is ``a + h * (keep * scale)``, or ``a + h`` without a
+    boolean ``keep`` mask: a post-norm block's dropout, residual add and
+    layer norm in one node, with the arithmetic of those three nodes. The
+    backward hands ``a`` the normalized gradient and ``h`` the same times
+    the mask, and reads neither input's data."""
     n = a.data.shape[-1]  # the means are ndarray.mean's sum and divide, without its wrapper
-    y = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
+    if h is None:
+        y = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
+    else:
+        y = a.data + (h.data if keep is None else h.data * (keep * scale))
+        y -= np.add.reduce(y, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + eps)
     y *= inv
     out = y
@@ -202,14 +219,14 @@ def layer_norm(
         out = y * gain.data if gain is not None else y.copy()
         if bias is not None:
             out += bias.data
-    parents = tuple(t for t in (a, gain, bias) if t is not None)
+    parents = tuple(t for t in (a, h, gain, bias) if t is not None)
 
     def bw(g):
         if gain is not None and gain.requires_grad:
             _accum(gain, _unbroadcast(g * y, gain.data.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
+        if a.requires_grad or (h is not None and h.requires_grad):
             gy = g * gain.data if gain is not None else g.copy()
             gym = np.add.reduce(gy, axis=-1, keepdims=True) / n
             gyy = np.add.reduce(gy * y, axis=-1, keepdims=True) / n
@@ -217,6 +234,8 @@ def layer_norm(
             gy -= y * gyy
             gy *= inv
             _accum(a, gy)
+            if h is not None and h.requires_grad:
+                _accum(h, gy if keep is None else gy * (keep * scale))
 
     return _node(out, parents, bw)
 

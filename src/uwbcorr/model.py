@@ -230,17 +230,17 @@ def prepare_example(
     return prepare_from_tensor(tensor, cfg, p_tdoa, target)
 
 
-def _dropout(x: ad.Tensor, p: float, train: bool, rng, n_tokens: int) -> ad.Tensor:
-    """Inverted dropout on (B, rows, d). The mask is drawn for all n_tokens
-    rows and its leading rows are kept, so a block that computes only the
-    CLS row takes the same draws from rng as one that computes every row.
-    A list ``rng`` holds a chunk's pre-drawn uniforms, taken in order."""
+def _dropout(p: float, train: bool, rng, n_tokens: int, rows: ad.Tensor) -> Optional[np.ndarray]:
+    """The boolean keep mask ``u >= p`` of inverted dropout on ``rows``
+    (B, m, d), or None when not training. The uniforms are drawn for all
+    n_tokens rows, compared at once, and the mask's leading m rows kept, so a
+    block that computes only the CLS row takes the same draws from rng as one
+    that computes every row. A list ``rng`` holds a chunk's pre-drawn masks."""
     if not train or p <= 0.0:
-        return x
-    b, rows, d = x.data.shape
-    u = rng.pop(0) if isinstance(rng, list) else rng.random((b, n_tokens, d))
-    mask = (u >= p) / (1.0 - p)
-    return ad.mul(x, ad.Tensor(mask[:, :rows]))
+        return None
+    b, m, d = rows.data.shape
+    keep = rng.pop(0) if isinstance(rng, list) else rng.random((b, n_tokens, d)) >= p
+    return keep[:, :m]
 
 
 def _multi_head_attention(
@@ -271,18 +271,19 @@ def _encoder_stack(x: ad.Tensor, prm, cfg: ModelConfig, train: bool, rng) -> ad.
     reads.
     """
     b, n, d = x.data.shape
+    p, scale = cfg.dropout_p, 1.0 / (1.0 - cfg.dropout_p)
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
         rows = x
         if i == cfg.n_layers - 1:
             rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
         att = _multi_head_attention(rows, x, prm, pre, cfg)
-        att = _dropout(att, cfg.dropout_p, train, rng, n)
-        x = ad.layer_norm(ad.add(rows, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
-        h = ad.relu(ad.matmul(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"]))
+        keep = _dropout(p, train, rng, n, rows)
+        x = ad.layer_norm(rows, prm[pre + "ln1.g"], prm[pre + "ln1.b"], h=att, keep=keep, scale=scale)
+        h = ad.matmul(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"], relu=True)
         h = ad.matmul(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"])
-        h = _dropout(h, cfg.dropout_p, train, rng, n)
-        x = ad.layer_norm(ad.add(x, h), prm[pre + "ln2.g"], prm[pre + "ln2.b"])
+        keep = _dropout(p, train, rng, n, x)
+        x = ad.layer_norm(x, prm[pre + "ln2.g"], prm[pre + "ln2.b"], h=h, keep=keep, scale=scale)
     return x
 
 
@@ -353,19 +354,19 @@ class CorrectionModel:
 
     def chunks(self, examples: Sequence[PreparedExample], train: bool = False, rng=None):
         """(chunk, rng) pairs of at most max(1, CHUNK_ROWS // n_tokens) consecutive
-        examples. With several, the batch's dropout uniforms are drawn from ``rng``
-        first, as one forward draws them, and each chunk's rng lists its rows of
-        them. A batch ``forward_prepared`` refuses stays whole and is refused there."""
+        examples. With several, the batch's boolean dropout masks ``u >= p`` are drawn
+        from ``rng`` first, as one forward draws them, and each chunk's rng lists its
+        rows of them. A batch ``forward_prepared`` refuses stays whole and is refused there."""
         n_tokens = examples[0].n_tokens if examples else 1
         size = max(1, CHUNK_ROWS // n_tokens)
         mixed = any(e.n_tokens != n_tokens for e in examples)
         if len(examples) <= size or mixed or (train and rng is None):
             return [(examples, rng)]
         cfg, shape = self.config, (len(examples), n_tokens, self.config.d_model)
-        dropout = train and cfg.dropout_p > 0.0  # then _encoder_stack draws twice per block
-        draws = [rng.random(shape) for _ in range(2 * cfg.n_layers)] if dropout else []
+        p = cfg.dropout_p if train else 0.0  # with p > 0, _encoder_stack draws twice per block
+        keeps = [rng.random(shape) >= p for _ in range(2 * cfg.n_layers)] if p > 0.0 else []
         return [
-            (examples[lo : lo + size], [u[lo : lo + size] for u in draws])
+            (examples[lo : lo + size], [keep[lo : lo + size] for keep in keeps])
             for lo in range(0, len(examples), size)
         ]
 

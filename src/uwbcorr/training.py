@@ -87,12 +87,19 @@ class Adam:
         c1 = 1.0 - BETA1**self.t
         c2 = 1.0 - BETA2**self.t
         for name, tensor in self.params.items():
-            g = grads[name]
-            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
-            tensor.data -= lr * (self.m[name] / c1) / (
-                np.sqrt(self.v[name] / c2) + ADAM_EPS
-            )
+            # in place, in the order of BETA1 * m + (1 - BETA1) * g, BETA2 * v + (1 - BETA2) * g * g
+            # and lr * (m / c1) / (sqrt(v / c2) + eps); g is a parameter's own .grad, never written
+            g, m, v = grads[name], self.m[name], self.v[name]
+            step = (1.0 - BETA1) * g
+            m *= BETA1
+            m += step
+            np.multiply(1.0 - BETA2, g, out=step)
+            step *= g
+            v *= BETA2
+            v += step
+            np.sqrt(np.divide(v, c2, out=step), out=step)
+            step += ADAM_EPS
+            tensor.data -= np.divide(lr * (m / c1), step, out=step)
 
 
 def batch_loss(

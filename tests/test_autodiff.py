@@ -72,6 +72,14 @@ class TestOps:
     def test_matmul_full_shape_bias(self):
         check_grad(lambda a, b, c: squared(ad.matmul(a, b, c)), (2, 3, 4), (4, 5), (2, 3, 5))
 
+    def test_matmul_bias_relu(self):
+        check_grad(
+            lambda a, b, c: squared(ad.matmul(a, b, c, relu=True)), (2, 3, 4), (4, 5), (5,), seed=3
+        )
+
+    def test_matmul_batched_both_relu(self):
+        check_grad(lambda a, b: ad.matmul(a, b, relu=True), (2, 3, 4), (2, 4, 3), seed=3)
+
     def test_relu(self):
         check_grad(lambda a: ad.relu(a), (4, 5), seed=3)
 
@@ -87,6 +95,16 @@ class TestOps:
     def test_layer_norm_affine(self):
         check_grad(
             lambda a, g, b: squared(ad.layer_norm(a, g, b)), (2, 3, 6), (6,), (6,), atol=1e-6
+        )
+
+    def test_layer_norm_residual(self):
+        check_grad(lambda a, h: ad.mul(ad.layer_norm(a, h=h), a), (2, 3, 6), (2, 3, 6), atol=1e-6)
+
+    def test_layer_norm_residual_dropout_affine(self):
+        keep = np.random.default_rng(9).random((2, 3, 6)) >= 0.4
+        check_grad(
+            lambda a, h, g, b: squared(ad.layer_norm(a, g, b, h=h, keep=keep, scale=1 / 0.6)),
+            (2, 3, 6), (2, 3, 6), (6,), (6,), atol=1e-6,
         )
 
     def test_reshape_transpose(self):
@@ -153,11 +171,36 @@ class TestEngine:
             ad.backward(ad.mean_all(squared(out)))
             return out.data, [t.grad for t in tensors]
 
+        keep, p = rng.random((4, 5, 6)) >= 0.3, 0.3
         cases = [
             (
                 lambda a, w, b: ad.matmul(a, w, b),
                 lambda a, w, b: ad.add(ad.matmul(a, w), b),
                 leaves((4, 5, 6), (6, 3), (3,)),
+            ),
+            (
+                lambda a, w, b: ad.matmul(a, w, b, relu=True),
+                lambda a, w, b: ad.relu(ad.add(ad.matmul(a, w), b)),
+                leaves((4, 5, 6), (6, 3), (3,)),
+            ),
+            (
+                lambda a, w: ad.matmul(a, w, relu=True),
+                lambda a, w: ad.relu(ad.matmul(a, w)),
+                leaves((2, 5, 6), (2, 6, 3)),
+            ),
+            (
+                # dropout as a mul by the float64 mask (u >= p) / (1 - p), a
+                # residual add and a layer norm, as three nodes
+                lambda a, h, g, b: ad.layer_norm(a, g, b, h=h, keep=keep, scale=1.0 / (1.0 - p)),
+                lambda a, h, g, b: ad.layer_norm(
+                    ad.add(a, ad.mul(h, ad.Tensor(keep / (1.0 - p)))), g, b
+                ),
+                leaves((4, 5, 6), (4, 5, 6), (6,), (6,)),
+            ),
+            (
+                lambda a, h: ad.layer_norm(a, h=h),
+                lambda a, h: ad.layer_norm(ad.add(a, h)),
+                leaves((4, 5, 6), (4, 5, 6)),
             ),
             (
                 lambda a, g, b: ad.layer_norm(a, g, b),
@@ -173,7 +216,7 @@ class TestEngine:
         for fused, chain, tensors in cases:
             out, grads = run(fused, tensors)
             ref_out, ref_grads = run(chain, tensors)
-            assert np.allclose(out, ref_out, rtol=1e-13, atol=1e-15)
+            assert np.array_equal(out, ref_out)
             for g, ref in zip(grads, ref_grads):
                 assert np.allclose(g, ref, rtol=1e-12, atol=1e-15)
 

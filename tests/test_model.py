@@ -18,6 +18,7 @@ from uwbcorr import (
     save_checkpoint,
 )
 from uwbcorr import autodiff as ad
+from uwbcorr import model as model_module
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError
 from uwbcorr.model import (
     ModelConfig,
@@ -206,7 +207,7 @@ class TestModelConfig:
             ("head_widths", (), "regression head must end in 3 outputs"),
         ],
     )
-    def test_dropout_residual_flag_and_extent_are_checked(self, field, value, rule):
+    def test_dropout_extent_and_head_widths_are_checked(self, field, value, rule):
         with pytest.raises(ConfigError) as info:
             ModelConfig(**{field: value})
         assert str(info.value) == f"{rule}, got {value!r}"
@@ -312,6 +313,91 @@ def test_non_finite_activations_raise(small_env):
     model.params["cls"].data[:] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         compute_gradients(model, [example])
+
+
+def unfused_encoder_stack(x, prm, cfg, train, rng):
+    """``_encoder_stack`` with each block tail as separate nodes: dropout as a
+    ``mul`` by the float64 mask ``(u >= p) / (1 - p)``, an ``add`` and a
+    plain ``layer_norm``, and a ``relu`` node after the first feed-forward
+    product. It draws its uniforms from the Generator ``rng`` in the same
+    order and shapes."""
+    b, n, d = x.data.shape
+    p = cfg.dropout_p
+
+    def dropout(t):
+        if not train or p <= 0.0:
+            return t
+        mask = (rng.random((b, n, d)) >= p) / (1.0 - p)
+        return ad.mul(t, ad.Tensor(mask[:, : t.data.shape[1]]))
+
+    for i in range(cfg.n_layers):
+        pre = f"enc{i}."
+        rows = x
+        if i == cfg.n_layers - 1:
+            rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
+        att = dropout(_multi_head_attention(rows, x, prm, pre, cfg))
+        x = ad.layer_norm(ad.add(rows, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
+        h = ad.relu(ad.matmul(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"]))
+        h = dropout(ad.matmul(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"]))
+        x = ad.layer_norm(ad.add(x, h), prm[pre + "ln2.g"], prm[pre + "ln2.b"])
+    return x
+
+
+class TestFusedBlockTail:
+    """Each block's dropout, residual add and layer norm run as one
+    ``layer_norm`` node, and the feed-forward relu inside its ``matmul``;
+    ``unfused_encoder_stack`` is the chain of nodes they replace."""
+
+    @staticmethod
+    def setup(env):
+        model = tiny_model(env, n_layers=2)  # a full-row block and a CLS-only one
+        assert model.config.dropout_p > 0
+        p_tdoa = np.array([5.0, 5.0, 1.0])
+        samples = [one_sample(env, seed=s) for s in range(3)]
+        examples = [prepare_example(s, env, model.config, p_tdoa, s.true_position) for s in samples]
+        return model, examples
+
+    def test_training_forward_and_step_match_the_unfused_graph(self, small_env, monkeypatch):
+        from uwbcorr.training import compute_gradients
+
+        model, examples = self.setup(small_env)
+        runs = []
+        for stack in (model_module._encoder_stack, unfused_encoder_stack):
+            monkeypatch.setattr(model_module, "_encoder_stack", stack)
+            out = model.forward_prepared(examples, train=True, rng=np.random.default_rng(4)).data
+            _, grads = compute_gradients(model, examples, train=True, rng=np.random.default_rng(5))
+            runs.append((out, grads))
+        (out, grads), (want_out, want_grads) = runs
+        assert np.array_equal(out, want_out)
+        assert not np.array_equal(out, model.predict_prepared(examples))  # dropout was on
+        # as in the golden test: a gradient that is zero in exact arithmetic
+        # (the key biases) stays below 1e-12 of the largest entry of any array
+        floor = 1e-12 * max(np.abs(g).max() for g in want_grads.values())
+        for name, want in want_grads.items():
+            scale = np.abs(want).max()
+            if scale < floor:
+                assert np.abs(grads[name]).max() < floor, name
+            else:
+                assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
+
+    def test_each_block_takes_five_fewer_nodes(self, small_env, monkeypatch):
+        """Per block: two dropout muls, two residual adds and the relu."""
+        from uwbcorr.training import batch_loss
+
+        def count(root):
+            seen, stack = set(), [root]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        model, examples = self.setup(small_env)
+        fused = count(batch_loss(model, examples, train=True, rng=np.random.default_rng(4)))
+        monkeypatch.setattr(model_module, "_encoder_stack", unfused_encoder_stack)
+        unfused = count(batch_loss(model, examples, train=True, rng=np.random.default_rng(4)))
+        assert unfused - fused == 5 * model.config.n_layers
 
 
 def test_multi_cir_time_ordering_pads_missing_anchors(small_env):

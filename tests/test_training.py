@@ -11,11 +11,16 @@ from uwbcorr import (
     make_model_config,
     train,
 )
+from uwbcorr import autodiff as ad
 from uwbcorr import model as model_module
 from uwbcorr.errors import ConfigError
 from uwbcorr.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
     LR_PEAK,
     WARMUP_FRACTION,
+    Adam,
     TrainConfig,
     _eval_loss,
     _token_batches,
@@ -138,6 +143,29 @@ class TestComputeGradients:
             assert got[idx] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
 
+def test_adam_steps_in_place_as_the_out_of_place_formula():
+    rng = np.random.default_rng(12)
+    shapes = {"w": (5, 4), "b": (4,)}
+    params = {k: ad.Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    want = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    adam = Adam(params)
+    for t in (1, 2, 3):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-4, 2, size=s) for k, s in shapes.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        lr = 1e-3 / t
+        adam.step(grads, lr)
+        c1, c2 = 1.0 - BETA1**t, 1.0 - BETA2**t
+        for k, g in kept.items():
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+            want[k] = want[k] - lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + ADAM_EPS)
+            assert np.array_equal(grads[k], g)  # the gradient is read, never written
+            assert np.array_equal(adam.m[k], m[k]) and np.array_equal(adam.v[k], v[k])
+            assert np.array_equal(params[k].data, want[k])
+
+
 class TestChunks:
     """A batch of more than ``CHUNK_ROWS`` token rows runs as several
     forwards. With the cap lowered to 3 samples, the 8 examples run as chunks
@@ -187,6 +215,21 @@ class TestChunks:
                 assert np.abs(grads[name]).max() < floor, name
             else:
                 assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
+
+    def test_chunks_keep_the_one_pass_masks_as_booleans(self, tiny_setup, monkeypatch):
+        model, examples = tiny_setup
+        cfg = model.config
+        self.set_cap(examples, monkeypatch, True)
+        rng, same = np.random.default_rng(6), np.random.default_rng(6)
+        chunks = model.chunks(examples, True, rng)
+        shape = (len(examples), examples[0].n_tokens, cfg.d_model)
+        want = [same.random(shape) >= cfg.dropout_p for _ in range(2 * cfg.n_layers)]
+        assert rng.bit_generator.state == same.bit_generator.state
+        assert all(len(keeps) == len(want) for _, keeps in chunks)
+        for j, keep in enumerate(want):
+            parts = [keeps[j] for _, keeps in chunks]
+            assert all(part.dtype == bool for part in parts)
+            assert np.array_equal(np.concatenate(parts), keep)
 
     def test_chunked_prediction_and_validation_loss_match_one_pass(self, tiny_setup, monkeypatch):
         model, examples = tiny_setup
