@@ -29,6 +29,7 @@ import contextlib
 import numpy as np
 
 _grad_enabled = True
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
 class Tensor:
@@ -196,7 +197,7 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
 
 
 def layer_norm(
-    a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None, eps: float = 1e-5,
+    a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
     h: Tensor | None = None, keep: np.ndarray | None = None, scale: float = 1.0,
 ) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then multiply by
@@ -212,7 +213,7 @@ def layer_norm(
     else:
         y = a.data + (h.data if keep is None else h.data * (keep * scale))
         y -= np.add.reduce(y, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     y *= inv
     out = y
     if gain is not None or bias is not None:

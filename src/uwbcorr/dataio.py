@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +26,7 @@ from .metrics import CEP_QUANTILES, MetricsReport
 from .model import SWEEP_KEYS
 from .simulate import Box, Environment, RawCir, Sample
 from .tdoa import Anchor
-from .training import TrainingHistory
+from .training import EpochRecord, TrainingHistory
 
 
 def _round6(values: np.ndarray) -> np.ndarray:
@@ -156,12 +157,9 @@ def write_metrics_json(path, report: MetricsReport, extra: dict | None = None):
 
 
 def write_history_csv(path, history: TrainingHistory):
-    columns = ["train_loss", "val_loss", "lr", "step_ms", "samples_per_s", "grad_norm", "minor_faults"]
-    rows = [
-        {"epoch": r.epoch, **{c: f"{getattr(r, c):.8g}" for c in columns}}
-        for r in history.records
-    ]
-    write_table(path, rows, ["epoch"] + columns)
+    epoch, *columns = [f.name for f in fields(EpochRecord)]
+    rows = [{epoch: r.epoch, **{c: f"{getattr(r, c):.8g}" for c in columns}} for r in history.records]
+    write_table(path, rows, [epoch] + columns)
 
 
 def write_estimates_csv(path, truths, baselines, estimates=None, solves=None):

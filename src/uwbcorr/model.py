@@ -230,19 +230,6 @@ def prepare_example(
     return prepare_from_tensor(tensor, cfg, p_tdoa, target)
 
 
-def _dropout(p: float, train: bool, rng, n_tokens: int, rows: ad.Tensor) -> Optional[np.ndarray]:
-    """The boolean keep mask ``u >= p`` of inverted dropout on ``rows``
-    (B, m, d), or None when not training. The uniforms are drawn for all
-    n_tokens rows, compared at once, and the mask's leading m rows kept, so a
-    block that computes only the CLS row takes the same draws from rng as one
-    that computes every row. A list ``rng`` holds a chunk's pre-drawn masks."""
-    if not train or p <= 0.0:
-        return None
-    b, m, d = rows.data.shape
-    keep = rng.pop(0) if isinstance(rng, list) else rng.random((b, n_tokens, d)) >= p
-    return keep[:, :m]
-
-
 def _multi_head_attention(
     queries: ad.Tensor, x: ad.Tensor, prm, pre: str, cfg: ModelConfig
 ) -> ad.Tensor:
@@ -262,28 +249,29 @@ def _multi_head_attention(
     return ad.matmul(ctx, prm[pre + "attn.wo"], prm[pre + "attn.bo"])
 
 
-def _encoder_stack(x: ad.Tensor, prm, cfg: ModelConfig, train: bool, rng) -> ad.Tensor:
+def _encoder_stack(x: ad.Tensor, prm, cfg: ModelConfig, keeps) -> ad.Tensor:
     """Post-norm encoder blocks over (B, n, d) tokens, returning (B, 1, d).
 
     The last block computes only the CLS row: its keys and values still come
     from every token, but the query, attention output, residual adds, layer
     norms and feed-forward run on row 0, which is all the regression head
-    reads.
+    reads. ``keeps``, the 2 * n_layers boolean (B, n, d) dropout masks that
+    ``CorrectionModel.chunks`` draws, gives block i masks 2i and 2i + 1, cut
+    to its rows; without them no dropout is applied.
     """
     b, n, d = x.data.shape
-    p, scale = cfg.dropout_p, 1.0 / (1.0 - cfg.dropout_p)
+    scale = 1.0 / (1.0 - cfg.dropout_p)
     for i in range(cfg.n_layers):
         pre = f"enc{i}."
-        rows = x
+        rows, m = x, n
         if i == cfg.n_layers - 1:
-            rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
+            rows, m = ad.reshape(ad.select(x, 1, 0), (b, 1, d)), 1
+        keep1, keep2 = (keeps[2 * i][:, :m], keeps[2 * i + 1][:, :m]) if keeps else (None, None)
         att = _multi_head_attention(rows, x, prm, pre, cfg)
-        keep = _dropout(p, train, rng, n, rows)
-        x = ad.layer_norm(rows, prm[pre + "ln1.g"], prm[pre + "ln1.b"], h=att, keep=keep, scale=scale)
+        x = ad.layer_norm(rows, prm[pre + "ln1.g"], prm[pre + "ln1.b"], h=att, keep=keep1, scale=scale)
         h = ad.matmul(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"], relu=True)
         h = ad.matmul(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"])
-        keep = _dropout(p, train, rng, n, x)
-        x = ad.layer_norm(x, prm[pre + "ln2.g"], prm[pre + "ln2.b"], h=h, keep=keep, scale=scale)
+        x = ad.layer_norm(x, prm[pre + "ln2.g"], prm[pre + "ln2.b"], h=h, keep=keep2, scale=scale)
     return x
 
 
@@ -307,18 +295,19 @@ class CorrectionModel:
             t.data = arrays[k].copy()
 
     def forward_prepared(
-        self, examples: Sequence[PreparedExample], train: bool = False, rng=None
+        self, examples: Sequence[PreparedExample], train: bool = False, keeps=None
     ) -> ad.Tensor:
         """Batched predictions (B, 3); all examples must share a token count.
-        Training draws its dropout masks from ``rng``, so it must be given."""
+        ``keeps`` are the chunk's dropout masks from ``chunks``; with
+        dropout_p > 0 a training forward refuses to run without them."""
         if not examples:
             raise ValueError("empty batch")
-        if train and rng is None:
-            raise ValueError("train=True needs an rng for the dropout masks")
         n_tokens = examples[0].n_tokens
         if any(e.n_tokens != n_tokens for e in examples):
             raise ValueError("examples in one batch must have equal token counts")
         cfg = self.config
+        if train and cfg.dropout_p > 0.0 and keeps is None:
+            raise ValueError("train=True needs dropout masks from chunks")
         prm = self.params
         batch = len(examples)
 
@@ -342,31 +331,30 @@ class CorrectionModel:
             cls_tok = ad.add(cls_tok, ad.reshape(prm["pe.cls"], (1, 1, cfg.d_model)))
             x = ad.concat([cls_tok, body], axis=1)
 
-        x = _encoder_stack(x, prm, cfg, train, rng)
+        x = _encoder_stack(x, prm, cfg, keeps)
         cls_out = ad.select(x, 1, 0)
         p_tdoa = np.stack([e.p_tdoa for e in examples])
         h = ad.concat([cls_out, ad.Tensor(p_tdoa / np.asarray(cfg.extent))], axis=1)
         for j in range(len(cfg.head_widths)):
-            h = ad.matmul(h, prm[f"head{j}.w"], prm[f"head{j}.b"])
-            if j < len(cfg.head_widths) - 1:
-                h = ad.relu(h)
+            h = ad.matmul(h, prm[f"head{j}.w"], prm[f"head{j}.b"], relu=j < len(cfg.head_widths) - 1)
         return ad.add(h, ad.Tensor(p_tdoa))
 
     def chunks(self, examples: Sequence[PreparedExample], train: bool = False, rng=None):
-        """(chunk, rng) pairs of at most max(1, CHUNK_ROWS // n_tokens) consecutive
-        examples. With several, the batch's boolean dropout masks ``u >= p`` are drawn
-        from ``rng`` first, as one forward draws them, and each chunk's rng lists its
-        rows of them. A batch ``forward_prepared`` refuses stays whole and is refused there."""
-        n_tokens = examples[0].n_tokens if examples else 1
+        """(chunk, keeps) pairs of at most max(1, CHUNK_ROWS // n_tokens) consecutive examples.
+        The only draw of dropout masks: a training batch with dropout_p > 0 first takes
+        2 * n_layers boolean masks ``rng.random((B, n_tokens, d_model)) >= p`` from ``rng``,
+        two per block, and each chunk's keeps are its rows of them; otherwise keeps is
+        None. A batch ``forward_prepared`` refuses stays whole and is refused there."""
+        if train and rng is None:
+            raise ValueError("train=True needs an rng for the dropout masks")
+        if len({e.n_tokens for e in examples}) != 1:
+            return [(examples, None)]
+        n_tokens, cfg = examples[0].n_tokens, self.config
         size = max(1, CHUNK_ROWS // n_tokens)
-        mixed = any(e.n_tokens != n_tokens for e in examples)
-        if len(examples) <= size or mixed or (train and rng is None):
-            return [(examples, rng)]
-        cfg, shape = self.config, (len(examples), n_tokens, self.config.d_model)
-        p = cfg.dropout_p if train else 0.0  # with p > 0, _encoder_stack draws twice per block
-        keeps = [rng.random(shape) >= p for _ in range(2 * cfg.n_layers)] if p > 0.0 else []
+        shape, p = (len(examples), n_tokens, cfg.d_model), cfg.dropout_p
+        keeps = [rng.random(shape) >= p for _ in range(2 * cfg.n_layers)] if train and p > 0.0 else None
         return [
-            (examples[lo : lo + size], [keep[lo : lo + size] for keep in keeps])
+            (examples[lo : lo + size], None if keeps is None else [keep[lo : lo + size] for keep in keeps])
             for lo in range(0, len(examples), size)
         ]
 

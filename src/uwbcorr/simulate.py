@@ -30,6 +30,7 @@ EXTRA_TAP_MAX_EXCESS_M = 30.0
 EXTRA_TAP_DECAY_M = 8.0
 NLOS_DIRECT_GAIN = (0.0, 0.3)  # uniform range of a blocked direct tap's gain
 NLOS_REFLECTED_GAIN = (0.7, 1.0)  # and of the dominant reflection's gain
+TRAJECTORY_MARGIN_M = 1.0  # the trajectories keep this far from the x and y walls
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,8 @@ def synth_cir(
     env: Environment,
     rng,
     cfg: ChannelConfig = ChannelConfig(),
-    tx_time: float = 0.0,
 ) -> RawCir:
-    """Simulate one anchor's raw CIR for a tag transmission.
+    """Simulate one anchor's raw CIR for a tag transmission sent at time 0.
 
     LOS links place the strongest tap at the true propagation delay and the
     timestamp error is zero. Obstructed links attenuate the direct tap and
@@ -232,7 +232,7 @@ def synth_cir(
     return RawCir(
         iq=iq,
         first_path_index=FIRST_PATH_SLOT,
-        rx_time=tx_time + detected_delay,
+        rx_time=detected_delay,
         anchor_id=anchor.id,
     )
 
@@ -306,12 +306,11 @@ def grid_trajectory(
     n_lines: int = 10,
     points_per_line: int = 300,
     z: float = 1.0,
-    margin: float = 1.0,
 ) -> list[np.ndarray]:
     """Systematic straight-line sweep: serpentine rows of constant y."""
     ex, ey, _ = env.extent
-    ys = np.linspace(margin, ey - margin, n_lines)
-    xs = np.linspace(margin, ex - margin, points_per_line)
+    ys = np.linspace(TRAJECTORY_MARGIN_M, ey - TRAJECTORY_MARGIN_M, n_lines)
+    xs = np.linspace(TRAJECTORY_MARGIN_M, ex - TRAJECTORY_MARGIN_M, points_per_line)
     points = []
     for row, y in enumerate(ys):
         row_xs = xs if row % 2 == 0 else xs[::-1]
@@ -325,13 +324,12 @@ def random_trajectory(
     z: float = 1.0,
     seed: int = 1,
     step: float = 0.3,
-    margin: float = 1.0,
 ) -> list[np.ndarray]:
     """Meandering random walk with reflecting walls, constant height."""
     rng = np.random.default_rng(seed)
     ex, ey, _ = env.extent
-    lo = np.array([margin, margin])
-    hi = np.array([ex - margin, ey - margin])
+    lo = np.array([TRAJECTORY_MARGIN_M, TRAJECTORY_MARGIN_M])
+    hi = np.array([ex - TRAJECTORY_MARGIN_M, ey - TRAJECTORY_MARGIN_M])
     p = rng.uniform(lo, hi)
     heading = rng.uniform(0, 2 * np.pi)
     points = []

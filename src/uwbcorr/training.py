@@ -106,9 +106,10 @@ def batch_loss(
     model: CorrectionModel,
     examples: Sequence[PreparedExample],
     train: bool = False,
-    rng=None,
+    keeps=None,
 ) -> ad.Tensor:
-    preds = model.forward_prepared(examples, train=train, rng=rng)
+    """Mean squared error of one forward, with the dropout masks ``keeps`` from ``model.chunks``."""
+    preds = model.forward_prepared(examples, train, keeps)
     targets = np.stack([e.target for e in examples])
     diff = ad.sub(preds, ad.Tensor(targets))
     return ad.mean_all(ad.mul(diff, diff))
@@ -120,9 +121,11 @@ def compute_gradients(
     train: bool = False,
     rng=None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-squared-error loss and its gradient for every parameter. Each of
-    several chunks of ``model.chunks`` runs forward and backward with its loss
-    scaled by its share of the batch, so the gradients add up to the batch's.
+    """Mean-squared-error loss and its gradient for every parameter. Each
+    chunk of ``model.chunks``, which draws a training batch's dropout masks
+    from the Generator ``rng``, runs forward and backward with its loss
+    scaled by its share of the batch, so the gradients add up to the
+    batch's; a one-chunk batch's factor is exactly 1.0.
 
     The gradients are the parameters' own ``.grad`` arrays, not copies; the
     next call sets every ``.grad`` to None before its backward sweep and
@@ -132,10 +135,8 @@ def compute_gradients(
     for t in model.params.values():
         t.grad = None
     total = 0.0
-    for chunk, chunk_rng in chunks:
-        loss = batch_loss(model, chunk, train=train, rng=chunk_rng)
-        if len(chunks) > 1:
-            loss = ad.scale(loss, len(chunk) / len(examples))
+    for chunk, keeps in chunks:
+        loss = ad.scale(batch_loss(model, chunk, train, keeps), len(chunk) / len(examples))
         if not np.isfinite(loss.data):
             raise FloatingPointError("non-finite training loss")
         ad.backward(loss)

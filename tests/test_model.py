@@ -146,6 +146,13 @@ def tiny_model(env, l_patch=75, d_model=8, kind="spatial", **kw):
     return CorrectionModel.initialize(cfg, seed=kw.get("seed", 3), zero_final_layer=False)
 
 
+def train_forward(model, examples, seed):
+    """A training forward's predictions, with the masks ``chunks`` draws
+    from a Generator seeded ``seed``; the batch must be one chunk."""
+    ((chunk, keeps),) = model.chunks(examples, True, np.random.default_rng(seed))
+    return model.forward_prepared(chunk, True, keeps).data
+
+
 def one_sample(env, seed=0, drop=0.0):
     rng = np.random.default_rng(seed)
     point = rng.uniform([1, 1, 1], [9, 9, 1])
@@ -230,13 +237,17 @@ class TestEncoderForward:
         assert np.array_equal(a, b)
 
     def test_training_without_an_rng_is_refused(self, small_env):
-        """Dropout draws from the caller's rng only, so a seeded run repeats."""
+        """Dropout draws from the caller's rng only, so a seeded run repeats:
+        ``chunks`` refuses a training batch without an rng, and a training
+        forward refuses to run without the masks ``chunks`` draws."""
         model = tiny_model(small_env)
         example = prepare_example(one_sample(small_env), small_env, model.config, np.array([5.0, 5.0, 1.0]))
         with pytest.raises(ValueError, match="needs an rng"):
+            model.chunks([example], train=True)
+        with pytest.raises(ValueError, match="needs dropout masks"):
             model.forward_prepared([example], train=True)
-        a = model.forward_prepared([example], train=True, rng=np.random.default_rng(1)).data
-        b = model.forward_prepared([example], train=True, rng=np.random.default_rng(1)).data
+        a = train_forward(model, [example], 1)
+        b = train_forward(model, [example], 1)
         assert np.array_equal(a, b) and not np.array_equal(a, model.predict_prepared([example]))
 
     def test_predict_builds_no_tape_and_matches_the_taped_forward(self, small_env, monkeypatch):
@@ -276,7 +287,7 @@ class TestEncoderForward:
             arrays[pre + "ln2.b"][:] = rng.normal(0, 0.1, size=d)
 
         x = rng.normal(size=(2, d))
-        got = _encoder_stack(ad.Tensor(x[None]), model.params, model.config, False, None).data
+        got = _encoder_stack(ad.Tensor(x[None]), model.params, model.config, None).data
         assert got.shape == (1, 1, d)
 
         h = reference_block(reference_block(x, arrays, "enc0.", 1), arrays, "enc1.", 1)
@@ -315,19 +326,18 @@ def test_non_finite_activations_raise(small_env):
         compute_gradients(model, [example])
 
 
-def unfused_encoder_stack(x, prm, cfg, train, rng):
+def unfused_encoder_stack(x, prm, cfg, keeps):
     """``_encoder_stack`` with each block tail as separate nodes: dropout as a
-    ``mul`` by the float64 mask ``(u >= p) / (1 - p)``, an ``add`` and a
-    plain ``layer_norm``, and a ``relu`` node after the first feed-forward
-    product. It draws its uniforms from the Generator ``rng`` in the same
-    order and shapes."""
-    b, n, d = x.data.shape
+    ``mul`` by the float64 mask ``keep / (1 - p)``, an ``add`` and a plain
+    ``layer_norm``, and a ``relu`` node after the first feed-forward product.
+    It reads the same boolean masks ``keeps``, two per block in order."""
+    b, _, d = x.data.shape
     p = cfg.dropout_p
 
-    def dropout(t):
-        if not train or p <= 0.0:
+    def dropout(t, j):
+        if keeps is None:
             return t
-        mask = (rng.random((b, n, d)) >= p) / (1.0 - p)
+        mask = keeps[j] / (1.0 - p)
         return ad.mul(t, ad.Tensor(mask[:, : t.data.shape[1]]))
 
     for i in range(cfg.n_layers):
@@ -335,12 +345,23 @@ def unfused_encoder_stack(x, prm, cfg, train, rng):
         rows = x
         if i == cfg.n_layers - 1:
             rows = ad.reshape(ad.select(x, 1, 0), (b, 1, d))
-        att = dropout(_multi_head_attention(rows, x, prm, pre, cfg))
+        att = dropout(_multi_head_attention(rows, x, prm, pre, cfg), 2 * i)
         x = ad.layer_norm(ad.add(rows, att), prm[pre + "ln1.g"], prm[pre + "ln1.b"])
         h = ad.relu(ad.matmul(x, prm[pre + "ff.w1"], prm[pre + "ff.b1"]))
-        h = dropout(ad.matmul(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"]))
+        h = dropout(ad.matmul(h, prm[pre + "ff.w2"], prm[pre + "ff.b2"]), 2 * i + 1)
         x = ad.layer_norm(ad.add(x, h), prm[pre + "ln2.g"], prm[pre + "ln2.b"])
     return x
+
+
+def graph_nodes(root):
+    """Every tensor the tape under ``root`` reaches, ``root`` included."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
 
 
 class TestFusedBlockTail:
@@ -364,7 +385,7 @@ class TestFusedBlockTail:
         runs = []
         for stack in (model_module._encoder_stack, unfused_encoder_stack):
             monkeypatch.setattr(model_module, "_encoder_stack", stack)
-            out = model.forward_prepared(examples, train=True, rng=np.random.default_rng(4)).data
+            out = train_forward(model, examples, 4)
             _, grads = compute_gradients(model, examples, train=True, rng=np.random.default_rng(5))
             runs.append((out, grads))
         (out, grads), (want_out, want_grads) = runs
@@ -384,20 +405,22 @@ class TestFusedBlockTail:
         """Per block: two dropout muls, two residual adds and the relu."""
         from uwbcorr.training import batch_loss
 
-        def count(root):
-            seen, stack = set(), [root]
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    stack.extend(node._parents)
-            return len(seen)
-
         model, examples = self.setup(small_env)
-        fused = count(batch_loss(model, examples, train=True, rng=np.random.default_rng(4)))
+        ((chunk, keeps),) = model.chunks(examples, True, np.random.default_rng(4))
+        fused = len(graph_nodes(batch_loss(model, chunk, True, keeps)))
         monkeypatch.setattr(model_module, "_encoder_stack", unfused_encoder_stack)
-        unfused = count(batch_loss(model, examples, train=True, rng=np.random.default_rng(4)))
+        unfused = len(graph_nodes(batch_loss(model, chunk, True, keeps)))
         assert unfused - fused == 5 * model.config.n_layers
+
+
+def test_a_single_sample_forward_has_no_relu_node(small_env):
+    """The head's hidden layers take their relu inside ``matmul``, as the
+    feed-forward does, so no graph holds a separate ``relu`` node."""
+    model = tiny_model(small_env, n_layers=2)
+    example = prepare_example(one_sample(small_env), small_env, model.config, np.array([5.0, 5.0, 1.0]))
+    nodes = graph_nodes(model.forward_prepared([example]))
+    names = {node._backward.__qualname__.split(".")[0] for node in nodes if node._backward}
+    assert "matmul" in names and "relu" not in names
 
 
 def test_multi_cir_time_ordering_pads_missing_anchors(small_env):

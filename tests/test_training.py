@@ -190,8 +190,10 @@ class TestChunks:
         with pytest.raises(ValueError, match="equal token counts"):
             model.predict_prepared(examples + [odd])
         self.set_cap(examples, monkeypatch, False)
-        ((chunk, rng),) = model.chunks(examples, True, "caller's rng")
-        assert chunk is examples and rng == "caller's rng"
+        ((chunk, keeps),) = model.chunks(examples, True, np.random.default_rng(0))
+        assert chunk == examples and len(keeps) == 2 * model.config.n_layers
+        ((chunk, keeps),) = model.chunks(examples)
+        assert chunk == examples and keeps is None
 
     def test_a_chunked_training_step_matches_one_pass(self, tiny_setup, monkeypatch):
         model, examples = tiny_setup
@@ -217,19 +219,23 @@ class TestChunks:
                 assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
 
     def test_chunks_keep_the_one_pass_masks_as_booleans(self, tiny_setup, monkeypatch):
+        """Split in three chunks or kept whole, a training batch's masks are
+        the ones a single draw per mask gives."""
         model, examples = tiny_setup
         cfg = model.config
-        self.set_cap(examples, monkeypatch, True)
-        rng, same = np.random.default_rng(6), np.random.default_rng(6)
-        chunks = model.chunks(examples, True, rng)
-        shape = (len(examples), examples[0].n_tokens, cfg.d_model)
-        want = [same.random(shape) >= cfg.dropout_p for _ in range(2 * cfg.n_layers)]
-        assert rng.bit_generator.state == same.bit_generator.state
-        assert all(len(keeps) == len(want) for _, keeps in chunks)
-        for j, keep in enumerate(want):
-            parts = [keeps[j] for _, keeps in chunks]
-            assert all(part.dtype == bool for part in parts)
-            assert np.array_equal(np.concatenate(parts), keep)
+        for split in (True, False):
+            self.set_cap(examples, monkeypatch, split)
+            rng, same = np.random.default_rng(6), np.random.default_rng(6)
+            chunks = model.chunks(examples, True, rng)
+            assert len(chunks) == (3 if split else 1)
+            shape = (len(examples), examples[0].n_tokens, cfg.d_model)
+            want = [same.random(shape) >= cfg.dropout_p for _ in range(2 * cfg.n_layers)]
+            assert rng.bit_generator.state == same.bit_generator.state
+            assert all(len(keeps) == len(want) for _, keeps in chunks)
+            for j, keep in enumerate(want):
+                parts = [keeps[j] for _, keeps in chunks]
+                assert all(part.dtype == bool for part in parts)
+                assert np.array_equal(np.concatenate(parts), keep)
 
     def test_chunked_prediction_and_validation_loss_match_one_pass(self, tiny_setup, monkeypatch):
         model, examples = tiny_setup

@@ -163,9 +163,10 @@ def test_predictions_match_golden(golden, entry):
 
 
 def tape_and_step_peak(name, size):
-    """Bytes the tape of one forward of a ``size``-sample batch holds, and
-    the peak bytes of a training step on that batch, by tracemalloc; with
-    the model, so the caller can see how the step splits the batch."""
+    """Bytes the tape of one forward of a ``size``-sample batch holds, its
+    dropout masks included, and the peak bytes of a training step on that
+    batch, by tracemalloc; with the model, so the caller can see how the
+    step splits the batch."""
     env = default_environment()
     cfg = golden_config(name, env)
     examples = [
@@ -180,9 +181,11 @@ def tape_and_step_peak(name, size):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        loss = batch_loss(model, batch, train=True, rng=np.random.default_rng(8))
+        rng, shape = np.random.default_rng(8), (size, batch[0].n_tokens, cfg.d_model)
+        keeps = [rng.random(shape) >= cfg.dropout_p for _ in range(2 * cfg.n_layers)]
+        loss = batch_loss(model, batch, True, keeps)  # one forward over the whole batch
         tape = tracemalloc.get_traced_memory()[0] - start
-        del loss
+        del loss, keeps
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         compute_gradients(model, batch, train=True, rng=np.random.default_rng(8))
