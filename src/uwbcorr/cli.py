@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -28,7 +29,7 @@ import numpy as np
 from . import dataio
 from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
 from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
-from .errors import InsufficientDataError, UwbcorrError, check_int
+from .errors import ConfigError, DatasetFormatError, InsufficientDataError, UwbcorrError, check_int
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
 from .simulate import (
@@ -182,6 +183,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     model = load_checkpoint(args.checkpoint)
+    n_total = model.config.n_total  # a multi-CIR patch holds one CIR of every anchor
+    if model.config.patching == "multi_cir" and n_total != env.n_anchors:
+        raise ConfigError(
+            f"{args.checkpoint}: a multi_cir checkpoint for n_total={n_total} anchors "
+            f"cannot run on an environment of {env.n_anchors}"
+        )
     dataset = dataio.read_samples_jsonl(args.dataset)
     _evaluate_and_write(model, dataset, env, solver, out, args.dataset)
     return 0
@@ -189,6 +196,39 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_key(combo: dict) -> tuple:
     return tuple(str(combo[k]) for k in SWEEP_KEYS)
+
+
+def _cell(path, n: int, row: dict, column: str) -> str:
+    """Column ``column`` of row ``n`` (1-based, after the header) of the sweep
+    table ``path``; a missing cell raises DatasetFormatError naming all three."""
+    if row.get(column) is None:  # the header lacks the column, or the row is short
+        raise DatasetFormatError(f"{path}: row {n}: no {column!r} column")
+    return row[column]
+
+
+def _number(path, n: int, row: dict, column: str) -> float:
+    text = _cell(path, n, row, column)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DatasetFormatError(f"{path}: row {n}: {column!r} is {text!r}, not a finite number")
+    return value
+
+
+def _read_sweep_table(path) -> tuple[set[tuple], list[SweepResult]]:
+    """The sweep keys of every row of the table ``path``, and its ``ok`` rows
+    with their total_ops and mae. A missing cell, or a total_ops or mae that
+    is not a finite number, raises DatasetFormatError naming the file, the
+    row and the column."""
+    keys, results = set(), []
+    for n, row in enumerate(dataio.read_sweep_rows(path), 1):
+        keys.add(tuple(_cell(path, n, row, k) for k in SWEEP_KEYS))
+        if _cell(path, n, row, "status") == "ok":
+            cost, mae = (_number(path, n, row, c) for c in ("total_ops", "mae"))
+            results.append(SweepResult(config=row, total_ops=cost, mae=mae))
+    return keys, results
 
 
 def cmd_sweep(args) -> int:
@@ -202,14 +242,13 @@ def cmd_sweep(args) -> int:
     for path, samples in ((train_path, train_set), (eval_path, eval_set)):
         if not samples:  # refused before any training time is spent
             raise InsufficientDataError(f"{path}: no samples")
+    results_path = out / "sweep_results.csv"
+    # a rerun skips the configurations already in the table; a bad table fails here
+    done = _read_sweep_table(results_path)[0] if results_path.exists() else set()
     out.mkdir(parents=True, exist_ok=True)
     n_av = float(np.mean([len(s.raw_cirs) for s in eval_set]))
 
     combos = enumerate_sweep(cfg.sweep)[: args.limit]  # a None limit runs them all
-    results_path = out / "sweep_results.csv"
-    done = set()
-    if results_path.exists():  # a rerun skips the configurations already in the table
-        done = {_sweep_key(r) for r in dataio.read_sweep_rows(results_path)}
     train_cfg = replace(cfg.train, max_epochs=cfg.sweep.max_epochs)
     for combo in combos:
         if _sweep_key(combo) in done:
@@ -229,18 +268,13 @@ def cmd_sweep(args) -> int:
         except Exception as exc:  # record and continue: one bad combo must not kill the sweep
             row.update(status=f"error:{type(exc).__name__}: {exc}")
         dataio.append_sweep_row(results_path, row)
-    _write_pareto(dataio.read_sweep_rows(results_path), out / "pareto.csv")
+    _write_pareto(_read_sweep_table(results_path)[1], out / "pareto.csv")
     print(f"sweep table at {results_path}")
     return 0
 
 
-def _write_pareto(rows: list[dict], pareto_path) -> list[dict]:
-    """Write the non-dominated ``ok`` rows of a sweep table, strings as read."""
-    results = [
-        SweepResult(config=row, total_ops=float(row["total_ops"]), mae=float(row["mae"]))
-        for row in rows
-        if row.get("status") == "ok"
-    ]
+def _write_pareto(results: list[SweepResult], pareto_path) -> list[dict]:
+    """Write the non-dominated rows of ``_read_sweep_table``, strings as read."""
     front = [r.config for r in pareto_front(results)]
     dataio.write_table(pareto_path, front, dataio.SWEEP_COLUMNS)
     return front
@@ -266,9 +300,9 @@ def cmd_complexity(args) -> int:
 
 def cmd_pareto(args) -> int:
     cfg, out = _setup(args)
-    rows = dataio.read_sweep_rows(args.results)
+    _, results = _read_sweep_table(args.results)
     out.mkdir(parents=True, exist_ok=True)
-    front = _write_pareto(rows, out / "pareto.csv")
+    front = _write_pareto(results, out / "pareto.csv")
     print(f"{len(front)} Pareto-optimal rows -> {out / 'pareto.csv'}")
     return 0
 

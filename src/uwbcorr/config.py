@@ -138,7 +138,17 @@ def config_from_json_dict(payload: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path=None, overrides=()) -> ExperimentConfig:
-    payload = json.loads(Path(path).read_text()) if path else {}
+    """The config in the JSON file ``path`` (defaults without one) with the
+    ``--set`` overrides applied; a file that is not JSON, or holds no JSON
+    object, raises ConfigError naming it."""
+    payload = {}
+    if path:
+        try:
+            payload = json.loads(Path(path).read_text())
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not a JSON config: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{path}: a config file holds a JSON object, got {payload!r}")
     payload = apply_overrides(payload, overrides)
     return config_from_json_dict(payload)
 

@@ -359,8 +359,31 @@ class CorrectionModel:
         ]
 
     def predict_prepared(self, examples: Sequence[PreparedExample]) -> np.ndarray:
+        """Grad-free (B, 3) predictions in input order for any mix of token
+        counts: each group of ``token_batches`` runs through ``chunks``."""
+        if not examples:
+            raise ValueError("empty batch")
+        out = np.empty((len(examples), 3))
         with ad.no_grad():
-            return np.concatenate([self.forward_prepared(c).data for c, _ in self.chunks(examples)])
+            for idx in token_batches(examples, len(examples)):
+                group = [examples[i] for i in idx]
+                out[idx] = np.concatenate([self.forward_prepared(c).data for c, _ in self.chunks(group)])
+        return out
+
+
+def token_batches(examples: Sequence[PreparedExample], size: int, rng=None) -> list[list[int]]:
+    """The one grouping by token count: indices into ``examples`` in batches of at
+    most ``size`` with one count, groups in order of first appearance. With ``rng``
+    each group is shuffled, one permutation per group, before it is cut."""
+    groups: dict[int, list[int]] = {}
+    for i, example in enumerate(examples):
+        groups.setdefault(example.n_tokens, []).append(i)
+    batches = []
+    for idx in groups.values():
+        if rng is not None:
+            idx = [idx[i] for i in rng.permutation(len(idx))]
+        batches.extend(idx[lo : lo + size] for lo in range(0, len(idx), size))
+    return batches
 
 
 def save_checkpoint(model: CorrectionModel, path):

@@ -223,8 +223,8 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _spans(counts: np.ndarray) -> list[tuple[int, int, int]]:
-    """(first row, end row, pair count) of each run of rows with one pair
-    count in the sorted ``counts``."""
+    """(first row, end row, pair count) of each run of consecutive rows with
+    one pair count in ``counts``."""
     cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
     return [(lo, hi, int(counts[lo])) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
 
@@ -312,14 +312,14 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     row that ends within ``TIP_DIST`` of one of its anchors stops as "tip"
     instead, whatever rule stopped it.
 
-    The rows are sorted by their pair count ``counts`` and padded to the
-    widest with pairs of zero residual and zero Jacobian. The elementwise
-    work, the normal matrices J^T J and the batched solve give the same bits
-    with or without the zero pairs, so they run once over the whole stack.
-    J^T r, the second-order term and the cost r . r are BLAS sums whose order
-    changes with their length, so they run once per span of rows with one
-    pair count, on the unpadded columns. Each row's arithmetic is then that
-    of a solve of its set alone.
+    The rows are padded to the widest pair count ``counts`` with pairs of
+    zero residual and zero Jacobian. The elementwise work, the normal
+    matrices J^T J and the batched solve give the same bits with or without
+    the zero pairs, so they run once over the whole stack. J^T r, the
+    second-order term and the cost r . r are BLAS sums whose order changes
+    with their length, so they run once per span of consecutive rows with
+    one pair count (``_spans``), on the unpadded columns. Each row's
+    arithmetic is then that of a solve of its set alone.
 
     Returns positions (R, 3), residual norms (R,), iterations (R,), stop
     reasons (R,) as indices into ``STOP_REASONS``, and on-bound flags (R,):
@@ -446,35 +446,32 @@ def _solve_group(
 ) -> list[PositionEstimate]:
     """Multi-start solves of DDoA sets of any pair counts, in one LM run.
 
-    Each set contributes one row per start. The rows are stacked in order of
-    pair count and padded to the widest set (see ``_levenberg_marquardt``).
+    Each set contributes one row per start, stacked in input order and
+    padded to the widest set (see ``_levenberg_marquardt``); sets sorted by
+    pair count, as ``solve_baselines`` passes them, make the fewest spans.
     A set's result is its first start with a strictly lowest residual norm,
     scanning the starts in order and stopping at the first whose running
     best is exact-level (<= 1e-9).
     """
     pos = {a.id: a.position for a in anchors}
     width = max(len(ddoas.pairs) for ddoas in ddoa_sets)
-    sets = []  # (starts, pair ends, DDoAs) of each set, in input order
+    first, starts, geometry = [0], [], []  # set n's rows are first[n] to first[n + 1]
     for ddoas in ddoa_sets:
         referenced = _require_three_anchors(ddoas)
-        ends, dd = _pair_geometry(ddoas, pos, width)  # raises MissingAnchorError
-        sets.append((_starts(ddoas, pos, referenced, options.fix_z), ends, dd))
-    owner, starts, first = [], [], {}
-    for n in sorted(range(len(sets)), key=lambda n: len(ddoa_sets[n].pairs)):
-        first[n] = len(starts)
-        owner.extend([n] * len(sets[n][0]))
-        starts.extend(sets[n][0])
-    ends = np.ascontiguousarray(np.stack([e for _, e, _ in sets])[owner].transpose(2, 0, 1))
-    dd = np.stack([d for _, _, d in sets])[owner]
+        geometry.append(_pair_geometry(ddoas, pos, width))  # raises MissingAnchorError
+        starts.extend(_starts(ddoas, pos, referenced, options.fix_z))
+        first.append(len(starts))
+    owner = [n for n in range(len(ddoa_sets)) for _ in range(first[n], first[n + 1])]
+    ends = np.ascontiguousarray(np.stack([e for e, _ in geometry])[owner].transpose(2, 0, 1))
+    dd = np.stack([d for _, d in geometry])[owner]
     counts = np.array([len(ddoa_sets[n].pairs) for n in owner])
     position, residual, iterations, reasons, on_bound = _levenberg_marquardt(
         starts, ends, dd, counts, options
     )
     results = []
-    for n, (mine, _, _) in enumerate(sets):
-        rows = range(first[n], first[n] + len(mine))
-        best = rows[0]
-        for row in rows:
+    for lo, hi in zip(first, first[1:]):
+        best = lo
+        for row in range(lo, hi):
             if residual[row] < residual[best]:
                 best = row
             if residual[best] <= 1e-9:

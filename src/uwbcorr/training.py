@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import InsufficientDataError, check_int
 from .metrics import MetricsReport, metrics_report
-from .model import CorrectionModel, ModelConfig, PreparedExample, prepare_example
+from .model import CorrectionModel, ModelConfig, PreparedExample, prepare_example, token_batches
 from .simulate import Environment, Sample
 from .tdoa import PositionEstimate, SolverOptions, solve_baselines
 
@@ -148,29 +148,9 @@ def compute_gradients(
     return total, grads
 
 
-def _token_batches(examples, size: int, rng=None) -> list[list[int]]:
-    """Indices into ``examples`` cut into batches of at most ``size`` that
-    share one token count. Token-count groups come in order of first
-    appearance; with ``rng`` each group is shuffled before it is cut, one
-    permutation per group, otherwise the input order is kept."""
-    groups: dict[int, list[int]] = {}
-    for i, example in enumerate(examples):
-        groups.setdefault(example.n_tokens, []).append(i)
-    batches = []
-    for idx in groups.values():
-        if rng is not None:
-            idx = [idx[i] for i in rng.permutation(len(idx))]
-        batches.extend(idx[lo : lo + size] for lo in range(0, len(idx), size))
-    return batches
-
-
-def _eval_loss(model, examples, batch_size: int) -> float:
-    total = 0.0
-    with ad.no_grad():
-        for idx in _token_batches(examples, batch_size):
-            for chunk, _ in model.chunks([examples[i] for i in idx]):
-                total += float(batch_loss(model, chunk).data) * len(chunk)
-    return total / len(examples)
+def _eval_loss(model: CorrectionModel, examples: Sequence[PreparedExample]) -> float:
+    """Mean squared error of ``model.predict_prepared`` against the targets."""
+    return float(np.mean(np.square(model.predict_prepared(examples) - [e.target for e in examples])))
 
 
 def solve_solvable(samples, env, solver) -> list[tuple[Sample, PositionEstimate]]:
@@ -226,7 +206,7 @@ def train(
     val_set = [examples[i] for i in order[:n_val]]
     train_set = [examples[i] for i in order[n_val:]]
 
-    total_steps = len(_token_batches(train_set, train_cfg.batch_size)) * train_cfg.max_epochs
+    total_steps = len(token_batches(train_set, train_cfg.batch_size)) * train_cfg.max_epochs
 
     adam = Adam(model.params)
     history = TrainingHistory(n_skipped_samples=skipped)
@@ -235,7 +215,7 @@ def train(
     step = 0
     lr = 0.0
     for epoch in range(train_cfg.max_epochs):
-        batches = _token_batches(train_set, train_cfg.batch_size, shuffle_rng)
+        batches = token_batches(train_set, train_cfg.batch_size, shuffle_rng)
         batch_order = shuffle_rng.permutation(len(batches))
         epoch_loss = 0.0
         seen = 0
@@ -254,7 +234,7 @@ def train(
             epoch_loss += loss * len(batch)
             seen += len(batch)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        val_loss = _eval_loss(model, val_set, train_cfg.batch_size)
+        val_loss = _eval_loss(model, val_set)
         history.records.append(
             EpochRecord(
                 epoch=epoch,
@@ -297,14 +277,13 @@ def evaluate_model(
     """Corrected vs. uncorrected metrics over a dataset.
 
     Samples whose baseline cannot be solved (fewer than three anchors) are
-    counted and excluded from both reports.
+    counted and excluded from both reports; the rest, of any token counts,
+    are corrected in one ``predict_prepared`` call.
     """
     examples = _solve_and_prepare(samples, env, model.config, solver)
     if not examples:
         raise InsufficientDataError("no solvable samples to evaluate")
-    predictions = np.empty((len(examples), 3))
-    for idx in _token_batches(examples, 256):
-        predictions[idx] = model.predict_prepared([examples[i] for i in idx])
+    predictions = model.predict_prepared(examples)
     truths = np.array([e.target for e in examples])
     baselines = np.array([e.p_tdoa for e in examples])
     return EvaluationResult(

@@ -144,6 +144,23 @@ class TestConfig:
         assert cfg.model.d_model == 32 and cfg.model.l_patch == 75
 
 
+class TestConfigFileErrors:
+    """A config file that is not JSON, or holds no JSON object, ends the run
+    with one error line naming it and status 2, before any output."""
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("{bad", "not a JSON config: "), ("[1]", "a config file holds a JSON object, got [1]")],
+    )
+    def test_names_the_file_and_makes_no_directory(self, tmp_path, capsys, text, shown):
+        path, out = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text(text)
+        assert main(["complexity", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {path}: {shown}") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_outputs_exist(self, tiny_run):
         assert (tiny_run / "train.jsonl").exists()
@@ -411,6 +428,27 @@ class TestErrorExit:
             f"error: InsufficientDataError: {path}: no solvable samples to evaluate\n"
         )
         assert not (tmp_path / "out").exists()  # solved before the directory is made
+
+    def test_evaluate_a_multi_cir_checkpoint_on_another_anchor_count(self, tiny_run, tmp_path, capsys):
+        """A multi-CIR patch holds one CIR per anchor, so a checkpoint for 15
+        anchors is refused on a 10-anchor environment before any solve; a
+        per-CIR checkpoint runs there, since its token count varies anyway."""
+        hall = default_environment()
+        ten = Environment(anchors=hall.anchors[:10], obstacles=(), extent=hall.extent)
+        run = tmp_path / "ten"
+        dataio.write_environment(run / "environment.json", ten)
+        assert main(["simulate", "--output-dir", str(run), "--env", str(run / "environment.json"), *TINY_DATA]) == 0
+        capsys.readouterr()
+        for patching, encoding, rc in (("multi_cir", "learned", 2), ("per_cir", "spatial", 0)):
+            checkpoint = tmp_path / f"{patching}.npz"
+            cfg = make_model_config(patching, "fixed", encoding, 150, 8, env=hall, n_heads=2)
+            save_checkpoint(CorrectionModel.initialize(cfg), checkpoint)
+            assert self._evaluate(run, tmp_path, checkpoint) == rc
+            assert (tmp_path / "out").exists() == (rc == 0)
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {tmp_path / 'multi_cir.npz'}: a multi_cir checkpoint for "
+            "n_total=15 anchors cannot run on an environment of 10\n"
+        )
 
     def _checkpoint_arrays(self, tiny_run, tmp_path):
         """A saved checkpoint's path and its arrays, to edit and save back."""
@@ -765,6 +803,22 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()  # nothing trained, nothing written
 
 
+    def test_a_table_to_resume_without_a_key_column_fails_before_training(
+        self, tiny_run, tmp_path, capsys, monkeypatch
+    ):
+        columns = [c for c in dataio.SWEEP_COLUMNS if c != "d_model"]
+        dataio.write_table(tmp_path / "sweep_results.csv", [dict.fromkeys(columns, "1")], columns)
+        trained = []
+        monkeypatch.setattr("uwbcorr.cli.train", lambda *a, **k: trained.append(a))
+        argv = ["sweep", "--output-dir", str(tmp_path), "--env", str(tiny_run / "environment.json")]
+        files = ["--dataset", str(tiny_run / "train.jsonl"), "--eval-dataset", str(tiny_run / "eval.jsonl")]
+        assert main([*argv, *files, "--limit", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: DatasetFormatError: {tmp_path / 'sweep_results.csv'}: row 1: no 'd_model' column\n"
+        )
+        assert trained == [] and not (tmp_path / "pareto.csv").exists()
+
+
 class TestSweepFailureHandling:
     def test_bad_config_recorded_and_sweep_continues(self, tiny_run, tmp_path):
         rc = main(
@@ -816,6 +870,33 @@ class TestParetoCommand:
         front = ["cheap", "tie_a", "tie_b", "accurate"]
         expected = "\r\n".join([header, *(rows[k] for k in front)]) + "\r\n"
         assert (tmp_path / "pareto.csv").read_bytes() == expected.encode()
+
+
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            (lambda row: row.replace(",1000,", ",abc,"), "row 1: 'total_ops' is 'abc', not a finite number"),
+            (lambda row: row.replace(",3.0,", ",nan,"), "row 1: 'mae' is 'nan', not a finite number"),
+            (lambda row: row.rsplit(",", 1)[0], "row 1: no 'status' column"),
+        ],
+    )
+    def test_a_bad_ok_row_fails_before_the_directory_is_made(self, tmp_path, capsys, edit, shown):
+        header = ",".join(dataio.SWEEP_COLUMNS)
+        good = "per_cir,fixed,spatial,150,32,2000,2.5,1,2,3,4,5,ok"
+        results, out = tmp_path / "sweep_results.csv", tmp_path / "out"
+        results.write_text("\n".join([header, edit("multi_cir,fixed,learned,75,8,1000,3.0,1,2,3,4,5.0,ok"), good]))
+        assert main(["pareto", "--output-dir", str(out), "--results", str(results)]) == 2
+        assert capsys.readouterr().err == f"error: DatasetFormatError: {results}: {shown}\n"
+        assert not out.exists()
+
+    def test_a_table_without_total_ops_fails_before_the_directory_is_made(self, tmp_path, capsys):
+        columns = [c for c in dataio.SWEEP_COLUMNS if c != "total_ops"]
+        results, out = tmp_path / "sweep_results.csv", tmp_path / "out"
+        dataio.write_table(results, [{**dict.fromkeys(columns, "1"), "status": "error:X"}], columns)
+        dataio.write_table(results, [{**dict.fromkeys(columns, "1"), "status": "ok"}], columns, append=True)
+        assert main(["pareto", "--output-dir", str(out), "--results", str(results)]) == 2
+        assert capsys.readouterr().err == f"error: DatasetFormatError: {results}: row 2: no 'total_ops' column\n"
+        assert not out.exists()
 
 
 class TestParser:

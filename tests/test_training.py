@@ -14,6 +14,7 @@ from uwbcorr import (
 from uwbcorr import autodiff as ad
 from uwbcorr import model as model_module
 from uwbcorr.errors import ConfigError
+from uwbcorr.model import token_batches
 from uwbcorr.training import (
     ADAM_EPS,
     BETA1,
@@ -23,7 +24,6 @@ from uwbcorr.training import (
     Adam,
     TrainConfig,
     _eval_loss,
-    _token_batches,
     batch_loss,
     learning_rate,
     prepare_training_examples,
@@ -184,11 +184,6 @@ class TestChunks:
         assert [len(chunk) for chunk, _ in model.chunks(examples)] == [3, 3, 2]
         monkeypatch.setattr(model_module, "CHUNK_ROWS", 8)  # under one sample: one per chunk
         assert [len(chunk) for chunk, _ in model.chunks(examples)] == [1] * 8
-        # a batch one forward refuses stays whole, so the refusal still comes
-        odd = type(examples[0])(**{**examples[0].__dict__, "n_tokens": 10})
-        assert len(model.chunks(examples + [odd])) == 1
-        with pytest.raises(ValueError, match="equal token counts"):
-            model.predict_prepared(examples + [odd])
         self.set_cap(examples, monkeypatch, False)
         ((chunk, keeps),) = model.chunks(examples, True, np.random.default_rng(0))
         assert chunk == examples and len(keeps) == 2 * model.config.n_layers
@@ -242,40 +237,73 @@ class TestChunks:
         runs = []
         for split in (True, False):
             self.set_cap(examples, monkeypatch, split)
-            runs.append((model.predict_prepared(examples), _eval_loss(model, examples, 64)))
+            runs.append((model.predict_prepared(examples), _eval_loss(model, examples)))
         (pred, val), (want_pred, want_val) = runs
         assert pred.shape == (8, 3)
         assert np.abs(pred - want_pred).max() <= 1e-12 * np.abs(want_pred).max()
         assert abs(val - want_val) <= 1e-12 * want_val
 
+    def test_validation_loss_is_the_one_forward_loss(self, tiny_setup):
+        """On one token count and one chunk, the validation loss read from
+        ``predict_prepared`` is the loss ``batch_loss`` takes in one forward."""
+        model, examples = tiny_setup
+        assert len(model.chunks(examples)) == 1
+        want = float(batch_loss(model, examples).data)
+        assert abs(_eval_loss(model, examples) - want) <= 1e-15 * want
+
 
 class TestTokenBatches:
     @pytest.fixture(scope="class")
-    def mixed(self, small_env):
+    def mixed_config(self, small_env):
+        return make_model_config(
+            "per_cir", "time_based", "spatial", 75, 8, env=small_env, n_heads=2, n_layers=1
+        )
+
+    @pytest.fixture(scope="class")
+    def mixed(self, small_env, mixed_config):
         """Time-ordered examples with 3 or 4 available anchors, so the
         token counts differ from sample to sample."""
         rng = np.random.default_rng(44)
         points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(30, 2))]
         dataset = generate_dataset(small_env, points, 0.25, 45, ChannelConfig())
-        cfg = make_model_config(
-            "per_cir", "time_based", "spatial", 75, 8, env=small_env, n_heads=2, n_layers=1
-        )
-        examples, _ = prepare_training_examples(dataset, small_env, cfg, OPTS)
+        examples, _ = prepare_training_examples(dataset, small_env, mixed_config, OPTS)
         counts = [e.n_tokens for e in examples]
         assert len(set(counts)) >= 2 and counts != sorted(counts)
         return examples
 
+    def test_predict_prepared_takes_any_token_mix(self, mixed, mixed_config):
+        """Mixed token counts give, bit for bit and in input order, the
+        predictions of each token group passed alone."""
+        model = CorrectionModel.initialize(mixed_config, seed=3, zero_final_layer=False)
+        out = model.predict_prepared(mixed)
+        assert out.shape == (len(mixed), 3)
+        for n in {e.n_tokens for e in mixed}:
+            idx = [i for i, e in enumerate(mixed) if e.n_tokens == n]
+            assert np.array_equal(out[idx], model.predict_prepared([mixed[i] for i in idx]))
+        with pytest.raises(ValueError, match="empty batch"):
+            model.predict_prepared([])
+
+    def test_a_mixed_training_batch_stays_whole_and_is_refused(self, mixed, mixed_config):
+        model = CorrectionModel.initialize(mixed_config, seed=3, zero_final_layer=False)
+        for train_mode in (False, True):
+            ((chunk, keeps),) = model.chunks(mixed, train_mode, np.random.default_rng(0))
+            assert chunk is mixed and keeps is None
+            with pytest.raises(ValueError, match="equal token counts"):
+                compute_gradients(model, mixed, train_mode, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="equal token counts"):
+            model.forward_prepared(mixed)
+
     @pytest.mark.parametrize("seed", [None, 3])
     def test_each_index_once_in_batches_of_one_token_count(self, mixed, seed):
         rng = None if seed is None else np.random.default_rng(seed)
-        batches = _token_batches(mixed, 4, rng)
+        batches = token_batches(mixed, 4, rng)
         assert sorted(i for b in batches for i in b) == list(range(len(mixed)))
         for batch in batches:
             assert 1 <= len(batch) <= 4
             assert len({mixed[i].n_tokens for i in batch}) == 1
 
     def test_without_rng_the_input_order_is_kept(self, mixed):
-        batches = _token_batches(mixed, 4)
+        batches = token_batches(mixed, 4)
         first_seen = list(dict.fromkeys(e.n_tokens for e in mixed))
         by_group = sorted(range(len(mixed)), key=lambda i: first_seen.index(mixed[i].n_tokens))
         assert [i for b in batches for i in b] == by_group
@@ -284,10 +312,10 @@ class TestTokenBatches:
             assert all(size == 4 for size in sizes[:-1])
 
     def test_with_rng_one_permutation_per_group_in_order(self, mixed):
-        batches = _token_batches(mixed, 4, np.random.default_rng(7))
+        batches = token_batches(mixed, 4, np.random.default_rng(7))
         rng = np.random.default_rng(7)
         expected = []
-        for idx in _token_batches(mixed, len(mixed)):
+        for idx in token_batches(mixed, len(mixed)):
             shuffled = [idx[i] for i in rng.permutation(len(idx))]
             expected += [shuffled[lo : lo + 4] for lo in range(0, len(shuffled), 4)]
         assert batches == expected

@@ -99,15 +99,6 @@ def golden_setup(name):
     return env, cfg, solver, samples, examples, batch
 
 
-def predict_all(model, examples):
-    """Predictions for examples of mixed token counts, in input order."""
-    out = np.empty((len(examples), 3))
-    for n in sorted({e.n_tokens for e in examples}):
-        idx = [i for i, e in enumerate(examples) if e.n_tokens == n]
-        out[idx] = model.predict_prepared([examples[i] for i in idx])
-    return out
-
-
 def compute_entry(name):
     """Every array the fixture stores for one config, keyed as in the file."""
     env, cfg, solver, samples, examples, batch = golden_setup(name)
@@ -117,7 +108,7 @@ def compute_entry(name):
     entry.update({f"{name}/grad/{k}": g for k, g in grads.items()})
     train_cfg = TrainConfig(batch_size=8, max_epochs=EPOCHS, early_stop_patience=EPOCHS, seed=9)
     trained = train(samples, env, cfg, train_cfg, solver=solver)
-    entry[f"{name}/trained"] = predict_all(trained, examples)
+    entry[f"{name}/trained"] = trained.predict_prepared(examples)
     return entry
 
 
