@@ -8,7 +8,6 @@ from .model import CorrectionModel, ModelConfig, load_checkpoint, make_model_con
 from .patching import PatchSet, patch_multi_cir, patch_per_cir
 from .simulate import (
     Box,
-    ChannelConfig,
     Environment,
     RawCir,
     Sample,

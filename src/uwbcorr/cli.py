@@ -7,8 +7,9 @@ training epochs with ``--set train.max_epochs=N``. ``train`` evaluates on
 the evaluation set when there is one and, like ``evaluate``, writes
 metrics.json and estimates.csv. A command solves baselines on the plane
 z = ``environment.tag_height``, in the extent grown by ``tdoa.BOUND_MARGIN``.
-Every command reads all its inputs before it makes the output directory, so a
-bad or missing input leaves no directory behind. An error from
+Every command reads all its inputs, and ``simulate`` and ``train`` compute
+their results, before it makes the output directory, so a bad or missing
+input leaves no directory behind. An error from
 ``uwbcorr.errors`` (bad config, dataset, environment or checkpoint) or a
 missing input file prints one line, ``error: <Type>: <message>``, to stderr
 and exits with status 2; any other exception keeps its traceback.
@@ -32,13 +33,7 @@ from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
 from .errors import ConfigError, DatasetFormatError, InsufficientDataError, UwbcorrError, check_int
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
-from .simulate import (
-    ChannelConfig,
-    default_environment,
-    generate_dataset,
-    grid_trajectory,
-    random_trajectory,
-)
+from .simulate import default_environment, generate_dataset, grid_trajectory, random_trajectory
 from .tdoa import STOP_REASONS, SolverOptions
 from .training import evaluate_model, solve_solvable, train
 
@@ -65,24 +60,16 @@ def _setup_solving(args):
 def cmd_simulate(args) -> int:
     cfg, out = _setup(args)
     env = dataio.read_environment(args.env) if args.env else default_environment()
+    data, z = cfg.dataset, cfg.environment.tag_height
+    train_points = grid_trajectory(env, data.train_lines, data.train_points_per_line, z=z)
+    eval_points = random_trajectory(env, data.n_eval, z=z, seed=cfg.seed + 1)
+    train_set = generate_dataset(env, train_points, data.drop_probability, cfg.seed, data.snr_db)
+    eval_set = generate_dataset(env, eval_points, data.drop_probability, cfg.seed + 1, data.snr_db)
+
     out.mkdir(parents=True, exist_ok=True)
-    channel = ChannelConfig(snr_db=cfg.dataset.snr_db)
-    z = cfg.environment.tag_height
-
-    train_points = grid_trajectory(
-        env, cfg.dataset.train_lines, cfg.dataset.train_points_per_line, z=z
-    )
-    eval_points = random_trajectory(env, cfg.dataset.n_eval, z=z, seed=cfg.seed + 1)
-    train_set = generate_dataset(
-        env, train_points, cfg.dataset.drop_probability, cfg.seed, channel
-    )
-    eval_set = generate_dataset(
-        env, eval_points, cfg.dataset.drop_probability, cfg.seed + 1, channel
-    )
-
     dataio.write_environment(out / "environment.json", env)
-    dataio.write_samples_jsonl(out / cfg.dataset.train_path, train_set)
-    dataio.write_samples_jsonl(out / cfg.dataset.eval_path, eval_set)
+    dataio.write_samples_jsonl(out / data.train_path, train_set)
+    dataio.write_samples_jsonl(out / data.eval_path, eval_set)
 
     mean_available = float(
         np.mean([len(s.raw_cirs) for s in train_set + eval_set])
@@ -156,17 +143,23 @@ def _evaluate_and_write(model, dataset, env, solver, out: Path, path) -> None:
 def cmd_train(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     model_cfg = cfg.model.with_environment(env)
-    train_set = dataio.read_samples_jsonl(args.dataset or out / cfg.dataset.train_path)
+    train_path = args.dataset or out / cfg.dataset.train_path
+    train_set = dataio.read_samples_jsonl(train_path)
+    if not train_set:  # refused before any training time is spent
+        raise InsufficientDataError(f"{train_path}: no samples")
     # Only the config's default evaluation set may be absent; an explicit
     # --eval-dataset must exist, and is read before any training time is spent.
     eval_path = Path(args.eval_dataset or out / cfg.dataset.eval_path)
     eval_set = None
     if args.eval_dataset or eval_path.exists():
         eval_set = dataio.read_samples_jsonl(eval_path)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    model = train(train_set, env, model_cfg, cfg.train, solver=solver)
+    try:
+        model = train(train_set, env, model_cfg, cfg.train, solver=solver)
+    except InsufficientDataError as exc:
+        raise type(exc)(f"{train_path}: {exc}") from exc
     elapsed = time.monotonic() - started
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.npz")
     dataio.write_history_csv(out / "history.csv", model.history)
     print(

@@ -9,6 +9,7 @@ available at a position) may be fractional to express a dataset average.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,15 +85,9 @@ def pareto_front(results: Sequence[SweepResult]) -> list[SweepResult]:
     ordered = sorted(results, key=lambda r: (r.total_ops, r.mae))
     front: list[SweepResult] = []
     best_mae = float("inf")
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].total_ops == ordered[i].total_ops:
-            j += 1
-        group = ordered[i:j]
-        group_min = min(r.mae for r in group)
-        if group_min < best_mae:
-            front.extend(r for r in group if r.mae == group_min)
-            best_mae = group_min
-        i = j
+    for _, group in itertools.groupby(ordered, key=lambda r: r.total_ops):
+        group = list(group)
+        if group[0].mae < best_mae:  # a group's first row has its lowest MAE
+            best_mae = group[0].mae
+            front.extend(r for r in group if r.mae == best_mae)
     return front

@@ -144,12 +144,12 @@ def read_environment(path) -> Environment:
         raise DatasetFormatError(f"{path}: bad environment value: {exc}") from exc
 
 
-def write_metrics_json(path, report: MetricsReport, extra: dict | None = None):
+def write_metrics_json(path, report: MetricsReport, extra: dict):
     payload = {
         "mae_m": report.mae,
         "cep_m": {str(q): report.cep[q] for q in CEP_QUANTILES},
         "n_samples": report.n_samples,
-        **(extra or {}),
+        **extra,
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -238,12 +238,13 @@ def _multi_head_attention(
     heads = cfg.n_heads
     hw = d // heads
 
-    def project(name, src):
+    def project(name, src, axes):
         t = ad.matmul(src, prm[pre + f"attn.w{name}"], prm[pre + f"attn.b{name}"])
-        return ad.transpose(ad.reshape(t, (b, src.data.shape[1], heads, hw)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(t, (b, src.data.shape[1], heads, hw)), axes)
 
-    q, k, v = project("q", queries), project("k", x), project("v", x)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+    # (B, heads, rows, hw) queries and values, and the keys as (B, heads, hw, n)
+    q, v = project("q", queries, (0, 2, 1, 3)), project("v", x, (0, 2, 1, 3))
+    scores = ad.matmul(q, project("k", x, (0, 2, 3, 1)))
     ctx = ad.matmul(ad.softmax(scores, 1.0 / math.sqrt(hw)), v)
     ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b, queries.data.shape[1], d))
     return ad.matmul(ctx, prm[pre + "attn.wo"], prm[pre + "attn.bo"])
@@ -278,10 +279,10 @@ def _encoder_stack(x: ad.Tensor, prm, cfg: ModelConfig, keeps) -> ad.Tensor:
 class CorrectionModel:
     """Parameter store plus the differentiable forward pass."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray], history=None):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.params = {k: ad.Tensor(np.array(v, dtype=float), requires_grad=True) for k, v in params.items()}
-        self.history = history
+        self.history = None  # the TrainingHistory that ``train`` sets
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0, zero_final_layer: bool = True):

@@ -7,8 +7,8 @@ detected first path arrives late and the reception timestamp carries a
 positive error. Line-of-sight links are timestamped exactly.
 
 The channel parameters are placeholders tuned for plausible-looking CIRs,
-not radio fidelity. The three that runs and tests vary sit in
-:class:`ChannelConfig`; the rest are the module constants below.
+not radio fidelity. They are the module constants below; only the
+signal-to-noise ratio, ``snr_db``, is an argument.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXTRA_TAPS = (3, 8)  # inclusive range of diffuse multipath taps per link
 EXTRA_TAP_MAX_EXCESS_M = 30.0
 EXTRA_TAP_DECAY_M = 8.0
 NLOS_DIRECT_GAIN = (0.0, 0.3)  # uniform range of a blocked direct tap's gain
+NLOS_EXCESS_M = (0.5, 15.0)  # and of the dominant reflection's extra path (m)
 NLOS_REFLECTED_GAIN = (0.7, 1.0)  # and of the dominant reflection's gain
 TRAJECTORY_MARGIN_M = 1.0  # the trajectories keep this far from the x and y walls
 
@@ -120,15 +121,6 @@ class Sample:
             raise ValueError(f"anchor id {repeated!r} appears twice")
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Knobs for the synthetic channel; values are placeholders, not physics."""
-
-    snr_db: Optional[float] = 20.0  # None disables noise
-    multipath: bool = True
-    nlos_excess_m: tuple[float, float] = (0.5, 15.0)
-
-
 def _segment_hits_box(p0: np.ndarray, p1: np.ndarray, box: Box) -> bool:
     # Slab test; only a positive-length overlap of the open segment counts,
     # so grazing contact at a face or endpoint does not block.
@@ -163,31 +155,25 @@ def _pulse(offsets: np.ndarray, halfwidth: float) -> np.ndarray:
     return out
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def synth_cir(
     tag,
     anchor: Anchor,
     env: Environment,
-    rng,
-    cfg: ChannelConfig = ChannelConfig(),
+    rng: np.random.Generator,
+    snr_db: Optional[float],
 ) -> RawCir:
     """Simulate one anchor's raw CIR for a tag transmission sent at time 0.
 
     LOS links place the strongest tap at the true propagation delay and the
     timestamp error is zero. Obstructed links attenuate the direct tap and
-    move the detected first path to a dominant reflection 0.5-15 m longer,
-    so ``rx_time`` is biased late; the weak direct tap stays visible in the
-    buffer ahead of the detected slot.
+    move the detected first path to a dominant reflection ``NLOS_EXCESS_M``
+    longer, so ``rx_time`` is biased late; the weak direct tap stays visible
+    in the buffer ahead of the detected slot. Diffuse multipath taps follow
+    the detected path, and ``snr_db`` None leaves out the noise.
     """
     tag = np.asarray(tag, dtype=float)
     if not env.contains(tag):
         raise OutOfBoundsError(f"tag {tag.tolist()} outside environment extent {env.extent}")
-    rng = _as_rng(rng)
 
     dist = euclidean_distance(tag, anchor.position)
     tau_direct = dist / SPEED_OF_LIGHT
@@ -200,21 +186,19 @@ def synth_cir(
         detected_delay = tau_direct
         delays, gains = [tau_direct], [1.0]
     else:
-        ranges = (NLOS_DIRECT_GAIN, cfg.nlos_excess_m, NLOS_REFLECTED_GAIN)
+        ranges = (NLOS_DIRECT_GAIN, NLOS_EXCESS_M, NLOS_REFLECTED_GAIN)
         draws = zip(ranges, rng.random(3).tolist())
         direct_gain, excess_m, reflected_gain = (lo + (hi - lo) * u for (lo, hi), u in draws)
         detected_delay = tau_direct + excess_m / SPEED_OF_LIGHT
         delays, gains = [tau_direct, detected_delay], [direct_gain, reflected_gain]
-    delays = np.array(delays)
     amps = np.array(gains) * np.exp(1j * (2 * np.pi * rng.random(len(gains))))
 
-    if cfg.multipath:
-        n_extra = int(rng.integers(EXTRA_TAPS[0], EXTRA_TAPS[1] + 1))
-        u = rng.random((n_extra, 3))  # excess, gain and phase of each tap
-        excess = 0.5 + (EXTRA_TAP_MAX_EXCESS_M - 0.5) * u[:, 0]
-        gain = np.exp(-excess / EXTRA_TAP_DECAY_M) * (0.2 + (0.6 - 0.2) * u[:, 1])
-        delays = np.concatenate([delays, detected_delay + excess / SPEED_OF_LIGHT])
-        amps = np.concatenate([amps, gain * np.exp(1j * (2 * np.pi * u[:, 2]))])
+    n_extra = int(rng.integers(EXTRA_TAPS[0], EXTRA_TAPS[1] + 1))
+    u = rng.random((n_extra, 3))  # excess, gain and phase of each tap
+    excess = 0.5 + (EXTRA_TAP_MAX_EXCESS_M - 0.5) * u[:, 0]
+    gain = np.exp(-excess / EXTRA_TAP_DECAY_M) * (0.2 + (0.6 - 0.2) * u[:, 1])
+    delays = np.concatenate([delays, detected_delay + excess / SPEED_OF_LIGHT])
+    amps = np.concatenate([amps, gain * np.exp(1j * (2 * np.pi * u[:, 2]))])
 
     pos = FIRST_PATH_SLOT + (delays - detected_delay) / SAMPLE_PERIOD_S
     offsets = np.arange(CIR_LENGTH, dtype=float) - pos[:, None]
@@ -223,9 +207,9 @@ def synth_cir(
     for row in pulses:  # tap by tap onto +0.0, so zeros keep their sign
         iq += row
 
-    if cfg.snr_db is not None:
+    if snr_db is not None:
         peak = np.hypot(amps.real, amps.imag).max()  # abs() of each amp, bit for bit
-        sigma = peak * 10.0 ** (-cfg.snr_db / 20.0)
+        sigma = peak * 10.0 ** (-snr_db / 20.0)
         noise = rng.normal(0.0, sigma / np.sqrt(2.0), size=(2, CIR_LENGTH))
         iq += noise[0] + 1j * noise[1]
 
@@ -242,13 +226,14 @@ def generate_dataset(
     trajectory: Sequence,
     drop_probability: float,
     rng_seed: int,
-    cfg: ChannelConfig = ChannelConfig(),
+    snr_db: Optional[float] = 20.0,
 ) -> list[Sample]:
     """One labeled sample per trajectory point, deterministic per seed.
 
     Each anchor independently misses the packet with ``drop_probability``;
     a sample always keeps at least one anchor (the mask is redrawn in the
-    rare all-dropped case).
+    rare all-dropped case). A point outside the extent raises
+    OutOfBoundsError from :func:`synth_cir`.
     """
     if not 0.0 <= drop_probability < 1.0:
         raise ValueError(f"drop_probability must be in [0, 1), got {drop_probability}")
@@ -259,15 +244,13 @@ def generate_dataset(
     children = np.random.SeedSequence(rng_seed).spawn(len(trajectory))
     samples = []
     for point, child in zip(trajectory, children):
-        if not env.contains(point):
-            raise OutOfBoundsError(f"trajectory point {point.tolist()} outside extent")
         rng = np.random.default_rng(child)
         while True:
             keep = rng.random(len(anchors)) >= drop_probability
             if keep.any():
                 break
         cirs = tuple(
-            synth_cir(point, a, env, rng, cfg) for a, k in zip(anchors, keep) if k
+            synth_cir(point, a, env, rng, snr_db) for a, k in zip(anchors, keep) if k
         )
         samples.append(Sample(true_position=point, raw_cirs=cirs))
     return samples

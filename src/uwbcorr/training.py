@@ -187,7 +187,7 @@ def train(
 ) -> CorrectionModel:
     """Fit a correction model; returns it at the best validation loss."""
     if not samples:
-        raise ValueError("empty dataset")
+        raise InsufficientDataError("empty dataset")
     examples, skipped = prepare_training_examples(samples, env, model_cfg, solver)
     if len(examples) < 2:
         raise InsufficientDataError("need at least 2 solvable samples to train")

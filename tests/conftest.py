@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uwbcorr import Anchor, Box, ChannelConfig, Environment, generate_dataset, simulate
+from uwbcorr import Anchor, Box, Environment, generate_dataset, simulate
 from uwbcorr.encodings import DELTA_T_MAX_S, OMEGA_HI, OMEGA_LO
 from uwbcorr.tdoa import SPEED_OF_LIGHT, euclidean_distance
 
@@ -89,7 +89,7 @@ def _reference_pulse(offsets, halfwidth):
     return out
 
 
-def _reference_cir(tag, anchor, env, rng, cfg):
+def _reference_cir(tag, anchor, env, rng, snr_db):
     """One CIR as (anchor id, rx_time, iq), drawn tap by tap with scalar
     ``rng.uniform`` calls and summed one pulse at a time."""
     s = simulate
@@ -99,30 +99,29 @@ def _reference_cir(tag, anchor, env, rng, cfg):
         taps.append((tau_direct, np.exp(1j * rng.uniform(0, 2 * np.pi))))
     else:
         direct_gain = rng.uniform(*s.NLOS_DIRECT_GAIN)
-        excess_m = rng.uniform(*cfg.nlos_excess_m)
+        excess_m = rng.uniform(*s.NLOS_EXCESS_M)
         reflected_gain = rng.uniform(*s.NLOS_REFLECTED_GAIN)
         detected_delay = tau_direct + excess_m / SPEED_OF_LIGHT
         taps.append((tau_direct, direct_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
         taps.append((detected_delay, reflected_gain * np.exp(1j * rng.uniform(0, 2 * np.pi))))
-    if cfg.multipath:
-        for _ in range(int(rng.integers(s.EXTRA_TAPS[0], s.EXTRA_TAPS[1] + 1))):
-            excess = rng.uniform(0.5, s.EXTRA_TAP_MAX_EXCESS_M)
-            gain = np.exp(-excess / s.EXTRA_TAP_DECAY_M) * rng.uniform(0.2, 0.6)
-            amp = gain * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            taps.append((detected_delay + excess / SPEED_OF_LIGHT, amp))
+    for _ in range(int(rng.integers(s.EXTRA_TAPS[0], s.EXTRA_TAPS[1] + 1))):
+        excess = rng.uniform(0.5, s.EXTRA_TAP_MAX_EXCESS_M)
+        gain = np.exp(-excess / s.EXTRA_TAP_DECAY_M) * rng.uniform(0.2, 0.6)
+        amp = gain * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        taps.append((detected_delay + excess / SPEED_OF_LIGHT, amp))
     grid = np.arange(s.CIR_LENGTH, dtype=float)
     iq = np.zeros(s.CIR_LENGTH, dtype=np.complex128)
     for delay, amp in taps:
         pos = s.FIRST_PATH_SLOT + (delay - detected_delay) / s.SAMPLE_PERIOD_S
         iq += amp * _reference_pulse(grid - pos, s.PULSE_HALFWIDTH_SAMPLES)
-    if cfg.snr_db is not None:
-        sigma = max(abs(a) for _, a in taps) * 10.0 ** (-cfg.snr_db / 20.0)
+    if snr_db is not None:
+        sigma = max(abs(a) for _, a in taps) * 10.0 ** (-snr_db / 20.0)
         noise = rng.normal(0.0, sigma / np.sqrt(2.0), size=(2, s.CIR_LENGTH))
         iq += noise[0] + 1j * noise[1]
     return anchor.id, detected_delay, iq
 
 
-def reference_dataset(env, trajectory, drop_probability, rng_seed, cfg):
+def reference_dataset(env, trajectory, drop_probability, rng_seed, snr_db):
     """``generate_dataset`` with the per-tap channel loop: for each point,
     the (anchor id, rx_time, iq) of every CIR kept."""
     anchors = sorted(env.anchors, key=lambda a: a.id)
@@ -132,7 +131,7 @@ def reference_dataset(env, trajectory, drop_probability, rng_seed, cfg):
         rng = np.random.default_rng(child)
         while not (keep := rng.random(len(anchors)) >= drop_probability).any():
             pass
-        out.append([_reference_cir(point, a, env, rng, cfg) for a, k in zip(anchors, keep) if k])
+        out.append([_reference_cir(point, a, env, rng, snr_db) for a, k in zip(anchors, keep) if k])
     return out
 
 
@@ -162,13 +161,12 @@ def open_env(small_env):
 def small_dataset(small_env):
     rng = np.random.default_rng(11)
     points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1.0, 9.0, size=(12, 2))]
-    return generate_dataset(small_env, points, 0.0, 21, ChannelConfig())
+    return generate_dataset(small_env, points, 0.0, 21)
 
 
 @pytest.fixture(scope="session")
 def clean_dataset(open_env):
-    """LOS-only, noise-free, single-tap channels: exact timestamps."""
+    """LOS-only, noise-free channels: exact timestamps."""
     rng = np.random.default_rng(13)
     points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1.0, 9.0, size=(10, 2))]
-    cfg = ChannelConfig(snr_db=None, multipath=False)
-    return generate_dataset(open_env, points, 0.0, 22, cfg)
+    return generate_dataset(open_env, points, 0.0, 22, snr_db=None)

@@ -14,7 +14,6 @@ import pytest
 from uwbcorr import (
     Anchor,
     Box,
-    ChannelConfig,
     CorrectionModel,
     Environment,
     SolverOptions,
@@ -81,7 +80,7 @@ def test_criterion_2_gradient_correctness(small_env):
     model = CorrectionModel.initialize(cfg, seed=7, zero_final_layer=False)
     rng = np.random.default_rng(1002)
     points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(2, 2))]
-    dataset = generate_dataset(small_env, points, 0.0, 1003, ChannelConfig())
+    dataset = generate_dataset(small_env, points, 0.0, 1003)
     examples, _ = prepare_training_examples(
         dataset, small_env, cfg, SolverOptions.for_environment(small_env, fix_z=1.0)
     )
@@ -168,9 +167,7 @@ def test_criterion_3_shape_and_count_suite():
 
 
 def test_criterion_4_permutation_invariance(small_env):
-    sample = generate_dataset(
-        small_env, [np.array([3.0, 7.0, 1.0])], 0.0, 1004, ChannelConfig()
-    )[0]
+    sample = generate_dataset(small_env, [np.array([3.0, 7.0, 1.0])], 0.0, 1004)[0]
     tensor = build_input_tensor(sample, small_env, "fixed")
     p_tdoa = np.array([4.0, 6.0, 1.0])
     rng = np.random.default_rng(1005)
@@ -237,11 +234,8 @@ def test_criterion_6_synthetic_end_to_end():
         extent=(30.0, 10.0, 3.0),
     )
     assert env.n_anchors == 15 and len(env.obstacles) == 3
-    channel = ChannelConfig()
-    train_set = generate_dataset(env, grid_trajectory(env, 10, 300, z=1.0), 0.587, 7, channel)
-    eval_set = generate_dataset(
-        env, random_trajectory(env, 1000, z=1.0, seed=8), 0.587, 8, channel
-    )
+    train_set = generate_dataset(env, grid_trajectory(env, 10, 300, z=1.0), 0.587, 7)
+    eval_set = generate_dataset(env, random_trajectory(env, 1000, z=1.0, seed=8), 0.587, 8)
     assert len(train_set) == 3000 and len(eval_set) == 1000
 
     options = SolverOptions.for_environment(env, fix_z=1.0)

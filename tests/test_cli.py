@@ -531,6 +531,39 @@ class TestErrorExit:
         assert err == f"error: InsufficientDataError: {path}: no solvable samples\n"
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_outside_the_extent(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        setting = ["--set", "environment.tag_height=5.0"]  # above the 3 m ceiling
+        assert main(["simulate", "--output-dir", str(out), *TINY_DATA, *setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: OutOfBoundsError: ") and err.count("\n") == 1
+        assert "[1.0, 1.0, 5.0]" in err  # the first grid point
+        assert not out.exists()  # both datasets are generated before the directory is made
+
+    def _train(self, tiny_run, tmp_path, dataset):
+        return main(
+            [
+                "train",
+                "--output-dir",
+                str(tmp_path / "out"),
+                "--dataset",
+                str(dataset),
+                "--env",
+                str(tiny_run / "environment.json"),
+                *TINY_MODEL,
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "n_lines, shown", [(0, "no samples"), (1, "need at least 2 solvable samples to train")]
+    )
+    def test_train_on_too_few_samples(self, tiny_run, tmp_path, capsys, n_lines, shown):
+        path = tmp_path / "few.jsonl"
+        path.write_text("".join((tiny_run / "train.jsonl").read_text().splitlines(keepends=True)[:n_lines]))
+        assert self._train(tiny_run, tmp_path, path) == 2
+        assert capsys.readouterr().err == f"error: InsufficientDataError: {path}: {shown}\n"
+        assert not (tmp_path / "out").exists()  # refused or trained before the directory is made
+
     def test_other_exceptions_keep_their_traceback(self, tiny_run, tmp_path):
         folder = tmp_path / "a_folder"  # an input path that names a directory
         folder.mkdir()

@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_write_samples_jsonl
 from uwbcorr import dataio
 from uwbcorr.errors import DatasetFormatError
-from uwbcorr.simulate import ChannelConfig, RawCir, Sample, default_environment, generate_dataset
+from uwbcorr.simulate import RawCir, Sample, default_environment, generate_dataset
 
 
 def test_write_matches_the_round_per_value_writer(tmp_path, small_dataset):
@@ -52,8 +52,8 @@ def test_samples_jsonl_round_trip(tmp_path, small_env, small_dataset):
 def test_write_is_byte_identical_across_runs(tmp_path, small_env):
     points = [np.array([2.0, 3.0, 1.0]), np.array([8.0, 7.0, 1.0])]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    dataio.write_samples_jsonl(p1, generate_dataset(small_env, points, 0.4, 5, ChannelConfig()))
-    dataio.write_samples_jsonl(p2, generate_dataset(small_env, points, 0.4, 5, ChannelConfig()))
+    dataio.write_samples_jsonl(p1, generate_dataset(small_env, points, 0.4, 5))
+    dataio.write_samples_jsonl(p2, generate_dataset(small_env, points, 0.4, 5))
     assert p1.read_bytes() == p2.read_bytes()
 
 

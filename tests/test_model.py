@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from uwbcorr import (
-    ChannelConfig,
     CorrectionModel,
     SolverOptions,
     baseline_position,
@@ -156,7 +155,7 @@ def train_forward(model, examples, seed):
 def one_sample(env, seed=0, drop=0.0):
     rng = np.random.default_rng(seed)
     point = rng.uniform([1, 1, 1], [9, 9, 1])
-    return generate_dataset(env, [point], drop, seed, ChannelConfig())[0]
+    return generate_dataset(env, [point], drop, seed)[0]
 
 
 class TestModelConfig:

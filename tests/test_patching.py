@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uwbcorr import (
-    ChannelConfig,
     generate_dataset,
     make_model_config,
     patch_multi_cir,
@@ -133,7 +132,7 @@ class TestEmbedPatches:
         """An absent anchor's zero-padded row reaches the embedding as zero
         patches, so its tokens carry only the bias and the anchor's
         encodings, and it keeps its spatial row."""
-        sample = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])], 0.5, 3, ChannelConfig())[0]
+        sample = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])], 0.5, 3)[0]
         present = {c.anchor_id for c in sample.raw_cirs}
         absent = [i for i, a in enumerate(small_env.anchors) if a.id not in present]
         assert absent
@@ -149,7 +148,7 @@ class TestEmbedPatches:
 
     @pytest.mark.parametrize("l_patch", [150, 30])
     def test_an_example_keeps_only_its_non_zero_patches(self, small_env, l_patch):
-        sample = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])], 0.5, 3, ChannelConfig())[0]
+        sample = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])], 0.5, 3)[0]
         cfg = make_model_config("per_cir", "fixed", "spatial", l_patch, 16, env=small_env)
         ex = prepare_example(sample, small_env, cfg, np.array([5.0, 5.0, 1.0]))
         tensor = build_input_tensor(sample, small_env, "fixed")

@@ -6,7 +6,6 @@ from uwbcorr import (
     SPEED_OF_LIGHT,
     Anchor,
     Box,
-    ChannelConfig,
     RawCir,
     SolverOptions,
     baseline_position,
@@ -20,7 +19,7 @@ from uwbcorr import (
 )
 from uwbcorr.cir import iq_to_amplitude
 from uwbcorr.errors import OutOfBoundsError
-from uwbcorr.simulate import SAMPLE_PERIOD_S
+from uwbcorr.simulate import NLOS_EXCESS_M, SAMPLE_PERIOD_S
 
 
 def timestamp_bias(raw, tag, anchor):
@@ -69,34 +68,36 @@ def test_los_matches_brute_force_oracle():
 
 
 class TestSynthCir:
-    def test_los_single_tap_peak_at_first_path(self, open_env):
-        cfg = ChannelConfig(snr_db=None, multipath=False)
+    def test_los_peak_at_first_path(self, open_env):
         tag = np.array([3.0, 3.0, 1.0])
-        raw = synth_cir(tag, open_env.anchors[0], open_env, 0, cfg)
+        raw = synth_cir(tag, open_env.anchors[0], open_env, np.random.default_rng(0), None)
         amp = iq_to_amplitude(raw)
         assert int(np.argmax(amp)) == raw.first_path_index
         assert timestamp_bias(raw, tag, open_env.anchors[0]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_nlos_three_meter_excess(self, small_env):
-        cfg = ChannelConfig(snr_db=None, multipath=False, nlos_excess_m=(3.0, 3.0))
+    def test_nlos_bias_lies_in_the_excess_range(self, small_env):
         tag = np.array([3.0, 5.0, 1.0])  # obstacle sits between tag and anchor 3
         anchor = small_env.anchors[2]  # id 3
         assert not los_status(tag, anchor, small_env.obstacles)
-        raw = synth_cir(tag, anchor, small_env, 4, cfg)
-        eps = timestamp_bias(raw, tag, anchor)
-        assert eps == pytest.approx(3.0 / SPEED_OF_LIGHT, rel=1e-12)
-        assert eps > 0
+        lo, hi = (m / SPEED_OF_LIGHT for m in NLOS_EXCESS_M)
+        biases = []
+        for seed in range(20):
+            raw = synth_cir(tag, anchor, small_env, np.random.default_rng(seed), None)
+            biases.append(timestamp_bias(raw, tag, anchor))
+        assert all(lo * (1 - 1e-12) <= eps <= hi * (1 + 1e-12) for eps in biases)
+        assert min(biases) > 0
+        assert len(set(biases)) == len(biases)  # drawn per link, not fixed
 
     def test_deterministic_per_seed(self, small_env):
         tag = np.array([2.0, 2.0, 1.0])
-        a = synth_cir(tag, small_env.anchors[0], small_env, 123)
-        b = synth_cir(tag, small_env.anchors[0], small_env, 123)
+        a = synth_cir(tag, small_env.anchors[0], small_env, np.random.default_rng(123), 20.0)
+        b = synth_cir(tag, small_env.anchors[0], small_env, np.random.default_rng(123), 20.0)
         assert np.array_equal(a.iq, b.iq)
         assert a.rx_time == b.rx_time and a.first_path_index == b.first_path_index
 
     def test_out_of_bounds_tag(self, small_env):
         with pytest.raises(OutOfBoundsError):
-            synth_cir([50.0, 2.0, 1.0], small_env.anchors[0], small_env, 0)
+            synth_cir([50.0, 2.0, 1.0], small_env.anchors[0], small_env, np.random.default_rng(0), 20.0)
 
     def test_nlos_bias_always_positive(self, small_env):
         rng = np.random.default_rng(10)
@@ -106,18 +107,17 @@ class TestSynthCir:
             for anchor in small_env.anchors:
                 if los_status(tag, anchor, small_env.obstacles):
                     continue
-                raw = synth_cir(tag, anchor, small_env, seed)
+                raw = synth_cir(tag, anchor, small_env, np.random.default_rng(seed), 20.0)
                 assert timestamp_bias(raw, tag, anchor) > 0
                 count += 1
         assert count > 10  # the obstacle must actually block something
 
     def test_los_first_path_delay_within_half_sample(self, open_env):
-        cfg = ChannelConfig(snr_db=None)
         rng = np.random.default_rng(12)
         for _ in range(20):
             tag = rng.uniform([1, 1, 0.5], [9, 9, 1.5])
             for anchor in open_env.anchors:
-                raw = synth_cir(tag, anchor, open_env, 3, cfg)
+                raw = synth_cir(tag, anchor, open_env, np.random.default_rng(3), None)
                 measured = raw.rx_time * SPEED_OF_LIGHT
                 true = np.linalg.norm(tag - anchor.position)
                 assert abs(measured - true) <= 0.5 * SAMPLE_PERIOD_S * SPEED_OF_LIGHT
@@ -150,22 +150,18 @@ class TestGenerateDataset:
         ds = generate_dataset(small_env, [np.array([5.0, 2.0, 1.0])] * 50, 0.85, 3)
         assert all(len(s.raw_cirs) >= 1 for s in ds)
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            ChannelConfig(),
-            ChannelConfig(snr_db=None),
-            ChannelConfig(multipath=False),
-            ChannelConfig(snr_db=None, multipath=False),
-        ],
-        ids=["default", "noise_free", "single_path", "noise_free_single_path"],
-    )
-    def test_matches_the_per_tap_reference_bit_for_bit(self, cfg):
+    def test_point_outside_the_extent_is_named(self, small_env):
+        points = [np.array([2.0, 2.0, 1.0]), np.array([2.0, 12.0, 1.0])]
+        with pytest.raises(OutOfBoundsError, match=r"\[2\.0, 12\.0, 1\.0\] outside"):
+            generate_dataset(small_env, points, 0.5, 1)
+
+    @pytest.mark.parametrize("snr_db", [20.0, None], ids=["default", "noise_free"])
+    def test_matches_the_per_tap_reference_bit_for_bit(self, snr_db):
         """Same draws, same pulse sums in tap order, same signed zeros."""
         env = default_environment()
         points = random_trajectory(env, n_points=60, seed=4, step=2.0)
-        got = generate_dataset(env, points, 0.3, 17, cfg)
-        want = reference_dataset(env, points, 0.3, 17, cfg)
+        got = generate_dataset(env, points, 0.3, 17, snr_db)
+        want = reference_dataset(env, points, 0.3, 17, snr_db)
         assert len(got) == len(want)
         for sample, cirs in zip(got, want):
             assert [(c.anchor_id, c.rx_time) for c in sample.raw_cirs] == [c[:2] for c in cirs]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from uwbcorr import (
-    ChannelConfig,
     CorrectionModel,
     SolverOptions,
     compute_gradients,
@@ -36,7 +35,7 @@ OPTS = SolverOptions(fix_z=1.0)
 def tiny_setup(small_env):
     rng = np.random.default_rng(20)
     points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(8, 2))]
-    dataset = generate_dataset(small_env, points, 0.0, 30, ChannelConfig())
+    dataset = generate_dataset(small_env, points, 0.0, 30)
     cfg = make_model_config(
         "per_cir", "fixed", "spatial", 75, 8, env=small_env, n_heads=2, n_layers=1
     )
@@ -127,7 +126,7 @@ class TestComputeGradients:
         model = CorrectionModel.initialize(cfg, seed=3, zero_final_layer=False)
         rng = np.random.default_rng(31)
         points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(2, 2))]
-        ds = generate_dataset(small_env, points, 0.0, 32, ChannelConfig())
+        ds = generate_dataset(small_env, points, 0.0, 32)
         examples, _ = prepare_training_examples(ds, small_env, cfg, OPTS)
         _, grads = compute_gradients(model, examples)
         table = model.params["pe.seq"]
@@ -265,7 +264,7 @@ class TestTokenBatches:
         token counts differ from sample to sample."""
         rng = np.random.default_rng(44)
         points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(30, 2))]
-        dataset = generate_dataset(small_env, points, 0.25, 45, ChannelConfig())
+        dataset = generate_dataset(small_env, points, 0.25, 45)
         examples, _ = prepare_training_examples(dataset, small_env, mixed_config, OPTS)
         counts = [e.n_tokens for e in examples]
         assert len(set(counts)) >= 2 and counts != sorted(counts)
@@ -325,7 +324,7 @@ class TestTrain:
     def test_smoke_run_reduces_loss_tenfold(self, small_env):
         rng = np.random.default_rng(40)
         points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(200, 2))]
-        dataset = generate_dataset(small_env, points, 0.0, 41, ChannelConfig())
+        dataset = generate_dataset(small_env, points, 0.0, 41)
         cfg = make_model_config(
             "per_cir", "fixed", "spatial", 150, 16, env=small_env, n_layers=2, dropout_p=0.05
         )
@@ -337,7 +336,7 @@ class TestTrain:
     def test_same_seed_same_parameters(self, small_env):
         rng = np.random.default_rng(42)
         points = [np.array([x, y, 1.0]) for x, y in rng.uniform(1, 9, size=(24, 2))]
-        dataset = generate_dataset(small_env, points, 0.3, 43, ChannelConfig())
+        dataset = generate_dataset(small_env, points, 0.3, 43)
         cfg = make_model_config(
             "per_cir", "time_based", "spatial", 150, 8, env=small_env, n_heads=2, n_layers=1
         )
