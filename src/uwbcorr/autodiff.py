@@ -11,15 +11,22 @@ and then applies the affine, and ``softmax(a, scale)`` scales its input
 first. A 2-D right operand shared across the batch dimensions of ``a`` runs
 as one flattened GEMM in the forward and both backward products.
 
-Gradients accumulate into ``Tensor.grad`` out of place: a later
-contribution makes a new array and never writes into the one kept, so a
-backward closure may hand over the upstream gradient or a view of it
-without a copy, and several tensors may hold the same array. A node whose
-inputs carry no gradient gets no closure, and inside a ``no_grad()`` block
-no node gets one, so an evaluation pass keeps no tape. ``backward`` frees
-the tape as it sweeps: once a node's closure has run, the node drops it,
-its parents and its gradient, so each activation and inner gradient goes
-as soon as the sweep has passed it. Only leaves keep ``.grad``.
+The tape keeps only what a backward reads. A tensor's gradient, parents and
+closure live on its ``GradSlot``, apart from its data: a node's parents are
+its operands' slots, and its closure captures slots, shapes and the arrays
+it reads, never a ``Tensor``. So an array that no backward reads, such as a
+softmax's scores or a layer norm's inputs, goes when the model code drops
+its tensor. Tensors off the tape share ``OFF_TAPE``, and an op returns
+before it builds a closure when no operand needs a gradient or inside a
+``no_grad()`` block, so an evaluation pass keeps no tape.
+
+Gradients accumulate into ``.grad`` out of place: a later contribution
+makes a new array and never writes into the one kept, so a backward closure
+may hand over the upstream gradient or a view of it without a copy, and
+several tensors may hold the same array. ``backward`` frees the tape as it
+sweeps: once a node's closure has run, the node drops it, its parents and
+its gradient, so each captured array and inner gradient goes as soon as the
+sweep has passed it. Only leaves keep ``.grad``.
 """
 
 from __future__ import annotations
@@ -32,18 +39,45 @@ _grad_enabled = True
 LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
+class GradSlot:
+    """A tensor's place on the tape: its gradient, whether it needs one, the
+    slots of the operands it came from and the closure that feeds them."""
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, requires_grad: bool = False, parents: tuple = (), backward=None):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward = backward
+
+
+OFF_TAPE = GradSlot()  # shared by every tensor without a slot of its own; never written
+
+
+def _on_slot(name: str) -> property:
+    """A Tensor attribute kept on its slot; setting it on a tensor off the
+    tape first gives that tensor a slot of its own."""
+
+    def put(t, value):
+        if t.slot is OFF_TAPE:
+            t.slot = GradSlot()
+        setattr(t.slot, name, value)
+
+    return property(lambda t: getattr(t.slot, name), put)
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "slot")
+    grad, requires_grad = _on_slot("grad"), _on_slot("requires_grad")
+    _parents, _backward = _on_slot("_parents"), _on_slot("_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, np.ndarray) and data.dtype == np.float64:
             self.data = data
         else:
             self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
+        self.slot = GradSlot(True) if requires_grad else OFF_TAPE
 
     @property
     def shape(self):
@@ -64,12 +98,19 @@ def no_grad():
         _grad_enabled = saved
 
 
-def _node(data, parents, backward) -> Tensor:
+def _taped(*operands):
+    """The operands' slots, ``OFF_TAPE`` for an absent one, when the result
+    goes on the tape; None under ``no_grad`` or when none needs a gradient."""
+    if _grad_enabled:
+        slots = tuple(OFF_TAPE if t is None else t.slot for t in operands)
+        if any(s.requires_grad for s in slots):
+            return slots
+    return None
+
+
+def _node(data, slots, backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(p for p in parents if p.requires_grad)
-        out._backward = backward
+    out.slot = GradSlot(True, tuple(s for s in slots if s.requires_grad), backward)
     return out
 
 
@@ -85,45 +126,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    """Add g to t.grad out of place; g may be shared, so it is never written."""
-    if not t.requires_grad:
+def _accum(s: GradSlot, g: np.ndarray):
+    """Add g to s.grad out of place; g may be shared, so it is never written."""
+    if not s.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    s.grad = g if s.grad is None else s.grad + g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+    out = a.data + b.data
+    if (slots := _taped(a, b)) is None:
+        return Tensor(out)
+    (sa, sb), a_shape, b_shape = slots, a.data.shape, b.data.shape
 
-    return _node(a.data + b.data, (a, b), bw)
+    def bw(g):
+        _accum(sa, _unbroadcast(g, a_shape))
+        _accum(sb, _unbroadcast(g, b_shape))
+
+    return _node(out, slots, bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, -_unbroadcast(g, b.data.shape))
+    out = a.data - b.data
+    if (slots := _taped(a, b)) is None:
+        return Tensor(out)
+    (sa, sb), a_shape, b_shape = slots, a.data.shape, b.data.shape
 
-    return _node(a.data - b.data, (a, b), bw)
+    def bw(g):
+        _accum(sa, _unbroadcast(g, a_shape))
+        if sb.requires_grad:
+            _accum(sb, -_unbroadcast(g, b_shape))
+
+    return _node(out, slots, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    out = a.data * b.data
+    if (slots := _taped(a, b)) is None:
+        return Tensor(out)
+    (sa, sb), x, y = slots, a.data, b.data
 
-    return _node(a.data * b.data, (a, b), bw)
+    def bw(g):
+        if sa.requires_grad:
+            _accum(sa, _unbroadcast(g * y, x.shape))
+        if sb.requires_grad:
+            _accum(sb, _unbroadcast(g * x, y.shape))
+
+    return _node(out, slots, bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    def bw(g):
-        _accum(a, g * c)
+    out = a.data * c
+    if (slots := _taped(a)) is None:
+        return Tensor(out)
+    (sa,) = slots
 
-    return _node(a.data * c, (a,), bw)
+    def bw(g):
+        _accum(sa, g * c)
+
+    return _node(out, slots, bw)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
@@ -141,43 +202,55 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False)
         out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
     else:
         out = a.data @ b.data
-    parents = (a, b)
     if bias is not None:
         out += bias.data
-        parents = (a, b, bias)
     if relu:
         np.maximum(out, 0.0, out=out)
+    if (slots := _taped(a, b, bias)) is None:
+        return Tensor(out)
+    (sa, sb, sbias), a_shape, b_shape = slots, a.data.shape, b.data.shape
+    x = (a2 if flat else a.data) if sb.requires_grad else None  # read only for b's gradient
+    w = b.data if sa.requires_grad else None  # and only for a's
+    positive = out if relu else None
+    bias_shape = None if bias is None else bias.data.shape
 
     def bw(g):
-        if relu:
-            g = g * (out > 0)
-        if a.requires_grad:
+        if positive is not None:
+            g = g * (positive > 0)
+        if sa.requires_grad:
             if flat:
-                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.data.shape)
+                ga = (g.reshape(-1, g.shape[-1]) @ w.T).reshape(a_shape)
             else:
-                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-            _accum(a, ga)
-        if b.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(w, -1, -2), a_shape)
+            _accum(sa, ga)
+        if sb.requires_grad:
             if flat:
-                gb = a2.T @ g.reshape(-1, g.shape[-1])
+                gb = x.T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-            _accum(b, gb)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
+                gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, b_shape)
+            _accum(sb, gb)
+        if sbias.requires_grad:
+            _accum(sbias, _unbroadcast(g, bias_shape))
 
-    return _node(out, parents, bw)
+    return _node(out, slots, bw)
 
 
 def relu(a: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, g * (a.data > 0))
+    """max(a, 0); the backward reads ``out > 0``, so the tape keeps no input."""
+    out = np.maximum(a.data, 0.0)
+    if (slots := _taped(a)) is None:
+        return Tensor(out)
+    (sa,) = slots
 
-    return _node(np.maximum(a.data, 0.0), (a,), bw)
+    def bw(g):
+        _accum(sa, g * (out > 0))
+
+    return _node(out, slots, bw)
 
 
 def softmax(a: Tensor, scale: float | None = None) -> Tensor:
-    """Softmax over the last axis of ``a``, or of ``a * scale`` when given."""
+    """Softmax over the last axis of ``a``, or of ``a * scale`` when given.
+    The backward reads the output, so the tape keeps no input."""
     if scale is None:
         y = a.data - a.data.max(axis=-1, keepdims=True)
     else:
@@ -185,15 +258,18 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
         y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    if (slots := _taped(a)) is None:
+        return Tensor(y)
+    (sa,) = slots
 
     def bw(g):
         ga = g - (g * y).sum(axis=-1, keepdims=True)
         ga *= y
         if scale is not None:
             ga *= scale
-        _accum(a, ga)
+        _accum(sa, ga)
 
-    return _node(y, (a,), bw)
+    return _node(y, slots, bw)
 
 
 def layer_norm(
@@ -206,7 +282,8 @@ def layer_norm(
     boolean ``keep`` mask: a post-norm block's dropout, residual add and
     layer norm in one node, with the arithmetic of those three nodes. The
     backward hands ``a`` the normalized gradient and ``h`` the same times
-    the mask, and reads neither input's data."""
+    the mask; it reads the normalized rows, their inverse deviation, the
+    gain and the mask, and neither input's data."""
     n = a.data.shape[-1]  # the means are ndarray.mean's sum and divide, without its wrapper
     if h is None:
         y = a.data - np.add.reduce(a.data, axis=-1, keepdims=True) / n
@@ -220,94 +297,123 @@ def layer_norm(
         out = y * gain.data if gain is not None else y.copy()
         if bias is not None:
             out += bias.data
-    parents = tuple(t for t in (a, h, gain, bias) if t is not None)
+    if (slots := _taped(a, h, gain, bias)) is None:
+        return Tensor(out)
+    sa, sh, sgain, sbias = slots
+    w = None if gain is None else gain.data
+    bias_shape = None if bias is None else bias.data.shape
 
     def bw(g):
-        if gain is not None and gain.requires_grad:
-            _accum(gain, _unbroadcast(g * y, gain.data.shape))
-        if bias is not None and bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
-        if a.requires_grad or (h is not None and h.requires_grad):
-            gy = g * gain.data if gain is not None else g.copy()
+        if sgain.requires_grad:
+            _accum(sgain, _unbroadcast(g * y, w.shape))
+        if sbias.requires_grad:
+            _accum(sbias, _unbroadcast(g, bias_shape))
+        if sa.requires_grad or sh.requires_grad:
+            gy = g * w if w is not None else g.copy()
             gym = np.add.reduce(gy, axis=-1, keepdims=True) / n
             gyy = np.add.reduce(gy * y, axis=-1, keepdims=True) / n
             gy -= gym
             gy -= y * gyy
             gy *= inv
-            _accum(a, gy)
-            if h is not None and h.requires_grad:
-                _accum(h, gy if keep is None else gy * (keep * scale))
+            _accum(sa, gy)
+            if sh.requires_grad:
+                _accum(sh, gy if keep is None else gy * (keep * scale))
 
-    return _node(out, parents, bw)
+    return _node(out, slots, bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def bw(g):
-        _accum(a, g.reshape(a.data.shape))
+    out = a.data.reshape(shape)
+    if (slots := _taped(a)) is None:
+        return Tensor(out)
+    (sa,), a_shape = slots, a.data.shape
 
-    return _node(a.data.reshape(shape), (a,), bw)
+    def bw(g):
+        _accum(sa, g.reshape(a_shape))
+
+    return _node(out, slots, bw)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
+    out = a.data.transpose(axes)
+    if (slots := _taped(a)) is None:
+        return Tensor(out)
+    (sa,) = slots
+
     def bw(g):
         # a C-ordered copy, so later products read contiguous memory
-        _accum(a, g.transpose(np.argsort(axes)).copy())
+        _accum(sa, g.transpose(np.argsort(axes)).copy())
 
-    return _node(a.data.transpose(axes), (a,), bw)
+    return _node(out, slots, bw)
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    if (slots := _taped(*parts)) is None:
+        return Tensor(out)
     sizes = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        for p, piece in zip(parts, np.split(g, sizes, axis=axis)):
-            _accum(p, piece)
+        for s, piece in zip(slots, np.split(g, sizes, axis=axis)):
+            _accum(s, piece)
 
-    return _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
+    return _node(out, slots, bw)
 
 
 def select(a: Tensor, axis: int, index: int) -> Tensor:
     """Pick one slice along an axis (the axis is dropped)."""
+    out = np.take(a.data, index, axis=axis)
+    if (slots := _taped(a)) is None:
+        return Tensor(out)
+    (sa,), a_shape = slots, a.data.shape
 
     def bw(g):
-        full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
+        full = np.zeros(a_shape)
+        sl = [slice(None)] * len(a_shape)
         sl[axis] = index
         full[tuple(sl)] = g
-        _accum(a, full)
+        _accum(sa, full)
 
-    return _node(np.take(a.data, index, axis=axis), (a,), bw)
+    return _node(out, slots, bw)
 
 
 def gather(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup table[indices]; gradients scatter-add back into the table."""
     indices = np.asarray(indices, dtype=int)
+    out = table.data[indices]
+    if (slots := _taped(table)) is None:
+        return Tensor(out)
+    (st,), table_shape = slots, table.data.shape
 
     def bw(g):
-        full = np.zeros_like(table.data)
+        full = np.zeros(table_shape)
         np.add.at(full, indices, g)
-        _accum(table, full)
+        _accum(st, full)
 
-    return _node(table.data[indices], (table,), bw)
+    return _node(out, slots, bw)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
+    out = a.data.mean()
+    if (slots := _taped(a)) is None:
+        return Tensor(out)
+    (sa,), a_shape, n = slots, a.data.shape, a.data.size
 
     def bw(g):
-        _accum(a, np.full(a.data.shape, float(g) / n))
+        _accum(sa, np.full(a_shape, float(g) / n))
 
-    return _node(a.data.mean(), (a,), bw)
+    return _node(out, slots, bw)
 
 
 def backward(root: Tensor):
     """Reverse-topological sweep seeding d(root)/d(root) = 1; it frees the
     graph as it goes, so a root can be swept once."""
-    if root._backward is None:
+    top = root.slot
+    if top._backward is None:
         raise ValueError("backward needs a root with a tape: built under no_grad or swept")
-    topo: list[Tensor] = []
+    topo: list[GradSlot] = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(top, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -319,7 +425,7 @@ def backward(root: Tensor):
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    root.grad = np.ones_like(root.data)
+    top.grad = np.ones_like(root.data)
     while topo:
         node = topo.pop()
         if node._backward is not None:

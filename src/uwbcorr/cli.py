@@ -47,19 +47,30 @@ def _setup(args) -> tuple[ExperimentConfig, Path]:
     return cfg, Path(cfg.output_dir)
 
 
+def _environment(cfg: ExperimentConfig, path):
+    """The environment in ``path``, else the default hall, whose z extent
+    must hold ``environment.tag_height``, the plane every command simulates
+    and solves on."""
+    env = dataio.read_environment(path) if path else default_environment()
+    z, h = cfg.environment.tag_height, env.extent[2]
+    if not 0.0 <= z <= h:
+        raise ConfigError(f"environment.tag_height must lie in the environment's z range [0.0, {h}], got {z!r}")
+    return env
+
+
 def _setup_solving(args):
     """:func:`_setup` for a command that solves, with the --env file, else the
     environment.json of a simulate run in ``out``, and its solver options on
     the plane of the tag height. A bad solver box or plane fails before any
     dataset is read."""
     cfg, out = _setup(args)
-    env = dataio.read_environment(args.env or out / "environment.json")
+    env = _environment(cfg, args.env or out / "environment.json")
     return cfg, out, env, SolverOptions.for_environment(env, cfg.environment.tag_height)
 
 
 def cmd_simulate(args) -> int:
     cfg, out = _setup(args)
-    env = dataio.read_environment(args.env) if args.env else default_environment()
+    env = _environment(cfg, args.env)
     data, z = cfg.dataset, cfg.environment.tag_height
     train_points = grid_trajectory(env, data.train_lines, data.train_points_per_line, z=z)
     eval_points = random_trajectory(env, data.n_eval, z=z, seed=cfg.seed + 1)

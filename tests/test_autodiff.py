@@ -301,3 +301,85 @@ class TestTapeLifetime:
             with ad.no_grad():
                 raise RuntimeError("inside")
         assert taped()
+
+
+class TestCaptureRule:
+    """A backward closure keeps only the arrays it reads, so an operand array
+    that no backward reads goes with its tensor while the tape under the
+    result still lives."""
+
+    @staticmethod
+    def leaf(*shape, seed=11):
+        return ad.Tensor(np.random.default_rng(seed).normal(size=shape), requires_grad=True)
+
+    @staticmethod
+    def fresh(x):
+        # an activation from an op that keeps only shapes
+        return ad.add(x, ad.Tensor(np.zeros(x.shape)))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "softmax input",
+            "layer_norm a",
+            "layer_norm h",
+            "transpose input",
+            "matmul output",
+            "relu input",
+        ],
+    )
+    def test_an_array_no_backward_reads_goes_with_its_tensor(self, case):
+        x = self.leaf(2, 3, 4, 4)
+        g, b, keep = self.leaf(4, seed=12), self.leaf(4, seed=13), np.arange(96).reshape(2, 3, 4, 4) % 3 > 0
+        if case == "matmul output":  # no relu, so nothing reads the product
+            dropped = ad.matmul(x, self.leaf(4, 4, seed=14))
+        else:
+            dropped = self.fresh(x)
+        other = self.fresh(self.leaf(2, 3, 4, 4, seed=15))
+        build = {
+            "softmax input": lambda d: ad.softmax(d, 0.5),
+            "layer_norm a": lambda d: ad.layer_norm(d, g, b, h=other, keep=keep, scale=1.5),
+            "layer_norm h": lambda d: ad.layer_norm(other, g, b, h=d, keep=keep, scale=1.5),
+            # the transposed view holds its input until the reshape copies it
+            "transpose input": lambda d: ad.reshape(ad.transpose(d, (0, 2, 1, 3)), (2, 4, 12)),
+            "matmul output": lambda d: ad.add(d, ad.Tensor(np.ones(4))),
+            "relu input": ad.relu,
+        }[case]
+        result = build(dropped)
+        gone = weakref.ref(dropped.data)
+        del dropped, other
+        assert gone() is None
+        assert result._backward is not None
+        ad.backward(ad.mean_all(squared(result)))
+        assert x.grad is not None and np.isfinite(x.grad).all()
+
+    def test_a_relu_product_keeps_its_output_for_the_sign(self):
+        # the control: the rule keeps what a backward reads
+        x, w = self.leaf(2, 3, 4), self.leaf(4, 4, seed=14)
+        out = ad.matmul(x, w, relu=True)
+        kept = weakref.ref(out.data)
+        result = ad.add(out, ad.Tensor(np.ones(4)))
+        del out
+        assert kept() is not None
+        ad.backward(ad.mean_all(squared(result)))
+        assert kept() is None  # the sweep frees it
+        assert w.grad is not None
+
+    def test_a_matmul_keeps_an_operand_only_for_the_other_ones_gradient(self):
+        x = self.leaf(2, 3, 4)
+        a = self.fresh(x)
+        gone = weakref.ref(a.data)
+        result = ad.matmul(a, ad.Tensor(np.ones((4, 4))))  # the weight needs no gradient
+        del a
+        assert gone() is None
+        ad.backward(ad.mean_all(squared(result)))
+        assert np.allclose(x.grad, 2.0 * result.data @ np.ones((4, 4)) / result.data.size, rtol=1e-12)
+
+    def test_tensors_off_the_tape_share_one_slot_that_no_sweep_writes(self):
+        x, c = self.leaf(3, 4), ad.Tensor(np.ones((4, 2)))
+        assert c.slot is ad.OFF_TAPE and ad.matmul(ad.Tensor(np.ones((2, 4))), c).slot is ad.OFF_TAPE
+        ad.backward(ad.mean_all(squared(ad.layer_norm(ad.matmul(x, c), h=ad.Tensor(np.ones((3, 2)))))))
+        off = ad.OFF_TAPE
+        assert (off.grad, off.requires_grad, off._parents, off._backward) == (None, False, (), None)
+        c.grad = np.zeros((4, 2))  # setting an attribute gives the tensor a slot of its own
+        assert c.slot is not ad.OFF_TAPE and off.grad is None and not c.requires_grad

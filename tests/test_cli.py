@@ -536,9 +536,10 @@ class TestErrorExit:
         setting = ["--set", "environment.tag_height=5.0"]  # above the 3 m ceiling
         assert main(["simulate", "--output-dir", str(out), *TINY_DATA, *setting]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: OutOfBoundsError: ") and err.count("\n") == 1
-        assert "[1.0, 1.0, 5.0]" in err  # the first grid point
-        assert not out.exists()  # both datasets are generated before the directory is made
+        # the setting is checked against the environment's z extent as the command loads it
+        want = "environment.tag_height must lie in the environment's z range [0.0, 3.0], got 5.0"
+        assert err == f"error: ConfigError: {want}\n"
+        assert not out.exists()  # before any dataset is generated or the directory is made
 
     def _train(self, tiny_run, tmp_path, dataset):
         return main(
@@ -662,7 +663,10 @@ class TestErrorExit:
         "override, shown",
         [
             # the solve plane is the tag height: a plane above the 3 m ceiling is rejected
-            ("environment.tag_height=5", "fix_z must lie in the box's z range [0.0, 3.0], got 5"),
+            (
+                "environment.tag_height=5",
+                "environment.tag_height must lie in the environment's z range [0.0, 3.0], got 5",
+            ),
             # the solver settings are tdoa constants: a file that still has the section is refused
             ("solver.bound_margin=1", "unknown config key 'solver'"),
         ],

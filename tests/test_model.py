@@ -412,6 +412,23 @@ class TestFusedBlockTail:
         assert unfused - fused == 5 * model.config.n_layers
 
 
+def test_no_backward_closure_of_a_training_loss_holds_a_tensor(small_env):
+    """A node's closure captures slots, shapes and the arrays its backward
+    reads, never an operand Tensor, whose data would then stay on the tape."""
+    from uwbcorr.training import batch_loss
+
+    model, examples = TestFusedBlockTail.setup(small_env)
+    ((chunk, keeps),) = model.chunks(examples, True, np.random.default_rng(4))
+    nodes = graph_nodes(batch_loss(model, chunk, True, keeps))
+    closures = [node._backward for node in nodes if node._backward]
+    assert len(closures) == len(nodes) - len(model.params)  # every node but the leaves
+    for bw in closures:
+        for cell in bw.__closure__:
+            value = cell.cell_contents
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            assert not any(isinstance(v, ad.Tensor) for v in items), bw.__qualname__
+
+
 def test_a_single_sample_forward_has_no_relu_node(small_env):
     """The head's hidden layers take their relu inside ``matmul``, as the
     feed-forward does, so no graph holds a separate ``relu`` node."""
