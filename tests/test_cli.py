@@ -662,10 +662,12 @@ class TestErrorExit:
     @pytest.mark.parametrize(
         "override, shown",
         [
-            # the solve plane is the tag height: a plane above the 3 m ceiling is rejected
-            (
+            # the solve plane is the tag height: a plane above the 3 m ceiling is rejected;
+            # the case keeps the id it had when the solver reported the plane as fix_z
+            pytest.param(
                 "environment.tag_height=5",
                 "environment.tag_height must lie in the environment's z range [0.0, 3.0], got 5",
+                id="environment.tag_height=5-fix_z must lie in the box's z range [0.0, 3.0], got 5",
             ),
             # the solver settings are tdoa constants: a file that still has the section is refused
             ("solver.bound_margin=1", "unknown config key 'solver'"),
