@@ -7,7 +7,7 @@ Three ops take optional operands that fold a neighbouring step into the
 same node: ``matmul(a, b, bias, relu)`` adds a bias over the last axis to the
 product and clamps it at zero, ``layer_norm(a, gain, bias, h=, keep=,
 scale=)`` first adds a residual operand ``h``, masked by inverted dropout,
-and then applies the affine, and ``softmax(a, scale)`` scales its input
+and then applies the affine, and ``softmax(a, scale=1.0)`` scales its input
 first. A 2-D right operand shared across the batch dimensions of ``a`` runs
 as one flattened GEMM in the forward and both backward products.
 
@@ -248,14 +248,11 @@ def relu(a: Tensor) -> Tensor:
     return _node(out, slots, bw)
 
 
-def softmax(a: Tensor, scale: float | None = None) -> Tensor:
-    """Softmax over the last axis of ``a``, or of ``a * scale`` when given.
-    The backward reads the output, so the tape keeps no input."""
-    if scale is None:
-        y = a.data - a.data.max(axis=-1, keepdims=True)
-    else:
-        y = a.data * scale
-        y -= y.max(axis=-1, keepdims=True)
+def softmax(a: Tensor, scale: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``a * scale``. The backward reads the
+    output, so the tape keeps no input."""
+    y = a.data * scale
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     if (slots := _taped(a)) is None:
@@ -265,8 +262,7 @@ def softmax(a: Tensor, scale: float | None = None) -> Tensor:
     def bw(g):
         ga = g - (g * y).sum(axis=-1, keepdims=True)
         ga *= y
-        if scale is not None:
-            ga *= scale
+        ga *= scale
         _accum(sa, ga)
 
     return _node(y, slots, bw)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, MissingAnchorError
 from .simulate import Environment, RawCir, Sample
 
 WINDOW_BEFORE = 50
@@ -86,7 +86,7 @@ def build_input_tensor(
     received = {}
     for raw in sample.raw_cirs:
         if raw.anchor_id not in anchors:
-            raise ValueError(f"sample references unknown anchor id {raw.anchor_id}")
+            raise MissingAnchorError(f"no position known for anchor id {raw.anchor_id}")
         received[raw.anchor_id] = raw
     if ordering == "fixed":
         ids = sorted(anchors)

@@ -30,7 +30,8 @@ import numpy as np
 from . import dataio
 from .complexity import OperationCount, SweepResult, cnn_baseline_ops, op_count, pareto_front
 from .config import ExperimentConfig, enumerate_sweep, load_experiment_config
-from .errors import ConfigError, DatasetFormatError, InsufficientDataError, UwbcorrError, check_int
+from .errors import ConfigError, DatasetFormatError, InsufficientDataError, MissingAnchorError
+from .errors import UwbcorrError, check_int
 from .metrics import CEP_QUANTILES, metrics_report
 from .model import SWEEP_KEYS, load_checkpoint, make_model_config, save_checkpoint
 from .simulate import default_environment, generate_dataset, grid_trajectory, random_trajectory
@@ -102,7 +103,10 @@ def cmd_simulate(args) -> int:
 def cmd_baseline(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     dataset = dataio.read_samples_jsonl(args.dataset)
-    solved = solve_solvable(dataset, env, solver)
+    try:
+        solved = solve_solvable(dataset, env, solver)
+    except MissingAnchorError as exc:
+        raise MissingAnchorError(f"{args.dataset}: {exc}") from exc
     if not solved:
         raise InsufficientDataError(f"{args.dataset}: no solvable samples")
     out.mkdir(parents=True, exist_ok=True)
@@ -131,7 +135,7 @@ def _evaluate_and_write(model, dataset, env, solver, out: Path, path) -> None:
     it cannot evaluate is named by ``path``, the file it was read from."""
     try:
         result = evaluate_model(model, dataset, env, solver=solver)
-    except InsufficientDataError as exc:
+    except (InsufficientDataError, MissingAnchorError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_metrics_json(
@@ -167,7 +171,7 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     try:
         model = train(train_set, env, model_cfg, cfg.train, solver=solver)
-    except InsufficientDataError as exc:
+    except (InsufficientDataError, MissingAnchorError) as exc:
         raise type(exc)(f"{train_path}: {exc}") from exc
     elapsed = time.monotonic() - started
     out.mkdir(parents=True, exist_ok=True)
@@ -187,11 +191,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     model = load_checkpoint(args.checkpoint)
-    n_total = model.config.n_total  # a multi-CIR patch holds one CIR of every anchor
-    if model.config.patching == "multi_cir" and n_total != env.n_anchors:
+    n_total, multi = model.config.n_total, model.config.patching == "multi_cir"
+    # a multi-CIR patch holds one CIR of every anchor, a learned table a row per token of n_total
+    if (multi and n_total != env.n_anchors) or (model.config.encoding == "learned" and env.n_anchors > n_total):
         raise ConfigError(
-            f"{args.checkpoint}: a multi_cir checkpoint for n_total={n_total} anchors "
-            f"cannot run on an environment of {env.n_anchors}"
+            f"{args.checkpoint}: a {'multi_cir' if multi else 'learned-encoding'} checkpoint for "
+            f"n_total={n_total} anchors cannot run on an environment of {env.n_anchors}"
         )
     dataset = dataio.read_samples_jsonl(args.dataset)
     _evaluate_and_write(model, dataset, env, solver, out, args.dataset)

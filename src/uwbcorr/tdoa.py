@@ -8,10 +8,10 @@ the squared hyperboloid residuals with a damped Gauss-Newton
 second-order term once Gauss-Newton progress slows. It starts from the
 closed-form least-squares point and the centroid where the pairs allow it,
 else from the centroid and a few anchor-biased points. A coordinate on a
-wall of the search box stays there while its gradient points outward. Every
-start of every sample in a batch advances in lockstep as one row of stacked
-arrays, with each sample's pairs padded to the batch's widest set by pairs
-of zero residual and zero Jacobian.
+wall of the search box (unbounded by default) stays there while its
+gradient points outward. Every start of every sample in a batch advances
+in lockstep as one row of stacked arrays, with each sample's pairs padded
+to the batch's widest set by pairs of zero residual and zero Jacobian.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     InsufficientAnchorsError,
     InsufficientDataError,
     MissingAnchorError,
+    is_integer,
     is_number,
 )
 
@@ -60,6 +61,8 @@ class Anchor:
     position: np.ndarray
 
     def __post_init__(self):
+        if not is_integer(self.id):
+            raise ValueError(f"anchor id must be an integer, got {self.id!r}")
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (3,):
             raise ValueError(f"anchor {self.id}: position must be a 3-vector")
@@ -118,27 +121,27 @@ class SolverOptions:
     """The settings of a solve, and the only way to pass them.
 
     A number ``fix_z`` pins each solve to the plane z = ``fix_z``, inside the
-    z range of ``bounds`` if given; None solves in 3-D. ``bounds`` clips the
-    search to a box: the minimum of a corrupted DDoA set with no hyperboloid
-    intersection would otherwise run off to the far field.
+    z range of ``bounds``; None solves in 3-D. ``bounds`` clips the search to
+    a box: the minimum of a corrupted DDoA set with no hyperboloid
+    intersection would otherwise run off to the far field. The default box
+    is unbounded, and walls at infinity hold no finite point.
     """
 
     fix_z: Optional[float] = None
-    bounds: Optional[tuple[tuple[float, float, float], tuple[float, float, float]]] = None
+    bounds: tuple[tuple[float, float, float], tuple[float, float, float]] = ((-math.inf,) * 3, (math.inf,) * 3)
 
     def __post_init__(self):
         if self.fix_z is not None and not (is_number(self.fix_z) and math.isfinite(self.fix_z)):
             raise ConfigError(f"fix_z must be a finite number or null, got {self.fix_z!r}")
-        if self.bounds is not None:
-            (x0, y0, z0), (x1, y1, z1) = self.bounds
-            # a flat z range is a plane; a flat x or y range pins every solve
-            if not (x0 < x1 and y0 < y1 and z0 <= z1):
-                raise ConfigError(
-                    "solver box must have lo < hi on x and y and lo <= hi on z, "
-                    f"got lo {self.bounds[0]}, hi {self.bounds[1]}"
-                )
-            if self.fix_z is not None and not z0 <= self.fix_z <= z1:
-                raise ConfigError(f"fix_z must lie in the box's z range [{z0}, {z1}], got {self.fix_z!r}")
+        (x0, y0, z0), (x1, y1, z1) = self.bounds
+        # a flat z range is a plane; a flat x or y range pins every solve
+        if not (x0 < x1 and y0 < y1 and z0 <= z1):
+            raise ConfigError(
+                "solver box must have lo < hi on x and y and lo <= hi on z, "
+                f"got lo {self.bounds[0]}, hi {self.bounds[1]}"
+            )
+        if self.fix_z is not None and not z0 <= self.fix_z <= z1:
+            raise ConfigError(f"fix_z must lie in the box's z range [{z0}, {z1}], got {self.fix_z!r}")
 
     @classmethod
     def for_environment(cls, env, fix_z=None):
@@ -299,7 +302,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     converge fast where the residuals at the minimum are large (Madsen,
     Nielsen & Tingleff 2004, 3.4; Dennis, Gay & Welsch 1981).
 
-    Inside a box, a free coordinate on a wall whose gradient g = J^T r would
+    A free coordinate on a wall whose gradient g = J^T r would
     carry it out of the box is held there (the active set of Moré 1978): its
     row and column of the normal matrix become the identity's and its entry
     of g is zeroed, so the step moves the other coordinates only. A row stops
@@ -325,22 +328,15 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     reasons (R,) as indices into ``STOP_REASONS``, and on-bound flags (R,):
     a free coordinate of the result lies on a box wall.
     """
-    fix_z, bounds = options.fix_z, options.bounds
+    fix_z = options.fix_z
     k = 2 if fix_z is not None else 3  # the free coordinates: x, y and, off the plane, z
     eye = np.eye(k)
     diag = np.arange(k)
-    box = None if bounds is None else (np.asarray(bounds[0], float), np.asarray(bounds[1], float))
-    if box is not None:
-        wall_lo, wall_hi = box[0][:k, None], box[1][:k, None]
-
-    def place(pts):
-        if box is not None:
-            pts = np.minimum(np.maximum(pts, box[0]), box[1])  # np.clip, without its call overhead
-        if fix_z is not None:
-            pts[:, 2] = fix_z
-        return pts
-
-    p = place(np.array(starts, dtype=float))
+    box_lo, box_hi = (np.array(b, dtype=float) for b in options.bounds)
+    if fix_z is not None:  # a flat z range: clamping a point into the box puts it on the plane
+        box_lo[2] = box_hi[2] = fix_z
+    wall_lo, wall_hi = box_lo[:k, None], box_hi[:k, None]
+    p = np.minimum(np.maximum(np.array(starts, dtype=float), box_lo), box_hi)
     spans = _spans(counts)  # rebuilt only when rows leave
     r, jac, _ = _residuals_and_jacobian(p, ends, dd, k)
     cost = _span_costs(r, spans)
@@ -361,14 +357,13 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         grad = np.empty((len(p), k, 1))  # J^T r, half the gradient of the cost
         for lo, hi, m in spans:
             grad[lo:hi] = jac_t[lo:hi, :, :m] @ r[lo:hi, :m, None]
-        if box is not None:
-            x = p[:, :k, None]
-            held = np.where(grad > 0.0, x <= wall_lo, (x >= wall_hi) & (grad < 0.0))
-            if held.any():
-                grad[held] = 0.0
-                held = held[:, :, 0]
-                normal[held[:, :, None] | held[:, None, :]] = 0.0
-                normal[:, diag, diag] = np.where(held, 1.0, normal[:, diag, diag])
+        x = p[:, :k, None]
+        held = np.where(grad > 0.0, x <= wall_lo, (x >= wall_hi) & (grad < 0.0))
+        if held.any():
+            grad[held] = 0.0
+            held = held[:, :, 0]
+            normal[held[:, :, None] | held[:, None, :]] = 0.0
+            normal[:, diag, diag] = np.where(held, 1.0, normal[:, diag, diag])
         flat = np.abs(grad).max(axis=(1, 2)) <= GRAD_TOL
         try:
             step, solved = np.linalg.solve(normal, -grad)[:, :, 0], True
@@ -376,7 +371,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
             step, solved = _solve_each(normal, -grad)
         p_new = p.copy()
         p_new[:, :k] += step
-        p_new = place(p_new)
+        p_new = np.minimum(np.maximum(p_new, box_lo), box_hi)  # np.clip, without its call overhead
         r_new, jac_new, geometry = _residuals_and_jacobian(p_new, ends, dd, k)
         cost_new = _span_costs(r_new, spans)
         small = solved & (np.sqrt(_sq_norms(step)) < STEP_TOL)
@@ -406,9 +401,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     out_p[rows], out_cost[rows] = p, cost
     u = out_p.T[:, :, None] - all_ends
     reasons[np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2]).min(axis=1) <= TIP_DIST] = _TIP
-    on_bound = np.zeros(len(out_p), dtype=bool)
-    if box is not None:
-        on_bound = ((out_p[:, :k] <= box[0][:k]) | (out_p[:, :k] >= box[1][:k])).any(axis=1)
+    on_bound = ((out_p[:, :k] <= box_lo[:k]) | (out_p[:, :k] >= box_hi[:k])).any(axis=1)
     return out_p, np.sqrt(out_cost), iterations, reasons, on_bound
 
 

@@ -129,6 +129,20 @@ class TestEngine:
         y = ad.softmax(ad.Tensor(rng.normal(size=(5, 7)) * 10)).data
         assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_softmax_without_a_scale_is_softmax_at_scale_1(self):
+        """The default scale is 1.0, and a * 1.0 is a: both calls give the
+        same bits, forward and backward."""
+        rng = np.random.default_rng(2)
+        x, upstream = rng.normal(size=(2, 4, 7)) * 5, ad.Tensor(rng.normal(size=(2, 4, 7)))
+        outputs, grads = [], []
+        for call in (lambda a: ad.softmax(a), lambda a: ad.softmax(a, 1.0)):
+            a = ad.Tensor(x.copy(), requires_grad=True)
+            y = call(a)
+            ad.backward(ad.mean_all(ad.mul(y, upstream)))
+            outputs.append(y.data.tobytes())
+            grads.append(a.grad.tobytes())
+        assert outputs[0] == outputs[1] and grads[0] == grads[1]
+
     def test_no_grad_nodes_skip_closures(self):
         a = ad.Tensor(np.ones((2, 2)))
         b = ad.Tensor(np.ones((2, 2)))

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from uwbcorr import RawCir, Sample, build_input_tensor, iq_to_amplitude, normalize_minmax, trim_window
 from uwbcorr.cir import WINDOW_BEFORE, WINDOW_LENGTH
-from uwbcorr.errors import InsufficientDataError
+from uwbcorr.errors import InsufficientDataError, MissingAnchorError
 
 
 class TestIqToAmplitude:
@@ -154,6 +154,11 @@ class TestBuildInputTensor:
         sample = make_sample([(1, 0.0)])
         object.__setattr__(sample, "raw_cirs", ())
         with pytest.raises(InsufficientDataError):
+            build_input_tensor(sample, small_env, "fixed")
+
+    def test_an_anchor_the_environment_lacks(self, small_env):
+        sample = make_sample([(1, 0.0), (9, 1e-9)])
+        with pytest.raises(MissingAnchorError, match="^no position known for anchor id 9$"):
             build_input_tensor(sample, small_env, "fixed")
 
     def test_row_values_are_processed_cirs(self, small_env):

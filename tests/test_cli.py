@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from uwbcorr import (
+    Anchor,
     CorrectionModel,
     Environment,
     dataio,
@@ -450,6 +451,27 @@ class TestErrorExit:
             "n_total=15 anchors cannot run on an environment of 10\n"
         )
 
+    def test_evaluate_a_learned_checkpoint_on_more_anchors(self, tiny_run, tmp_path, capsys):
+        """A learned encoding has a table row per token of its n_total anchors,
+        so a checkpoint for 15 anchors is refused on a 16-anchor environment
+        before any solve, naming the checkpoint; on 15 anchors it runs."""
+        hall = default_environment()
+        sixteen = Environment(
+            anchors=(*hall.anchors, Anchor(16, [15.0, 5.0, 2.9])), obstacles=hall.obstacles, extent=hall.extent
+        )
+        run = tmp_path / "sixteen"
+        dataio.write_environment(run / "environment.json", sixteen)
+        checkpoint = tmp_path / "learned.npz"
+        cfg = make_model_config("per_cir", "fixed", "learned", 150, 8, env=hall, n_heads=2)
+        save_checkpoint(CorrectionModel.initialize(cfg), checkpoint)
+        assert self._evaluate(run, tmp_path, checkpoint, tiny_run / "eval.jsonl") == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {checkpoint}: a learned-encoding checkpoint for "
+            "n_total=15 anchors cannot run on an environment of 16\n"
+        )
+        assert not (tmp_path / "out").exists()
+        assert self._evaluate(tiny_run, tmp_path, checkpoint) == 0
+
     def _checkpoint_arrays(self, tiny_run, tmp_path):
         """A saved checkpoint's path and its arrays, to edit and save back."""
         env = dataio.read_environment(tiny_run / "environment.json")
@@ -529,6 +551,41 @@ class TestErrorExit:
         assert self._baseline(tiny_run, tmp_path, path) == 2
         err = capsys.readouterr().err
         assert err == f"error: InsufficientDataError: {path}: no solvable samples\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("anchor_id", ["1", 1.5, True])
+    def test_baseline_with_an_anchor_id_that_is_not_an_integer(self, tiny_run, tmp_path, capsys, anchor_id):
+        payload = json.loads((tiny_run / "environment.json").read_text())
+        payload["anchors"][0]["id"] = anchor_id
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "environment.json").write_text(json.dumps(payload))
+        assert self._baseline(run, tmp_path, tiny_run / "eval.jsonl") == 2
+        assert capsys.readouterr().err == (
+            f"error: DatasetFormatError: {run / 'environment.json'}: bad environment value: "
+            f"anchor id must be an integer, got {anchor_id!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["baseline", "train", "evaluate"])
+    def test_a_dataset_naming_an_anchor_the_environment_lacks(
+        self, tiny_run, tmp_path, capsys, tiny_checkpoint, command
+    ):
+        name = "train.jsonl" if command == "train" else "eval.jsonl"
+        lines = (tiny_run / name).read_text().splitlines()
+        record = json.loads(lines[0])
+        record["measurements"][0]["anchor_id"] = 99
+        path = tmp_path / name
+        path.write_text("".join(line + "\n" for line in [json.dumps(record), *lines[1:]]))
+        run = {
+            "baseline": lambda: self._baseline(tiny_run, tmp_path, path),
+            "train": lambda: self._train(tiny_run, tmp_path, path),
+            "evaluate": lambda: self._evaluate(tiny_run, tmp_path, tiny_checkpoint, path),
+        }[command]
+        assert run() == 2
+        assert capsys.readouterr().err == (
+            f"error: MissingAnchorError: {path}: no position known for anchor id 99\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_simulate_outside_the_extent(self, tmp_path, capsys):

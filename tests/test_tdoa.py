@@ -277,6 +277,10 @@ class TestSolverOptions:
         with pytest.raises(ConfigError, match="lo <= hi on z"):
             SolverOptions(bounds=((0.0, 0.0, 2.0), (5.0, 5.0, 1.0)))
 
+    def test_the_default_box_is_unbounded(self):
+        unbounded = ((-math.inf,) * 3, (math.inf,) * 3)
+        assert SolverOptions().bounds == SolverOptions(fix_z=1.0).bounds == unbounded
+
     @pytest.mark.parametrize("fix_z", ["abc", True, float("nan")])
     def test_fix_z_must_be_a_number_or_none(self, fix_z):
         with pytest.raises(ConfigError, match=f"fix_z must be a finite number or null, got {fix_z!r}"):
@@ -290,6 +294,25 @@ class TestSolverOptions:
             SolverOptions.for_environment(env, fix_z=fix_z)
         for z in (0.0, 3.0):  # the floor and ceiling planes are in the box
             assert SolverOptions.for_environment(env, fix_z=z).fix_z == z
+
+
+class TestUnboundedBox:
+    """The default box's walls lie at infinity and hold no finite point, so
+    an unbounded solve is the solve in any box too large to bind."""
+
+    @pytest.mark.parametrize("fix_z", [1.0, None])
+    def test_equals_a_solve_in_a_box_too_large_to_bind(self, fix_z):
+        env, samples = golden_cases()
+        far = SolverOptions(fix_z=fix_z, bounds=((-1e6,) * 3, (1e6,) * 3))
+        unbounded = solve_baselines(samples, env.anchors, SolverOptions(fix_z=fix_z))
+        boxed = solve_baselines(samples, env.anchors, far)
+        assert sum(e is not None for e in unbounded) >= 50
+        for got, want in zip(unbounded, boxed):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert not got.on_bound
+                assert_same_estimate(got, want)
+                assert got.position.tobytes() == want.position.tobytes()  # -0.0 too
 
 
 class TestSolveBaselines:
