@@ -33,26 +33,12 @@ def run(argv=None):
     rc = cli(["simulate", "--output-dir", out, *sim_overrides])
     if rc:
         return rc
-    rc = cli(
-        [
-            "baseline",
-            "--output-dir", out,
-            "--dataset", f"{out}/eval.jsonl",
-            "--env", f"{out}/environment.json",
-        ]
-    )
+    # baseline and train read the environment.json, and train the train.jsonl
+    # and eval.jsonl, that simulate wrote to the output directory
+    rc = cli(["baseline", "--output-dir", out, "--dataset", f"{out}/eval.jsonl"])
     if rc:
         return rc
-    return cli(
-        [
-            "train",
-            "--output-dir", out,
-            "--env", f"{out}/environment.json",
-            "--dataset", f"{out}/train.jsonl",
-            "--eval-dataset", f"{out}/eval.jsonl",
-            "--set", f"train.max_epochs={epochs}",
-        ]
-    )
+    return cli(["train", "--output-dir", out, "--set", f"train.max_epochs={epochs}"])
 
 
 if __name__ == "__main__":

@@ -22,13 +22,7 @@ def run(argv=None):
     parser.add_argument("--epochs", type=int, default=None)
     args = parser.parse_args(argv)
 
-    cmd = [
-        "sweep",
-        "--output-dir", args.output_dir,
-        "--env", f"{args.output_dir}/environment.json",
-        "--dataset", f"{args.output_dir}/train.jsonl",
-        "--eval-dataset", f"{args.output_dir}/eval.jsonl",
-    ]
+    cmd = ["sweep", "--output-dir", args.output_dir]  # reads the simulate run's files there
     if args.limit is not None:  # the sweep command rejects a limit below 1
         cmd += ["--limit", str(args.limit)]
     if args.epochs is not None:

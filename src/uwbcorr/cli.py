@@ -3,16 +3,19 @@
 Subcommands: simulate | baseline | train | evaluate | sweep | complexity |
 pareto. Every run is reproducible from the config file plus the seed; any
 config field can be overridden with ``--set section.key=value``, the
-training epochs with ``--set train.max_epochs=N``. ``train`` evaluates on
-the evaluation set when there is one and, like ``evaluate``, writes
-metrics.json and estimates.csv. A command solves baselines on the plane
-z = ``environment.tag_height``, in the extent grown by ``tdoa.BOUND_MARGIN``.
-Every command reads all its inputs, and ``simulate`` and ``train`` compute
-their results, before it makes the output directory, so a bad or missing
-input leaves no directory behind. An error from
-``uwbcorr.errors`` (bad config, dataset, environment or checkpoint) or a
-missing input file prints one line, ``error: <Type>: <message>``, to stderr
-and exits with status 2; any other exception keeps its traceback.
+training epochs with ``--set train.max_epochs=N``. The config names no
+file: a command reads and writes fixed names in ``--output-dir``, where
+``simulate`` writes ``TRAIN_SET`` and ``EVAL_SET``, which ``train`` and
+``sweep`` read unless ``--dataset`` and ``--eval-dataset`` name other files.
+``train`` evaluates on the evaluation set when there is one and, like
+``evaluate``, writes metrics.json and estimates.csv. A command solves
+baselines on the plane z = ``environment.tag_height``, in the extent grown
+by ``tdoa.BOUND_MARGIN``. Every command reads all its inputs, and
+``simulate`` and ``train`` compute their results, before it makes the output
+directory, so a bad or missing input leaves no directory behind. An error
+from ``uwbcorr.errors`` (bad config, dataset, environment or checkpoint) or
+a missing input file prints one line, ``error: <Type>: <message>``, to
+stderr and exits with status 2; any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -38,14 +41,13 @@ from .simulate import default_environment, generate_dataset, grid_trajectory, ra
 from .tdoa import STOP_REASONS, SolverOptions
 from .training import evaluate_model, solve_solvable, train
 
+TRAIN_SET, EVAL_SET = "train.jsonl", "eval.jsonl"  # what simulate writes to the output directory
+
 
 def _setup(args) -> tuple[ExperimentConfig, Path]:
-    """The config from --config and --set, and its output directory, which
-    the command makes once it has read its inputs."""
-    cfg = load_experiment_config(args.config, args.set or [])
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-    return cfg, Path(cfg.output_dir)
+    """The config from --config and --set, and the --output-dir, which the
+    command makes once it has read its inputs."""
+    return load_experiment_config(args.config, args.set or []), Path(args.output_dir)
 
 
 def _environment(cfg: ExperimentConfig, path):
@@ -80,8 +82,8 @@ def cmd_simulate(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_environment(out / "environment.json", env)
-    dataio.write_samples_jsonl(out / data.train_path, train_set)
-    dataio.write_samples_jsonl(out / data.eval_path, eval_set)
+    dataio.write_samples_jsonl(out / TRAIN_SET, train_set)
+    dataio.write_samples_jsonl(out / EVAL_SET, eval_set)
 
     mean_available = float(
         np.mean([len(s.raw_cirs) for s in train_set + eval_set])
@@ -158,13 +160,13 @@ def _evaluate_and_write(model, dataset, env, solver, out: Path, path) -> None:
 def cmd_train(args) -> int:
     cfg, out, env, solver = _setup_solving(args)
     model_cfg = cfg.model.with_environment(env)
-    train_path = args.dataset or out / cfg.dataset.train_path
+    train_path = args.dataset or out / TRAIN_SET
     train_set = dataio.read_samples_jsonl(train_path)
     if not train_set:  # refused before any training time is spent
         raise InsufficientDataError(f"{train_path}: no samples")
-    # Only the config's default evaluation set may be absent; an explicit
+    # Only the default <output-dir>/eval.jsonl may be absent; an explicit
     # --eval-dataset must exist, and is read before any training time is spent.
-    eval_path = Path(args.eval_dataset or out / cfg.dataset.eval_path)
+    eval_path = Path(args.eval_dataset or out / EVAL_SET)
     eval_set = None
     if args.eval_dataset or eval_path.exists():
         eval_set = dataio.read_samples_jsonl(eval_path)
@@ -244,8 +246,8 @@ def cmd_sweep(args) -> int:
     if args.limit is not None:  # checked before anything is read or written
         check_int("--limit", args.limit)
     cfg, out, env, solver = _setup_solving(args)
-    train_path = args.dataset or out / cfg.dataset.train_path
-    eval_path = args.eval_dataset or out / cfg.dataset.eval_path
+    train_path = args.dataset or out / TRAIN_SET
+    eval_path = args.eval_dataset or out / EVAL_SET
     train_set = dataio.read_samples_jsonl(train_path)[: cfg.sweep.n_train_cap]  # None keeps all
     eval_set = dataio.read_samples_jsonl(eval_path)[: cfg.sweep.n_eval_cap]
     for path, samples in ((train_path, train_set), (eval_path, eval_set)):
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--output-dir", help="where outputs go (overrides config)")
+        p.add_argument("--output-dir", default="runs/default", help="where a command reads and writes (default: %(default)s)")
         p.add_argument(
             "--set",
             action="append",
@@ -344,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", help="environment JSON (default: <output-dir>/environment.json)")
 
     p = command("train", cmd_train, "train a correction model")
-    p.add_argument("--dataset", help="training JSONL (default from config)")
-    p.add_argument("--eval-dataset", help="evaluation JSONL (default from config)")
+    p.add_argument("--dataset", help="training JSONL (default: <output-dir>/train.jsonl)")
+    p.add_argument("--eval-dataset", help="evaluation JSONL (default: <output-dir>/eval.jsonl)")
     p.add_argument("--env")
 
     p = command("evaluate", cmd_evaluate, "evaluate a checkpoint on a dataset")

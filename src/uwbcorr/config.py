@@ -1,14 +1,15 @@
 """Experiment configuration: one JSON file, every field flag-overridable.
 
-Sections: environment, dataset, model, train, sweep. The model
-section is a ``model.ModelConfig``: a file sets all of it but
-``head_widths`` and the environment's ``n_total`` and ``extent``, which a
-command fills with ``ModelConfig.with_environment``. The train section is a
-``training.TrainConfig``. The solver has no section: every command solves
-on the plane z = ``environment.tag_height`` in the environment's extent grown
-by ``tdoa.BOUND_MARGIN``. Values omitted from the file keep their defaults.
-Each section checks its values when it is built, so a bad value fails with a
-ConfigError as the config loads.
+Sections: environment, dataset, model, train, sweep, and the top-level seed.
+The config names no file: ``cli`` fixes where a command reads and writes,
+in ``--output-dir``. The model section is a ``model.ModelConfig``: a file
+sets all of it but ``head_widths`` and the environment's ``n_total`` and
+``extent``, which a command fills with ``ModelConfig.with_environment``. The
+train section is a ``training.TrainConfig``. The solver has no section:
+every command solves on the plane z = ``environment.tag_height`` in the
+environment's extent grown by ``tdoa.BOUND_MARGIN``. Values omitted from the
+file keep their defaults. Each section checks its values when it is built,
+so a bad value fails with a ConfigError as the config loads.
 ``apply_overrides`` implements the ``--set section.key=value`` CLI mechanism.
 """
 
@@ -38,11 +39,6 @@ def _check_number(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
-def _check_path(name: str, value) -> None:
-    if not (isinstance(value, str) and value):
-        raise ConfigError(f"{name} must be a non-empty path string, got {value!r}")
-
-
 @dataclass
 class EnvironmentSpec:
     tag_height: float = 1.0
@@ -53,8 +49,6 @@ class EnvironmentSpec:
 
 @dataclass
 class DatasetSpec:
-    train_path: str = "train.jsonl"
-    eval_path: str = "eval.jsonl"
     train_lines: int = 10
     train_points_per_line: int = 300
     n_eval: int = 1000
@@ -62,8 +56,6 @@ class DatasetSpec:
     snr_db: Optional[float] = 20.0
 
     def __post_init__(self):
-        for name in ("train_path", "eval_path"):
-            _check_path(name, getattr(self, name))
         for name in ("train_lines", "train_points_per_line", "n_eval"):
             check_int(name, getattr(self, name))
         p = self.drop_probability
@@ -95,7 +87,6 @@ class SweepSpec:
 @dataclass
 class ExperimentConfig:
     seed: int = 7
-    output_dir: str = "runs/default"
     environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -104,7 +95,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, minimum=0)
-        _check_path("output_dir", self.output_dir)
 
 
 # section name -> its dataclass, for every field of ExperimentConfig built by a factory
@@ -130,7 +120,7 @@ def config_from_json_dict(payload: dict) -> ExperimentConfig:
                 k: tuple(v) if isinstance(v, list) else v for k, v in value.items()
             }
             kwargs[key] = _SECTIONS[key](**coerced)
-        elif key in ("seed", "output_dir"):
+        elif key == "seed":
             kwargs[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")

@@ -185,9 +185,9 @@ def write_estimates_csv(path, truths, baselines, estimates=None, solves=None):
 def write_table(path, rows: Sequence[dict], columns: Sequence[str], append: bool = False):
     """CSV of ``rows`` under a header of ``columns``; a column a row lacks is
     left empty and a key outside ``columns`` is dropped. With ``append`` the
-    rows go after the file's, and the header is written only to a new file."""
+    rows go after the file's, and the header is written only to a new or empty file."""
     path = Path(path)
-    header = not (append and path.exists())
+    header = not (append and path.exists() and path.stat().st_size)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a" if append else "w", newline="") as fh:
         writer = csv.DictWriter(fh, list(columns), restval="", extrasaction="ignore")

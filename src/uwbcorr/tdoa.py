@@ -121,10 +121,11 @@ class SolverOptions:
     """The settings of a solve, and the only way to pass them.
 
     A number ``fix_z`` pins each solve to the plane z = ``fix_z``, inside the
-    z range of ``bounds``; None solves in 3-D. ``bounds`` clips the search to
-    a box: the minimum of a corrupted DDoA set with no hyperboloid
-    intersection would otherwise run off to the far field. The default box
-    is unbounded, and walls at infinity hold no finite point.
+    z range of ``bounds``, and is the one way to ask for a plane; None solves
+    in 3-D. ``bounds`` clips the search to a box with lo < hi on every axis:
+    the minimum of a corrupted DDoA set with no hyperboloid intersection
+    would otherwise run off to the far field. The default box is unbounded,
+    and walls at infinity hold no finite point.
     """
 
     fix_z: Optional[float] = None
@@ -134,12 +135,8 @@ class SolverOptions:
         if self.fix_z is not None and not (is_number(self.fix_z) and math.isfinite(self.fix_z)):
             raise ConfigError(f"fix_z must be a finite number or null, got {self.fix_z!r}")
         (x0, y0, z0), (x1, y1, z1) = self.bounds
-        # a flat z range is a plane; a flat x or y range pins every solve
-        if not (x0 < x1 and y0 < y1 and z0 <= z1):
-            raise ConfigError(
-                "solver box must have lo < hi on x and y and lo <= hi on z, "
-                f"got lo {self.bounds[0]}, hi {self.bounds[1]}"
-            )
+        if not (x0 < x1 and y0 < y1 and z0 < z1):  # a flat axis pins every solve; fix_z asks for a plane
+            raise ConfigError(f"solver box must have lo < hi on every axis, got lo {self.bounds[0]}, hi {self.bounds[1]}")
         if self.fix_z is not None and not z0 <= self.fix_z <= z1:
             raise ConfigError(f"fix_z must lie in the box's z range [{z0}, {z1}], got {self.fix_z!r}")
 

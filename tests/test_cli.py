@@ -27,6 +27,7 @@ from uwbcorr.config import (
 from uwbcorr.errors import ConfigError, IncompatibleEncodingError, is_number
 from uwbcorr.metrics import metrics_report
 from uwbcorr.tdoa import STOP_REASONS, SolverOptions, solve_baselines
+from uwbcorr.training import train
 
 
 TINY_MODEL = [
@@ -66,6 +67,8 @@ def tiny_run(tmp_path_factory):
 
 # former TrainConfig fields, now constants of ``uwbcorr.training``
 FOLDED_TRAIN_KEYS = ("lr_peak", "warmup_fraction", "beta1", "beta2", "adam_eps", "validation_fraction")
+# former config keys, now the CLI's output layout: --output-dir and the fixed file names
+LAYOUT_SETTINGS = ("dataset.train_path=5", "dataset.eval_path=eval.jsonl", "output_dir=[]")
 
 
 def _numeric_settings() -> list[str]:
@@ -109,10 +112,10 @@ class TestSweepEnumeration:
 
 class TestConfig:
     def test_overrides(self):
-        payload = apply_overrides({}, ["model.d_model=128", "dataset.snr_db=null", "output_dir=x"])
+        payload = apply_overrides({}, ["model.d_model=128", "dataset.snr_db=null", "model.patching=multi_cir"])
         assert payload["model"]["d_model"] == 128
         assert payload["dataset"]["snr_db"] is None
-        assert payload["output_dir"] == "x"
+        assert payload["model"]["patching"] == "multi_cir"  # not JSON: kept as a string
         with pytest.raises(ConfigError, match="override 'model.d_model=4': 'model' is not a section"):
             apply_overrides({"model": 3}, ["model.d_model=4"])
 
@@ -159,6 +162,16 @@ class TestConfigFileErrors:
         assert main(["complexity", "--config", str(path), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {path}: {shown}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", LAYOUT_SETTINGS)
+    def test_a_file_with_a_former_layout_key_is_refused(self, tmp_path, capsys, setting):
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        path.write_text(json.dumps(apply_overrides({}, [setting])))
+        assert main(["simulate", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert setting.split("=")[0].split(".")[-1] in err  # names the key
         assert not out.exists()
 
 
@@ -368,9 +381,9 @@ class TestErrorExit:
     @pytest.mark.parametrize(
         "setting",
         [f"{key}=abc" for key in _numeric_settings()]
-        + ["dataset.train_path=5", "output_dir=[]"]
-        # keys that became training constants or left the model: a file
-        # that still sets one is refused at load, naming the key
+        # keys that became the output layout, training constants or left the
+        # model: a file that still sets one is refused at load, naming the key
+        + list(LAYOUT_SETTINGS)
         + [f"train.{key}=abc" for key in FOLDED_TRAIN_KEYS]
         + ["model.residual_output=abc"],
     )
@@ -898,6 +911,24 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: InsufficientDataError: {empty}: no samples\n"
         assert not (tmp_path / "out").exists()  # nothing trained, nothing written
 
+
+    def test_an_empty_table_gets_a_header(self, tiny_run, tmp_path, monkeypatch):
+        """A 0-byte sweep_results.csv is a table with no rows: the first row
+        goes under a header, so a rerun skips it and the Pareto front has it.
+        The sweep reads the simulate run's files in --output-dir."""
+        for name in ("environment.json", "train.jsonl", "eval.jsonl"):
+            (tmp_path / name).write_bytes((tiny_run / name).read_bytes())
+        (tmp_path / "sweep_results.csv").write_text("")
+        trained = []
+        monkeypatch.setattr("uwbcorr.cli.train", lambda *a, **k: trained.append(a[2]) or train(*a, **k))
+        sets = ["sweep.max_epochs=1", "sweep.multi_d_model=[8]", "sweep.multi_l_patch=[75]", "train.batch_size=16"]
+        argv = ["sweep", "--output-dir", str(tmp_path), *(a for kv in sets for a in ("--set", kv))]
+        assert main([*argv, "--limit", "1"]) == 0
+        assert [r["status"] for r in dataio.read_sweep_rows(tmp_path / "sweep_results.csv")] == ["ok"]
+        assert len(dataio.read_sweep_rows(tmp_path / "pareto.csv")) == 1
+        assert main([*argv, "--limit", "2"]) == 0
+        assert [c.ordering for c in trained] == ["fixed", "time_based"]  # the rerun trained configuration 2 only
+        assert len(dataio.read_sweep_rows(tmp_path / "sweep_results.csv")) == 2
 
     def test_a_table_to_resume_without_a_key_column_fails_before_training(
         self, tiny_run, tmp_path, capsys, monkeypatch

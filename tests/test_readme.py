@@ -9,7 +9,8 @@ the five config sections, such as `` `train.seed` ``, must name a key the
 config file takes. An example or a name with a removed or misspelt key, or
 a value a section rejects, then fails here instead of misleading a reader.
 Conversely, the README's config table must list every key a config file
-takes, with its default, so no setting lands undocumented.
+takes, with its default, and its count of those keys must hold, so no
+setting lands undocumented.
 
 An API name is code the README writes as a call (`` `name(` ``) or as
 `` `module.name` `` for a ``uwbcorr`` module or public class; file names such
@@ -107,6 +108,11 @@ def config_defaults() -> dict:
             value = getattr(value, part)
         values[dotted] = value
     return json.loads(json.dumps(values))
+
+
+def test_the_readme_counts_the_config_keys():
+    (count,) = re.findall(r"A config file takes these (\d+) keys", README.read_text())
+    assert int(count) == len(config_defaults())
 
 
 def test_the_readme_table_lists_every_config_key_with_its_default():

@@ -268,14 +268,20 @@ class TestSolverOptions:
         ids=["empty", "inverted", "all_inverted"],
     )
     def test_an_empty_or_inverted_box_is_rejected(self, bounds):
-        with pytest.raises(ConfigError, match="solver box must have lo < hi on x and y"):
+        with pytest.raises(ConfigError, match="solver box must have lo < hi on every axis"):
             SolverOptions(bounds=bounds)
 
-    def test_a_flat_z_range_is_a_plane(self):
-        box = ((0.0, 0.0, 1.0), (5.0, 5.0, 1.0))
-        assert SolverOptions(bounds=box).bounds == box
-        with pytest.raises(ConfigError, match="lo <= hi on z"):
-            SolverOptions(bounds=((0.0, 0.0, 2.0), (5.0, 5.0, 1.0)))
+    def test_a_flat_z_range_is_refused(self):
+        """A flat z range would hold z on both walls of a 3-D solve, which is
+        not the plane solve ``fix_z`` asks for; with ``fix_z`` the box keeps
+        its z range."""
+        for box in (((0.0, 0.0, 1.0), (5.0, 5.0, 1.0)), ((0.0, 0.0, 2.0), (5.0, 5.0, 1.0))):
+            with pytest.raises(ConfigError, match=r"^solver box must have lo < hi on every axis, got lo \("):
+                SolverOptions(bounds=box)
+            with pytest.raises(ConfigError, match="lo < hi on every axis"):
+                SolverOptions(fix_z=1.0, bounds=box)
+        box = ((0.0, 0.0, 0.0), (5.0, 5.0, 3.0))
+        assert SolverOptions(fix_z=1.0, bounds=box).bounds == box
 
     def test_the_default_box_is_unbounded(self):
         unbounded = ((-math.inf,) * 3, (math.inf,) * 3)
