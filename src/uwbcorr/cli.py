@@ -200,6 +200,11 @@ def cmd_evaluate(args) -> int:
             f"{args.checkpoint}: a {'multi_cir' if multi else 'learned-encoding'} checkpoint for "
             f"n_total={n_total} anchors cannot run on an environment of {env.n_anchors}"
         )
+    # a spatial encoding divides each anchor position by the checkpoint's extent; below 0 fails at read
+    outside = [a for a in env.anchors if np.any(a.position > model.config.extent)]
+    if outside and model.config.encoding != "learned":
+        where = f"anchor {outside[0].id} at {outside[0].position.tolist()}"
+        raise ConfigError(f"{args.checkpoint}: {where} lies outside its extent {list(model.config.extent)}")
     dataset = dataio.read_samples_jsonl(args.dataset)
     _evaluate_and_write(model, dataset, env, solver, out, args.dataset)
     return 0

@@ -397,10 +397,11 @@ def save_checkpoint(model: CorrectionModel, path):
 
 def load_checkpoint(path) -> CorrectionModel:
     """Model from a checkpoint. A file that is not an .npz, a missing or
-    non-JSON ``__meta__``, another schema version, a missing or unknown
-    config key, a config value ``ModelConfig`` rejects, or parameter names
-    and shapes other than those ``init_parameters`` gives for the stored
-    config raise ConfigError naming the file and the first offending key."""
+    non-JSON ``__meta__``, another schema version, a config that is not a
+    JSON object, a missing or unknown config key, a config value
+    ``ModelConfig`` rejects, or parameter names and shapes other than those
+    ``init_parameters`` gives for the stored config raise ConfigError naming
+    the file and the first offending key."""
     try:
         with np.load(path, allow_pickle=False) as data:
             params = {k: data[k] for k in data.files}
@@ -416,6 +417,8 @@ def load_checkpoint(path) -> CorrectionModel:
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise ConfigError(f"{path}: checkpoint schema {version} not supported")
     stored = meta.get("config", {})
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{path}: config must be a JSON object, got {json.dumps(stored)}")
     names = {f.name for f in fields(ModelConfig)}
     missing = sorted(names - set(stored))
     if missing:

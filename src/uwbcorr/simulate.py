@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import OutOfBoundsError, is_integer, is_number
-from .tdoa import SPEED_OF_LIGHT, Anchor, euclidean_distance
+from .tdoa import SPEED_OF_LIGHT, Anchor
 
 SAMPLE_PERIOD_S = 1e-9  # CIR tap spacing
 CIR_LENGTH = 192  # samples per raw CIR buffer
@@ -175,7 +175,7 @@ def synth_cir(
     if not env.contains(tag):
         raise OutOfBoundsError(f"tag {tag.tolist()} outside environment extent {env.extent}")
 
-    dist = euclidean_distance(tag, anchor.position)
+    dist = float(np.linalg.norm(tag - anchor.position))  # both finite: contains and Anchor checked them
     tau_direct = dist / SPEED_OF_LIGHT
     los = los_status(tag, anchor, env.obstacles)
 

@@ -11,7 +11,7 @@ else from the centroid and a few anchor-biased points. A coordinate on a
 wall of the search box (unbounded by default) stays there while its
 gradient points outward. Every start of every sample in a batch advances
 in lockstep as one row of stacked arrays, with each sample's pairs padded
-to the batch's widest set by pairs of zero residual and zero Jacobian.
+to one width by pairs of zero residual and zero Jacobian.
 """
 
 from __future__ import annotations
@@ -222,22 +222,6 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def _spans(counts: np.ndarray) -> list[tuple[int, int, int]]:
-    """(first row, end row, pair count) of each run of consecutive rows with
-    one pair count in ``counts``."""
-    cuts = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
-    return [(lo, hi, int(counts[lo])) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
-
-
-def _span_costs(r: np.ndarray, spans) -> np.ndarray:
-    """Each row's r . r over its own pairs: a dot over padded columns would
-    sum in another order once it is long enough."""
-    cost = np.empty(len(r))
-    for lo, hi, m in spans:
-        cost[lo:hi] = _sq_norms(r[lo:hi, :m])
-    return cost
-
-
 def _residuals_and_jacobian(p, ends, dd, k):
     """Residuals (n, m), Jacobian (n, m, k) and, for ``_second_order_term``,
     unit vectors g (k, n, 2m) and distances d (n, 2m) of n rows at points p.
@@ -257,20 +241,17 @@ def _residuals_and_jacobian(p, ends, dd, k):
     return r, (g[:, :, :m] - g[:, :, m:]).transpose(1, 2, 0), (g, d)
 
 
-def _second_order_term(g, d, r, spans):
+def _second_order_term(g, d, r):
     """Second-order term (n, k, k) at residuals r (n, m), g and d: the Hessian of
     |p - a| is (I - g g^T) / d, so that of r . r / 2 is J^T J plus the term
-    sum_m r_m (H_i - H_j). Like J^T r, it is summed once per span of ``spans``
-    on the unpadded columns; a pad pair's r of 0 gives it weight 0."""
+    sum_m r_m (H_i - H_j). A pad pair's r of 0 gives it weight 0."""
     k, m = len(g), r.shape[1]
-    term = np.empty((len(r), k, k))
-    for lo, hi, c in spans:
-        gi, gj = g[:, lo:hi, :c], g[:, lo:hi, m : m + c]
-        wi, wj = r[lo:hi, :c] / d[lo:hi, :c], r[lo:hi, :c] / d[lo:hi, m : m + c]
-        term[lo:hi] = (gj * wj).transpose(1, 0, 2) @ gj.transpose(1, 2, 0)
-        term[lo:hi] -= (gi * wi).transpose(1, 0, 2) @ gi.transpose(1, 2, 0)
-        diagonal = term[lo:hi].reshape(hi - lo, k * k)[:, :: k + 1]
-        diagonal += (wi - wj).sum(axis=1)[:, None]
+    gi, gj = g[:, :, :m], g[:, :, m:]
+    wi, wj = r / d[:, :m], r / d[:, m:]
+    term = (gj * wj).transpose(1, 0, 2) @ gj.transpose(1, 2, 0)
+    term -= (gi * wi).transpose(1, 0, 2) @ gi.transpose(1, 2, 0)
+    diagonal = term.reshape(len(r), k * k)[:, :: k + 1]
+    diagonal += (wi - wj).sum(axis=1)[:, None]
     return term
 
 
@@ -286,7 +267,7 @@ def _solve_each(normal: np.ndarray, rhs: np.ndarray):
     return step, ok
 
 
-def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
+def _levenberg_marquardt(starts, ends, dd, options: SolverOptions):
     """Levenberg-Marquardt from every row's start, all rows in lockstep.
 
     Row r minimizes its own hyperboloid residuals (pair ends ``ends[:, r]``,
@@ -312,14 +293,10 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
     row that ends within ``TIP_DIST`` of one of its anchors stops as "tip"
     instead, whatever rule stopped it.
 
-    The rows are padded to the widest pair count ``counts`` with pairs of
-    zero residual and zero Jacobian. The elementwise work, the normal
-    matrices J^T J and the batched solve give the same bits with or without
-    the zero pairs, so they run once over the whole stack. J^T r, the
-    second-order term and the cost r . r are BLAS sums whose order changes
-    with their length, so they run once per span of consecutive rows with
-    one pair count (``_spans``), on the unpadded columns. Each row's
-    arithmetic is then that of a solve of its set alone.
+    Every row is padded to one pair count with pairs of zero residual and
+    zero Jacobian (``_pair_geometry``), so each product and sum runs once
+    over the whole stack, and a row's arithmetic is that of a solve of its
+    set alone at that width, whatever rows share its stack.
 
     Returns positions (R, 3), residual norms (R,), iterations (R,), stop
     reasons (R,) as indices into ``STOP_REASONS``, and on-bound flags (R,):
@@ -334,9 +311,8 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         box_lo[2] = box_hi[2] = fix_z
     wall_lo, wall_hi = box_lo[:k, None], box_hi[:k, None]
     p = np.minimum(np.maximum(np.array(starts, dtype=float), box_lo), box_hi)
-    spans = _spans(counts)  # rebuilt only when rows leave
     r, jac, _ = _residuals_and_jacobian(p, ends, dd, k)
-    cost = _span_costs(r, spans)
+    cost = _sq_norms(r)
     lam = np.full(len(p), DAMPING)
     second = np.zeros(len(p), dtype=bool)  # the rows that have switched to full-Hessian steps
     term = np.zeros((len(p), k, k))  # the second-order term at p, kept for those rows only
@@ -351,9 +327,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         jac_t = jac.swapaxes(1, 2)  # jac_t @ jac on one buffer runs as syrk, like jac.T @ jac
         normal = jac_t @ jac + lam[:, None, None] * eye
         normal += term * second[:, None, None]
-        grad = np.empty((len(p), k, 1))  # J^T r, half the gradient of the cost
-        for lo, hi, m in spans:
-            grad[lo:hi] = jac_t[lo:hi, :, :m] @ r[lo:hi, :m, None]
+        grad = jac_t @ r[:, :, None]  # J^T r, half the gradient of the cost
         x = p[:, :k, None]
         held = np.where(grad > 0.0, x <= wall_lo, (x >= wall_hi) & (grad < 0.0))
         if held.any():
@@ -370,7 +344,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         p_new[:, :k] += step
         p_new = np.minimum(np.maximum(p_new, box_lo), box_hi)  # np.clip, without its call overhead
         r_new, jac_new, geometry = _residuals_and_jacobian(p_new, ends, dd, k)
-        cost_new = _span_costs(r_new, spans)
+        cost_new = _sq_norms(r_new)
         small = solved & (np.sqrt(_sq_norms(step)) < STEP_TOL)
         accept = solved & (cost_new < cost) & ~flat  # a NaN cost is never lower
         level = accept & (cost - cost_new <= COST_RTOL * cost)
@@ -379,7 +353,7 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
         np.copyto(r, r_new, where=accept[:, None])
         np.copyto(jac, jac_new, where=accept[:, None, None])
         if (moved := accept & second).any():  # only these rows read the term at their new point
-            np.copyto(term, _second_order_term(*geometry, r_new, spans), where=moved[:, None, None])
+            np.copyto(term, _second_order_term(*geometry, r_new), where=moved[:, None, None])
         cost = np.where(accept, cost_new, cost)
         lam = np.where(accept, np.maximum(lam / 10.0, 1e-15), lam * 10.0)
         damped = solved & ~accept & (lam > 1e14)
@@ -390,11 +364,10 @@ def _levenberg_marquardt(starts, ends, dd, counts, options: SolverOptions):
             out_p[done], out_cost[done] = p[stop], cost[stop]
             iterations[done], reasons[done] = it, why[stop]
             keep = ~stop
-            rows, p, r, jac, term, cost, lam, second, dd, counts = (
-                x[keep] for x in (rows, p, r, jac, term, cost, lam, second, dd, counts)
+            rows, p, r, jac, term, cost, lam, second, dd = (
+                x[keep] for x in (rows, p, r, jac, term, cost, lam, second, dd)
             )
             ends = ends[:, keep]
-            spans = _spans(counts)
     out_p[rows], out_cost[rows] = p, cost
     u = out_p.T[:, :, None] - all_ends
     reasons[np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2]).min(axis=1) <= TIP_DIST] = _TIP
@@ -437,14 +410,14 @@ def _solve_group(
     """Multi-start solves of DDoA sets of any pair counts, in one LM run.
 
     Each set contributes one row per start, stacked in input order and
-    padded to the widest set (see ``_levenberg_marquardt``); sets sorted by
-    pair count, as ``solve_baselines`` passes them, make the fewest spans.
-    A set's result is its first start with a strictly lowest residual norm,
+    padded to one width: the number of anchors less one, the most pairs a
+    ``measured_ddoa_set`` over them holds, unless a set is wider. A set's
+    result is its first start with a strictly lowest residual norm,
     scanning the starts in order and stopping at the first whose running
     best is exact-level (<= 1e-9).
     """
     pos = {a.id: a.position for a in anchors}
-    width = max(len(ddoas.pairs) for ddoas in ddoa_sets)
+    width = max(len(anchors) - 1, *(len(ddoas.pairs) for ddoas in ddoa_sets))
     first, starts, geometry = [0], [], []  # set n's rows are first[n] to first[n + 1]
     for ddoas in ddoa_sets:
         referenced = _require_three_anchors(ddoas)
@@ -454,10 +427,7 @@ def _solve_group(
     owner = [n for n in range(len(ddoa_sets)) for _ in range(first[n], first[n + 1])]
     ends = np.ascontiguousarray(np.stack([e for e, _ in geometry])[owner].transpose(2, 0, 1))
     dd = np.stack([d for _, d in geometry])[owner]
-    counts = np.array([len(ddoa_sets[n].pairs) for n in owner])
-    position, residual, iterations, reasons, on_bound = _levenberg_marquardt(
-        starts, ends, dd, counts, options
-    )
+    position, residual, iterations, reasons, on_bound = _levenberg_marquardt(starts, ends, dd, options)
     results = []
     for lo, hi in zip(first, first[1:]):
         best = lo
@@ -517,11 +487,11 @@ def solve_baselines(
 ) -> list[Optional[PositionEstimate]]:
     """Baseline estimates for many samples, solved together.
 
-    The solvable samples are sorted by their number of DDoA pairs, which
-    keeps the padding of each run narrow, and solved in lockstep LM runs of
-    up to ``BATCH_SAMPLES`` samples each. Every result equals
-    ``baseline_position`` on the same sample; an unsolvable sample (fewer
-    than 2 timestamps or 3 anchors) gives ``None`` at its index.
+    The solvable samples are solved in input order, in lockstep LM runs of
+    up to ``BATCH_SAMPLES`` samples each, every set padded to the width the
+    anchors fix. Every result equals ``baseline_position`` on the same
+    sample; an unsolvable sample (fewer than 2 timestamps or 3 anchors)
+    gives ``None`` at its index.
     """
     results: list[Optional[PositionEstimate]] = [None] * len(samples)
     solvable: list[tuple[int, DdoaSet]] = []
@@ -532,10 +502,8 @@ def solve_baselines(
         except InsufficientDataError:
             continue
         solvable.append((k, ddoas))
-    solvable.sort(key=lambda item: len(item[1].pairs))
     for lo in range(0, len(solvable), BATCH_SAMPLES):
         batch = solvable[lo : lo + BATCH_SAMPLES]
-        solved = _solve_group([d for _, d in batch], anchors, options)
-        for (k, _), estimate in zip(batch, solved):
+        for (k, _), estimate in zip(batch, _solve_group([d for _, d in batch], anchors, options)):
             results[k] = estimate
     return results

@@ -485,6 +485,31 @@ class TestErrorExit:
         assert not (tmp_path / "out").exists()
         assert self._evaluate(tiny_run, tmp_path, checkpoint) == 0
 
+    def test_evaluate_a_spatial_checkpoint_with_an_anchor_outside_its_extent(self, tiny_run, tmp_path, capsys):
+        """A spatial encoding divides each anchor position by the checkpoint's
+        extent, so a checkpoint for the 30 m hall is refused on a 40 m one
+        with an anchor at x = 39 before the dataset is read, naming the
+        checkpoint; a learned checkpoint, which reads no position, runs."""
+        hall = default_environment()
+        moved = Anchor(hall.anchors[-1].id, [39.0, 0.5, 2.7])
+        wide = Environment(anchors=(*hall.anchors[:-1], moved), obstacles=hall.obstacles, extent=(40.0, 10.0, 3.0))
+        run = tmp_path / "wide"
+        dataio.write_environment(run / "environment.json", wide)
+        for encoding in ("spatial", "spatial_time"):
+            checkpoint = tmp_path / f"{encoding}.npz"
+            cfg = make_model_config("per_cir", "fixed", encoding, 150, 8, env=hall, n_heads=2)
+            save_checkpoint(CorrectionModel.initialize(cfg), checkpoint)
+            assert self._evaluate(run, tmp_path, checkpoint, tmp_path / "absent.jsonl") == 2
+            assert capsys.readouterr().err == (
+                f"error: ConfigError: {checkpoint}: anchor {moved.id} at [39.0, 0.5, 2.7] "
+                "lies outside its extent [30.0, 10.0, 3.0]\n"
+            )
+        assert not (tmp_path / "out").exists()
+        learned = tmp_path / "learned.npz"
+        cfg = make_model_config("per_cir", "fixed", "learned", 150, 8, env=hall, n_heads=2)
+        save_checkpoint(CorrectionModel.initialize(cfg), learned)
+        assert self._evaluate(run, tmp_path, learned, tiny_run / "eval.jsonl") == 0
+
     def _checkpoint_arrays(self, tiny_run, tmp_path):
         """A saved checkpoint's path and its arrays, to edit and save back."""
         env = dataio.read_environment(tiny_run / "environment.json")

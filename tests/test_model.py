@@ -617,6 +617,12 @@ class TestCheckpoint:
             ):
                 load_checkpoint(path)
 
+    @pytest.mark.parametrize("value, shown", [(5, "5"), (None, "null")])
+    def test_a_config_that_is_not_an_object_names_the_file(self, small_env, tmp_path, value, shown):
+        path = self._rewritten_meta(small_env, tmp_path, lambda m: json.dumps({**m, "config": value}))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: config must be a JSON object, got {shown}$"):
+            load_checkpoint(path)
+
     def test_missing_config_key_is_named(self, small_env, tmp_path):
         def drop_n_total(meta):
             del meta["config"]["n_total"]

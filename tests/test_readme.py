@@ -1,6 +1,6 @@
 """The README's ``--set section.key=value`` examples must still load, the
-config keys it names must still exist, and the API names it writes must
-still exist.
+config keys it names must still exist, the API names it writes must still
+exist, and the constants it quotes must still hold their values.
 
 Each example whose value is concrete goes through
 ``config.load_experiment_config``. Every example, placeholders such as
@@ -16,11 +16,17 @@ An API name is code the README writes as a call (`` `name(` ``) or as
 `` `module.name` `` for a ``uwbcorr`` module or public class; file names such
 as ``metrics.json`` and config keys such as ``model.d_model`` are not API
 names.
+
+A quoted constant is `` `NAME` = value ``, such as `` `GRAD_TOL` = 1e-9 ``,
+with a ``%`` read as /100 and ``ns`` as 1e-9 s. Every ``uwbcorr`` module
+that holds ``NAME`` must hold that value, so a retuned constant cannot leave
+a stale figure behind.
 """
 
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import re
 from dataclasses import fields
@@ -39,6 +45,8 @@ SECTION_KEY = re.compile(rf"`({'|'.join(_SECTION_KEYS)})\.(\w+)(?:=[^\s`]*)?`")
 CONFIG_ROW = re.compile(r"^\| `([\w.]+)` \| `([^`]*)` \|", re.MULTILINE)
 CALL = re.compile(r"`([A-Za-z_][\w.]*)\(")
 DOTTED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`")
+CONSTANT = re.compile(r"`([A-Z][A-Z0-9_]*)`\s+=\s+(\d+(?:\.\d+)?(?:e[-+]?\d+)?)(%| ns\b)?")
+UNIT_SCALES = {"": 1.0, "%": 1e-2, " ns": 1e-9}
 FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "npz", "py", "toml", "txt"}
 MODULES = {
     info.name: importlib.import_module(f"uwbcorr.{info.name}")
@@ -159,3 +167,22 @@ def test_readme_api_name_resolves(name):
     else:
         last = name.rsplit(".", 1)[-1]
         assert any(hasattr(owner, last) for owner in [*MODULES.values(), *CLASSES]), name
+
+
+def readme_constants() -> list[tuple[str, float]]:
+    """``(NAME, value)`` of every `` `NAME` = value `` the README quotes."""
+    found = CONSTANT.findall(README.read_text())
+    return [(name, float(number) * UNIT_SCALES[unit]) for name, number, unit in found]
+
+
+def test_the_readme_quotes_constants():
+    names = {name for name, _ in readme_constants()}
+    assert {"GRAD_TOL", "SECOND_ORDER_RTOL", "DELTA_T_MAX_S", "LR_PEAK", "BOUND_MARGIN"} <= names
+
+
+@pytest.mark.parametrize("name, value", readme_constants(), ids=[name for name, _ in readme_constants()])
+def test_readme_constant_matches_the_code(name, value):
+    owners = [module for module in MODULES.values() if name in vars(module)]
+    assert owners, f"{name} is not a constant of any uwbcorr module"
+    for module in owners:
+        assert math.isclose(getattr(module, name), value, rel_tol=1e-12), f"{module.__name__}.{name}"

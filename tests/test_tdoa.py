@@ -385,14 +385,16 @@ class TestSolveBaselines:
 
 
 class TestPaddedSolve:
-    """One LM run holds sets of every pair count, padded to the widest."""
+    """One LM run holds sets of every pair count, each padded to the one
+    width the anchors fix: their number less one."""
 
     @pytest.mark.parametrize("fix_z", [1.0, None])
     def test_widths_around_16_match_one_at_a_time(self, fix_z):
         # n receiving anchors give n - 1 reference pairs, which the default
         # hall's 15 anchors keep below 16. On a 24-anchor hall, 11 to 22
-        # anchors give 10 to 21 pairs: BLAS sums change their order from a
-        # length of 16, so these straddle it
+        # anchors give 10 to 21 pairs, all padded to 23: BLAS sums change
+        # their order from a length of 16, and a set's sums still run at 23
+        # pairs whether it is solved alone or in a batch
         hall = default_environment()
         anchors = [
             Anchor(8 * row + col + 1, np.array([x, y, 2.8]))
@@ -434,6 +436,21 @@ class TestPaddedSolve:
         for sample, estimate in zip(mixed, got):
             assert_same_estimate(estimate, baseline_position(sample, env.anchors, options=options))
 
+    def test_a_set_wider_than_the_anchors_less_one_sets_its_runs_width(self):
+        # every pair of 4 anchors is 6 pairs, more than the 3 a measured set
+        # over them holds: the run pads to 6, and the wide set solves in it
+        # as it does alone
+        anchors = make_anchors([(0, 0, 3), (10, 0, 2.5), (10, 10, 3), (0, 10, 2.8)])
+        truth = np.array([4.0, 6.0, 1.0])
+        pairs = [(a, b) for a in anchors for b in anchors if a.id < b.id]
+        wide = DdoaSet(pairs=tuple((a.id, b.id, true_ddoa(truth, a, b)) for a, b in pairs))
+        plane = SolverOptions(fix_z=1.0)
+        alone = solve_tdoa(wide, anchors, plane)
+        together = tdoa._solve_group([ddoas_from_truth(truth, anchors), wide], anchors, plane)
+        assert_same_estimate(together[1], alone)
+        assert alone.residual_norm < 1e-9 and np.allclose(alone.position, truth, atol=1e-6)
+        assert np.allclose(together[0].position, truth, atol=1e-6)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_pad_pair_has_zero_residual_and_jacobian(self, k):
         anchors = make_anchors([(0, 0, 3), (10, 0, 2.5), (10, 10, 3), (0, 10, 2.8)])
@@ -442,21 +459,20 @@ class TestPaddedSolve:
         # the second point sits on anchor 2, the pad pairs' anchor
         points = np.array([[4.0, 6.0, 1.0], pos[2], [-30.0, 55.0, 9.0]])
 
-        def evaluate(width, summed):
+        def evaluate(width):
             ends, dd = tdoa._pair_geometry(ddoas, pos, width)
             stacked = np.ascontiguousarray(np.repeat(ends[None], len(points), 0).transpose(2, 0, 1))
             dd = np.repeat(dd[None], len(points), 0)
             r, jac, geometry = tdoa._residuals_and_jacobian(points, stacked, dd, k)
-            return r, jac, tdoa._second_order_term(*geometry, r, [(0, len(points), summed)])
+            return r, jac, tdoa._second_order_term(*geometry, r)
 
-        r, jac, term = evaluate(3, 3)
-        r_pad, jac_pad, term_pad = evaluate(7, 3)
+        r, jac, term = evaluate(3)
+        r_pad, jac_pad, term_pad = evaluate(7)
         assert np.array_equal(r_pad[:, :3], r) and np.array_equal(jac_pad[:, :3], jac)
         assert np.all(r_pad[:, 3:] == 0.0) and np.all(jac_pad[:, 3:] == 0.0)
-        assert np.array_equal(term_pad, term)
-        # summed over the pad columns too, the pad pairs add exactly 0 to the
+        # summed over the pad columns, the pad pairs add exactly 0 to the
         # second-order term, on their anchor as well as away from it
-        assert np.array_equal(evaluate(7, 7)[2], term)
+        assert np.array_equal(term_pad, term)
         # the pair axis is contiguous, as in the one-row solver's J^T J
         assert jac_pad.strides[1] == jac_pad.itemsize
 
@@ -475,14 +491,13 @@ class TestSecondOrderTerm:
         ends, dd = tdoa._pair_geometry(ddoas, pos, 4)
         ends = np.ascontiguousarray(np.repeat(ends[None], len(points), 0).transpose(2, 0, 1))
         dd = np.repeat(dd[None], len(points), 0)
-        spans = [(0, len(points), 4)]
 
         def grad(at):
             r, jac, _ = tdoa._residuals_and_jacobian(at, ends, dd, k)
             return (jac.swapaxes(1, 2) @ r[:, :, None])[:, :, 0]
 
         r, jac, geometry = tdoa._residuals_and_jacobian(points, ends, dd, k)
-        term = tdoa._second_order_term(*geometry, r, spans)
+        term = tdoa._second_order_term(*geometry, r)
         h = 1e-5
         diff = np.empty_like(term)
         for c in range(k):
